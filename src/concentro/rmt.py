@@ -1,6 +1,7 @@
-"""Linear eigenvalue statistics of Wigner matrices: sampling, a cyclic Jacobi
-eigensolver, exact semicircle integrals of polynomials, and the deviation
-bound for smooth linear statistics with its Monte Carlo comparison.
+"""Linear eigenvalue statistics of Wigner matrices: sampling, eigenvalues by
+LAPACK (one batched call per stack of matrices), exact semicircle integrals of
+polynomials, and the deviation bound for smooth linear statistics with its
+Monte Carlo comparison.
 """
 
 from __future__ import annotations
@@ -9,114 +10,37 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .montecarlo import MCConfig, _run_chunks, wilson_interval
 from .poly import Polynomial
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
 MAX_EIG_SIZE = 400
 
 
-def _jacobi_python(a: np.ndarray, tol_off: float) -> int:
-    """Cyclic-by-row Jacobi rotations until the off-diagonal Frobenius norm
-    drops below tol_off.  Vectorized row/column updates; used without numba."""
-    n = a.shape[0]
-    idx = np.arange(n)
-    for sweep in range(1, 61):
-        off = math.sqrt(max(0.0, (a * a).sum() - (np.diag(a) ** 2).sum()))
-        if off <= tol_off:
-            return sweep - 1
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, :] = a[:, p]
-                a[q, :] = a[:, q]
-                a[p, p] = c * c * col_p[p] - 2.0 * s * c * apq + s * s * col_q[q]
-                a[q, q] = s * s * col_p[p] + 2.0 * s * c * apq + c * c * col_q[q]
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    return 60
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _jacobi_numba(a, tol_off):  # pragma: no cover - exercised via wrapper
-        n = a.shape[0]
-        for sweep in range(1, 61):
-            off = 0.0
-            for i in range(n - 1):
-                for j in range(i + 1, n):
-                    off += a[i, j] * a[i, j]
-            if math.sqrt(2.0 * off) <= tol_off:
-                return sweep - 1
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    if apq == 0.0:
-                        continue
-                    theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                    if theta >= 0.0:
-                        t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
-                    else:
-                        t = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
-                    c = 1.0 / math.sqrt(t * t + 1.0)
-                    s = t * c
-                    app = a[p, p]
-                    aqq = a[q, q]
-                    for i in range(n):
-                        if i != p and i != q:
-                            aip = a[i, p]
-                            aiq = a[i, q]
-                            a[i, p] = c * aip - s * aiq
-                            a[p, i] = a[i, p]
-                            a[i, q] = s * aip + c * aiq
-                            a[q, i] = a[i, q]
-                    a[p, p] = c * c * app - 2.0 * s * c * apq + s * s * aqq
-                    a[q, q] = s * s * app + 2.0 * s * c * apq + c * c * aqq
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-        return 60
-
-
 def eigenvalues_symmetric(m) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations, run
-    until the off-diagonal Frobenius norm is below 1e-12 of the input norm."""
-    a = np.array(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
+    """Eigenvalues, ascending, of a symmetric (n, n) matrix, or of each matrix
+    in a (rows, n, n) stack, by LAPACK through numpy.linalg.eigvalsh.
+
+    Every matrix must be symmetric to 1e-12 of max(1, max|a|); it is replaced
+    by (a + a^T)/2 first, so the result does not depend on which triangle
+    LAPACK reads.  Returns (n,) or (rows, n).  One scratch array of the
+    input's size serves the checks and the symmetrised copy."""
+    a = np.asarray(m, dtype=float)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    n = a.shape[-1]
     if n > MAX_EIG_SIZE:
         raise ValueError(f"matrix size {n} exceeds cap {MAX_EIG_SIZE}")
-    scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a - a.T).max()) > 1e-12 * scale:
+    at = np.swapaxes(a, -1, -2)
+    buf = np.abs(a)
+    scale = np.maximum(1.0, buf.max(axis=(-2, -1)))
+    np.abs(np.subtract(a, at, out=buf), out=buf)
+    if np.any(buf.max(axis=(-2, -1)) > 1e-12 * scale):
         raise ValueError("matrix is asymmetric beyond tolerance 1e-12")
-    a = (a + a.T) / 2.0
-    frob = float(np.linalg.norm(a))
-    if frob == 0.0:
-        return np.zeros(n)
-    tol_off = 1e-12 * frob
-    if _HAVE_NUMBA:
-        _jacobi_numba(a, tol_off)
-    else:
-        _jacobi_python(a, tol_off)
-    return np.sort(np.diag(a))
+    np.add(a, at, out=buf)
+    buf *= 0.5
+    return np.linalg.eigvalsh(buf)
 
 
 def hoffman_wielandt_gap(b, c) -> tuple[float, float]:
@@ -171,9 +95,10 @@ def linear_statistic(f: Polynomial, matrix) -> LinStatResult:
     """Z = sum_i f(lambda_i / sqrt(n)) with eigenvalues sorted ascending."""
     if f.nvars != 1:
         raise ValueError("linear statistics take a one-variable polynomial")
+    if np.ndim(matrix) != 2:
+        raise ValueError("linear statistics take one matrix")
     eigs = eigenvalues_symmetric(matrix)
-    n = eigs.size
-    z = float(sum(f.evaluate([lam / math.sqrt(n)]) for lam in eigs))
+    z = float(f.evaluate_batch(eigs[:, None] / math.sqrt(eigs.size)).sum())
     return LinStatResult(z, eigs)
 
 
@@ -196,9 +121,18 @@ def semicircle_integral(g: Polynomial) -> float:
     return total
 
 
-def sup_abs_on_interval(g: Polynomial, halfwidth: float = 4.0, npoints: int = 10_000) -> float:
-    """Grid surrogate for sup |g| on [-halfwidth, halfwidth]."""
-    xs = np.linspace(-halfwidth, halfwidth, npoints)
+def sup_abs_on_interval(g: Polynomial, halfwidth: float = 4.0) -> float:
+    """sup |g| on [-halfwidth, halfwidth] for a one-variable polynomial: the
+    largest |g| over the endpoints and the critical points, the roots of g'.
+
+    Every root contributes its real part, clipped to the interval: a point of
+    the interval never exceeds the sup, so no tolerance on the imaginary part
+    is needed to keep the real roots."""
+    coeffs = np.zeros(g.degree + 1)
+    for key, coef in g.terms.items():
+        coeffs[key[0][1] if key else 0] = coef
+    crit = np.clip(P.polyroots(P.polyder(coeffs)).real, -halfwidth, halfwidth)
+    xs = np.concatenate([[-halfwidth, halfwidth], crit])
     return float(np.abs(g.evaluate_batch(xs[:, None])).max())
 
 
@@ -248,17 +182,12 @@ def wigner_experiment(f: Polynomial, spec: WignerSpec, cfg: MCConfig,
         raise ValueError("experiment replica count capped at 10000")
     fp = f.partial(1)
     sqrt_n = math.sqrt(spec.n)
-    coeffs_f = _dense_coeffs(f)
-    coeffs_fp = _dense_coeffs(fp)
 
     def job(chunk, rows, rng):
-        mats = spec.sample(rng, rows)
-        out = np.empty((2, rows))
-        for r in range(rows):
-            lam = eigenvalues_symmetric(mats[r]) / sqrt_n
-            out[0, r] = _polyval(coeffs_f, lam).sum()
-            out[1, r] = (_polyval(coeffs_fp, lam) ** 2).mean()
-        return out
+        lam = eigenvalues_symmetric(spec.sample(rng, rows)).reshape(-1, 1) / sqrt_n
+        f_lam = f.evaluate_batch(lam).reshape(rows, spec.n)
+        fp_lam = fp.evaluate_batch(lam).reshape(rows, spec.n)
+        return np.stack([f_lam.sum(axis=1), (fp_lam**2).mean(axis=1)])
 
     stacked = np.concatenate(_run_chunks(job, cfg, workers), axis=1)
     z, sob = stacked[0], stacked[1]
@@ -274,16 +203,3 @@ def wigner_experiment(f: Polynomial, spec: WignerSpec, cfg: MCConfig,
                         float(sob.mean()), float(sob.std() / math.sqrt(cfg.N)),
                         semicircle_integral(fp * fp), tuple(rows))
 
-
-def _dense_coeffs(g: Polynomial) -> np.ndarray:
-    out = np.zeros(g.degree + 1)
-    for key, coef in g.terms.items():
-        out[key[0][1] if key else 0] += coef
-    return out
-
-
-def _polyval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    for c in coeffs[::-1]:
-        out = out * x + c
-    return out

@@ -143,6 +143,17 @@ def test_rmt_command(tmp_path, capsys):
     assert "# sobolev_term=" in out and "limit=4" in out
 
 
+def test_small_experiments_take_no_moment(tmp_path, capsys):
+    path = str(tmp_path / "xsq.json")
+    with open(path, "w") as fh:
+        json.dump(polynomial_to_dict(Polynomial(1, {((1, 2),): 1.0})), fh)
+    assert dispatch(["rmt", "--f", path, "--n", "10", "--replicas", "20"]) == 0
+    assert "# z_mean=" in capsys.readouterr().out
+    assert dispatch(["graphs", "triangles", "--n", "10", "--p", "0.5", "--N", "20",
+                     "--eps", "0.5"]) == 0
+    assert "# expected_mean=15" in capsys.readouterr().out
+
+
 def test_hermite_command(capsys):
     assert dispatch(["hermite", "--k", "3"]) == 0
     out = capsys.readouterr().out

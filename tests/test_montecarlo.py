@@ -47,6 +47,12 @@ def test_config_guard_lists_max_p():
     with pytest.raises(ValueError):
         MCConfig(N=0)
     assert max_admissible_p(1_000_000) > 9.0
+    # runs that take no moment are not held to the cap
+    assert MCConfig(N=10).p_list == ()
+    with pytest.raises(ValueError, match="ln\\(N\\)/1.5"):
+        MCConfig(N=10, p_list=(2.0,))
+    with pytest.raises(ValueError, match="at least one order"):
+        empirical_moment(X1X2, GAUSS2, MCConfig(N=100))
 
 
 def test_empirical_moment_gaussian_examples():
@@ -170,7 +176,8 @@ def test_sobolev_check_examples():
     f_sq = Polynomial(1, {((1, 2),): 1.0})
     rows = sobolev_check(ProductDistribution.gaussian(1), f_sq, [2.0], cfg)
     assert rows[0]["ratio"] == pytest.approx(0.5, abs=0.02)
-    rows = sobolev_check(GAUSS2, Polynomial.constant(2, 1.0), [2.0], cfg)
-    assert rows[0]["status"] == "degenerate"
+    for c in (1.0, 0.3, 7.7):
+        rows = sobolev_check(GAUSS2, Polynomial.constant(2, c), [2.0], cfg)
+        assert rows[0]["status"] == "degenerate" and rows[0]["ratio"] is None
     with pytest.raises(ValueError, match="Sobolev"):
         sobolev_check(ProductDistribution.bernoulli(2, 0.5), f_lin, [2.0], cfg)

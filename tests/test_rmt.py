@@ -51,6 +51,19 @@ def test_eigenvalues_validation():
         eigenvalues_symmetric(np.zeros((401, 401)))
 
 
+def test_eigenvalues_of_a_stack():
+    mats = WignerSpec(12).sample(chunk_rng(45, 0), 7)
+    eigs = eigenvalues_symmetric(mats)
+    assert eigs.shape == (7, 12)
+    assert np.array_equal(eigs, np.stack([eigenvalues_symmetric(m) for m in mats]))
+    assert np.array_equal(eigenvalues_symmetric(np.zeros((3, 4, 4))), np.zeros((3, 4)))
+    mats[4, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match="asymmetric"):
+        eigenvalues_symmetric(mats)
+    with pytest.raises(ValueError, match="square"):
+        eigenvalues_symmetric(np.zeros((2, 3, 4)))
+
+
 def test_hoffman_wielandt_on_random_pairs():
     rng = chunk_rng(41, 0)
     for trial in range(30):
@@ -80,6 +93,13 @@ def test_linstat_bound_closed_form_for_square():
     arg = min(t**2 / (4.0 + n ** (-2 / 3) * 4.0), n * t / 2.0)
     assert got == pytest.approx(2 * math.exp(-arg), rel=1e-12)
     assert sup_abs_on_interval(X_SQ.partial(1).partial(1)) == pytest.approx(2.0)
+    # interior maximum 1 at x = a, midway between two nodes of a 10k-point grid
+    a = -4.0 + 5000.5 * 8.0 / 9999
+    shifted = X - Polynomial.constant(1, a)
+    g = Polynomial.constant(1, 1.0) - shifted * shifted * (1 / 25)
+    assert sup_abs_on_interval(g) == pytest.approx(1.0, abs=1e-12)
+    assert sup_abs_on_interval(Polynomial.constant(1, -3.0)) == 3.0
+    assert sup_abs_on_interval(X * X * X, halfwidth=2.0) == pytest.approx(8.0, abs=1e-12)
 
 
 def test_linstat_bound_regimes():
@@ -101,6 +121,8 @@ def test_linear_statistic_result():
     assert isinstance(res, LinStatResult)
     assert np.allclose(res.eigenvalues, [1, 4, 9])
     assert res.z == pytest.approx((1 + 16 + 81) / 3.0)
+    with pytest.raises(ValueError, match="one matrix"):
+        linear_statistic(X_SQ, np.stack([m, m]))
 
 
 def test_wigner_spec_conventions():
@@ -131,10 +153,11 @@ def test_wigner_experiment_square_statistic():
 
 
 def test_wigner_experiment_caps():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="matrix size capped at 200"):
         wigner_experiment(X_SQ, WignerSpec(300), MCConfig(N=10, seed=0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="replica count capped at 10000"):
         wigner_experiment(X_SQ, WignerSpec(10), MCConfig(N=20_000, seed=0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="one-variable polynomial"):
         wigner_experiment(Polynomial(2, {((1, 1), (2, 1)): 1.0}), WignerSpec(10),
                           MCConfig(N=10, seed=0))
+    assert wigner_experiment(X_SQ, WignerSpec(10), MCConfig(N=10, seed=0)).replicas == 10
