@@ -1,10 +1,12 @@
 """Command line surface: one binary, subcommand style, JSON inputs and CSV
 reports.
 
-A JSON config file can replace any flag set (--config); explicitly given flags
-override config values.  Every report embeds the version, the seed, and the
-full parameter echo in '#' comment lines, and is byte-reproducible for a fixed
-config.  Exit code 2 signals a validation failure with a one-line diagnostic.
+A JSON config file (--config) sets defaults for the subcommand's options;
+flags given on the command line override them, and a key that names no
+option of the subcommand is an error.  Every report embeds the version, the
+seed, and the full parameter echo in '#' comment lines, and is
+byte-reproducible for a fixed config.  Exit code 2 signals a validation
+failure with a one-line diagnostic.
 """
 
 from __future__ import annotations
@@ -392,22 +394,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command_parser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Install the JSON config of `args.config` as the subcommand's defaults,
+    so that flags given on the command line still override it."""
+    with open(args.config) as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"config {args.config} must hold a JSON object")
+    command = _command_parser(parser, args.command)
+    known = {a.dest for a in command._actions} - {"help", "config"}
+    unknown = sorted(set(config) - known)
+    if unknown:
+        raise ValueError(f"config {args.config}: unknown key {', '.join(unknown)}"
+                         f" for {args.command}")
+    command.set_defaults(**config)
+
+
 def dispatch(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            with open(args.config) as fh:
-                defaults = json.load(fh)
-            if not isinstance(defaults, dict):
-                raise ValueError(f"config {args.config} must hold a JSON object")
-            parser = build_parser()
-            parser.set_defaults(**defaults)
+            _apply_config(parser, args)
             args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,20 +6,27 @@ maximization from many restarts and reports the best value, which is always a
 certified lower bound on the true norm.  ``mixed_norm`` handles the variant
 where some blocks carry an l_alpha-of-l_2 constraint with a distinguished
 coordinate, summed over all choices of that coordinate.
-"""
+
+The alternating solver splits the blocks, in update order, into a prefix and
+a suffix of about d/2 coordinates each.  A sweep is one GEMM per side with the
+prefix x suffix matricization, then one small contraction per block.  It runs
+on the tensor scaled by an exact power of two, so tiny entries do not
+underflow.  The three entry points run on one BLAS thread (see ``blas``)."""
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import single_threaded
 from .partitions import SetPartition, SplitPartition, merged
 from .tensor import Tensor
 
 BRUTEFORCE_DIM_CAP = 64
-_BRUTE_CHUNK = 32768
+_BRUTE_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -116,29 +123,51 @@ def _alternating_max(a: Tensor, blocks: list[_BlockSpec], vecs: list[np.ndarray]
                      max_sweeps: int, tol: float):
     """Batched block-wise ascent; returns (values, vecs, sweeps_used).
 
-    Vectors are block-major, one column per restart.  Each block update is one
-    GEMM: the matricization of `a` with the block's coordinates as rows, times
-    the Khatri-Rao product of the other blocks' vectors.  The objective is
+    Vectors are block-major, one column per restart, and blocks are updated in
+    order 1..k.  The blocks split into a prefix and a suffix with balanced
+    coordinate counts, and the tensor is matricized once as prefix x suffix.
+    Each half-sweep is one GEMM, the matricization (or its transpose) times
+    the Khatri-Rao product of the other side's vectors, giving W over the
+    side's block indices.  Each block of the side then contracts W with the
+    side's other, already-updated vectors and takes its dual step, so this is
+    plain Gauss-Seidel with the sums grouped differently.  The objective is
     nondecreasing in every update, so the reported value per restart is the
     form value at the returned vectors.
     """
     m = a.dim
     nrestarts = vecs[0].shape[1]
-    mats = []
-    for l, spec in enumerate(blocks):
-        rows = [i - 1 for i in spec.coords]
-        cols = [i - 1 for j, b in enumerate(blocks) if j != l for i in b.coords]
-        mat = a.values.transpose(rows + cols).reshape(m ** len(rows), -1)
-        mats.append(np.ascontiguousarray(mat))
+    dims = [m ** len(b.coords) for b in blocks]
+    # the solver runs on `a` scaled by a power of two, so that max|a| lies in
+    # [1/2, 1) and no sum of squares underflows; the scaling is exact, and the
+    # stopping test and the returned values are in the units of `a`
+    exponent = int(np.frexp(np.abs(a.values).max())[1])
+    counts = np.cumsum([0] + [len(b.coords) for b in blocks])
+    split = int(np.argmin(np.abs(2 * counts - counts[-1])))
+    sides = (range(split), range(split, len(blocks)))
+    rows, cols = ([i - 1 for l in side for i in blocks[l].coords] for side in sides)
+    mat = np.ldexp(a.values, -exponent).transpose(rows + cols).reshape(m ** len(rows), -1)
+    mats = (np.ascontiguousarray(mat), np.ascontiguousarray(mat.T))
     vals = np.full(nrestarts, -np.inf)
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
-        for l, spec in enumerate(blocks):
-            others = [v for j, v in enumerate(vecs) if j != l] or [np.ones((1, nrestarts))]
-            g = mats[l] @ _khatri_rao(others)
-            new_vals, new_vec = _dual_step(spec, g.T, m)
-            keep = new_vals > 0
-            vecs[l] = np.where(keep[None, :], new_vec.T, vecs[l])
+        for side, other, side_mat in zip(sides, sides[::-1], mats):
+            if not side:
+                continue
+            w = side_mat @ _khatri_rao([vecs[j] for j in other] or [np.ones((1, nrestarts))])
+            for l in side:
+                partners = [vecs[j] for j in side if j != l]
+                if partners:
+                    pre = math.prod(dims[j] for j in side if j < l)
+                    g = np.einsum("aibr,abr->ir", w.reshape(pre, dims[l], -1, nrestarts),
+                                  _khatri_rao(partners).reshape(pre, -1, nrestarts))
+                else:
+                    g = w
+                new_vals, new_vec = _dual_step(blocks[l], g.T, m)
+                keep = new_vals > 0
+                vecs[l] = np.where(keep[None, :], new_vec.T, vecs[l])
+                del g, new_vec  # batch-sized: free them before the next allocation
+            del w
+        new_vals = np.ldexp(new_vals, exponent)
         improved = new_vals - vals > tol * np.maximum(1.0, new_vals)
         vals = new_vals
         if not improved.any():
@@ -147,17 +176,16 @@ def _alternating_max(a: Tensor, blocks: list[_BlockSpec], vecs: list[np.ndarray]
 
 
 def _init_vectors(blocks: list[_BlockSpec], m: int, restarts: int, seed: int):
-    """Block-major start points: column #0 is the all-equal tuple, the rest
-    are seeded random points."""
+    """Block-major start points: column #0 is the all-equal tuple, column #r
+    is a standard normal draw from `default_rng(seed + r)`, blocks in order,
+    each projected onto its block's unit sphere."""
     dims = [m ** len(b.coords) for b in blocks]
-    vecs = [np.empty((dim, restarts)) for dim in dims]
-    for l, (spec, dim) in enumerate(zip(blocks, dims)):
-        vecs[l][:, 0] = _project_ball(spec, np.ones((1, dim)), m)[0]
+    starts = np.ones((restarts, sum(dims)))
     for r in range(1, restarts):
-        rng = np.random.default_rng(seed + r)
-        for l, (spec, dim) in enumerate(zip(blocks, dims)):
-            vecs[l][:, r] = _project_ball(spec, rng.standard_normal((1, dim)), m)[0]
-    return vecs
+        starts[r] = np.random.default_rng(seed + r).standard_normal(sum(dims))
+    edges = np.cumsum([0] + dims)
+    return [np.ascontiguousarray(_project_ball(spec, starts[:, lo:hi], m).T)
+            for spec, lo, hi in zip(blocks, edges, edges[1:])]
 
 
 def _zero_result(a: Tensor, part: SetPartition, method: str) -> NormResult:
@@ -165,6 +193,7 @@ def _zero_result(a: Tensor, part: SetPartition, method: str) -> NormResult:
     return NormResult(0.0, certs, method)
 
 
+@single_threaded()
 def norm_J(a: Tensor, part: SetPartition, opts: NormOptions | None = None,
            method: str = "auto") -> NormResult:
     """The injective norm of `a` indexed by the partition `part`.
@@ -186,8 +215,12 @@ def norm_J(a: Tensor, part: SetPartition, opts: NormOptions | None = None,
     if method == "frobenius":
         if part.n_blocks != 1:
             raise ValueError("frobenius method needs a single-block partition")
-        value = float(np.linalg.norm(a.values.ravel()))
-        return NormResult(value, (a.values.ravel() / value,), "frobenius")
+        # scaling by a power of two is exact and keeps the sum of squares
+        # from underflowing or overflowing
+        exponent = int(np.frexp(np.abs(a.values).max())[1])
+        unit = np.ldexp(a.values.ravel(), -exponent)
+        value = np.linalg.norm(unit)
+        return NormResult(float(np.ldexp(value, exponent)), (unit / value,), "frobenius")
 
     if method == "matricization-spectral":
         if part.n_blocks != 2:
@@ -208,6 +241,7 @@ def norm_J(a: Tensor, part: SetPartition, opts: NormOptions | None = None,
     return NormResult(float(vals[best]), cert, "als", sweeps, opts.restarts)
 
 
+@single_threaded()
 def norm_J_bruteforce(a: Tensor, part: SetPartition, npoints: int, seed: int = 0) -> float:
     """Random-restart lower bound: `npoints` sphere tuples, 50 polish sweeps each.
 
@@ -239,6 +273,7 @@ def norm_J_bruteforce(a: Tensor, part: SetPartition, npoints: int, seed: int = 0
     return best
 
 
+@single_threaded()
 def mixed_norm(a: Tensor, split: SplitPartition, alpha: float,
                opts: NormOptions | None = None) -> float:
     """Mixed-constraint norm: inner blocks on Euclidean spheres, outer blocks

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from concentro.cli import dispatch
+from concentro.norms import NormOptions, norm_J
+from concentro.partitions import SetPartition
 from concentro.poly import Polynomial, polynomial_to_dict
-from concentro.tensor import Tensor, save_tensor
+from concentro.tensor import Tensor, load_tensor, save_tensor
 
 
 @pytest.fixture
@@ -104,6 +106,55 @@ def test_config_file_merge(x1x2, tmp_path, capsys):
     assert dispatch(["bounds", "--config", cfg, "--poly", x1x2, "--p", "2"]) == 0
     out = capsys.readouterr().out
     assert "# total=4" in out  # flag --p 2 overrides config's 4.0
+
+
+@pytest.fixture
+def als_config(tmp_path):
+    tensor = str(tmp_path / "t3.json")
+    save_tensor(Tensor(np.random.default_rng(11).standard_normal((3, 3, 3))), tensor)
+    cfg = str(tmp_path / "cfg.json")
+    with open(cfg, "w") as fh:
+        json.dump({"restarts": 2, "seed": 99, "max_sweeps": 1}, fh)
+    return tensor, ["norm", "--tensor", tensor, "--partition", "1|2|3", "--method", "als",
+                    "--cert-out", str(tmp_path / "cert.json"), "--config", cfg]
+
+
+def _norm_value(out):
+    return float([l for l in out.splitlines() if not l.startswith("#")][1].split(",")[0])
+
+
+def test_config_reaches_subcommand_options(als_config, capsys):
+    tensor, argv = als_config
+    assert dispatch(argv) == 0
+    out = capsys.readouterr().out
+    header = out.splitlines()[1].split()
+    assert {"restarts=2", "seed=99", "max_sweeps=1"} <= set(header)
+    expect = norm_J(load_tensor(tensor), SetPartition.parse("1|2|3"),
+                    NormOptions(restarts=2, seed=99, max_sweeps=1), method="als").value
+    assert _norm_value(out) == float(f"{expect:.12g}")
+
+
+def test_flag_beats_config(als_config, capsys):
+    _, argv = als_config
+    assert dispatch(argv + ["--seed", "5"]) == 0
+    header = capsys.readouterr().out.splitlines()[1].split()
+    assert {"restarts=2", "seed=5", "max_sweeps=1"} <= set(header)
+
+
+def test_config_unknown_key_exit_2(id2, tmp_path, capsys):
+    cfg = str(tmp_path / "cfg.json")
+    with open(cfg, "w") as fh:
+        json.dump({"restarts": 2, "bogus_key": 5}, fh)
+    code = dispatch(["norm", "--tensor", id2, "--partition", "1|2", "--config", cfg])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bogus_key" in captured.err and captured.err.count("\n") == 1
+
+
+def test_missing_config_exit_2(capsys):
+    assert dispatch(["hermite", "--config", "/nonexistent/cfg.json"]) == 2
+    assert "/nonexistent/cfg.json" in capsys.readouterr().err
 
 
 def test_mc_chaos_and_hermite(id2, capsys):

@@ -4,7 +4,18 @@ import numpy as np
 import pytest
 
 from concentro.partitions import SetPartition, SplitPartition, enumerate_partitions, refines
-from concentro.norms import NormOptions, NormResult, mixed_norm, norm_J, norm_J_bruteforce
+from concentro.norms import (
+    NormOptions,
+    NormResult,
+    _alternating_max,
+    _BlockSpec,
+    _dual_step,
+    _init_vectors,
+    _project_ball,
+    mixed_norm,
+    norm_J,
+    norm_J_bruteforce,
+)
 from concentro.tensor import IndexMask, Tensor, apply_mask, contract, hadamard_rank_one, symmetrize
 
 OPTS = NormOptions(restarts=32, seed=0)
@@ -239,3 +250,86 @@ def test_norm_options_validation():
         NormOptions(restarts=0)
     with pytest.raises(ValueError):
         NormOptions(tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the alternating kernel against per-block references
+
+_AXES = "abcdefgh"
+
+MIXED_BLOCKS = [
+    [_BlockSpec((1,)), _BlockSpec((2, 3), "mixed", s_pos=1, alpha=1.5)],
+    [_BlockSpec((1,)), _BlockSpec((2, 3), "mixed", s_pos=0, alpha=1.5),
+     _BlockSpec((4,), "mixed", alpha=1.5)],
+    [_BlockSpec((1, 2), "mixed", s_pos=1, alpha=1.0), _BlockSpec((3,), "mixed", alpha=1.0)],
+]
+
+
+def _l2_blocks(part):
+    return [_BlockSpec(b) for b in part.blocks]
+
+
+def _reference_starts(blocks, m, restarts, seed):
+    """Start points drawn block by block, one row per _project_ball call."""
+    dims = [m ** len(b.coords) for b in blocks]
+    vecs = [np.empty((dim, restarts)) for dim in dims]
+    for l, (spec, dim) in enumerate(zip(blocks, dims)):
+        vecs[l][:, 0] = _project_ball(spec, np.ones((1, dim)), m)[0]
+    for r in range(1, restarts):
+        rng = np.random.default_rng(seed + r)
+        for l, (spec, dim) in enumerate(zip(blocks, dims)):
+            vecs[l][:, r] = _project_ball(spec, rng.standard_normal((1, dim)), m)[0]
+    return vecs
+
+
+def _reference_sweep(a, blocks, vecs):
+    """One Gauss-Seidel sweep, each block update one np.einsum over the tensor."""
+    m, nrestarts = a.dim, vecs[0].shape[1]
+    vecs = [v.copy() for v in vecs]
+    for l, spec in enumerate(blocks):
+        operands, subs = [a.values], [_AXES[:a.order]]
+        for j, other in enumerate(blocks):
+            if j != l:
+                operands.append(vecs[j].reshape((m,) * len(other.coords) + (nrestarts,)))
+                subs.append("".join(_AXES[i - 1] for i in other.coords) + "z")
+        out = "z" + "".join(_AXES[i - 1] for i in spec.coords)
+        g = np.einsum(",".join(subs) + "->" + out, *operands).reshape(nrestarts, -1)
+        vals, y = _dual_step(spec, g, m)
+        vecs[l] = np.where(vals > 0, y.T, vecs[l])
+    return vals, vecs
+
+
+@pytest.mark.parametrize("restarts", [1, 2, 64])
+@pytest.mark.parametrize("blocks", [_l2_blocks(SetPartition.parse("1,2|3|4")),
+                                    _l2_blocks(SetPartition.parse("1|2|3"))] + MIXED_BLOCKS)
+def test_init_vectors_match_per_block_draws(blocks, restarts):
+    got = _init_vectors(blocks, 3, restarts, seed=17)
+    expect = _reference_starts(blocks, 3, restarts, seed=17)
+    assert all(np.array_equal(g, e) for g, e in zip(got, expect))
+
+
+FOUR_PARTS = [p for p in enumerate_partitions(4) if p.n_blocks >= 3]
+
+
+@pytest.mark.parametrize("blocks", [_l2_blocks(p) for p in FOUR_PARTS] + MIXED_BLOCKS[:2],
+                         ids=[str(p) for p in FOUR_PARTS] + ["mixed-2", "mixed-3"])
+def test_one_sweep_matches_per_block_einsum(blocks):
+    order = max(i for b in blocks for i in b.coords)
+    a = Tensor(np.random.default_rng(order).standard_normal((3,) * order))
+    start = _init_vectors(blocks, 3, 16, seed=5)
+    vals, vecs, sweeps = _alternating_max(a, blocks, [v.copy() for v in start], 1, 1e-10)
+    ref_vals, ref_vecs = _reference_sweep(a, blocks, start)
+    assert sweeps == 1
+    np.testing.assert_allclose(vals, ref_vals, rtol=1e-12, atol=0)
+    for v, r in zip(vecs, ref_vecs):
+        np.testing.assert_allclose(v, r, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("part", FOUR_PARTS + [SetPartition.parse("1|2|3", d=3)], ids=str)
+def test_returned_values_are_form_values(part):
+    a = Tensor(np.random.default_rng(part.n_blocks).standard_normal((3,) * part.d))
+    blocks = _l2_blocks(part)
+    vals, vecs, _ = _alternating_max(a, blocks, _init_vectors(blocks, 3, 8, seed=1), 500, 1e-10)
+    for r in range(8):
+        form = contract(a, part, [v[:, r] for v in vecs])
+        assert form == pytest.approx(vals[r], rel=1e-12)
