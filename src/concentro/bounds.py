@@ -7,6 +7,15 @@ exact functionals of the inputs, honest up to those constants; only the tail
 functionals ``eta_tail`` and ``additive_functional_tail`` take theirs as a
 parameter ``c_d``.  Rows whose norm came from the alternating solver carry a
 lower-bound flag.
+
+One norm solve per block-size shape: E D^d f is a symmetric tensor (mixed
+partials commute, and ``expected_derivative_tensor`` builds it exactly
+symmetric), so |A|_J = |A|_(sigma J) for every relabeling sigma of {1,..,d},
+and a partition's or split's norm depends only on its ``shape``.  Within one
+derivative order of one report, the first partition (or split) of each shape
+in enumeration order is solved, and every later one of that shape reuses its
+value and flag.  A reused alternating-solver value is still a lower bound on
+its own row's norm, since that norm is the same number.
 """
 
 from __future__ import annotations
@@ -60,12 +69,19 @@ class BoundReport:
 
 
 def _norm_rows(f: Polynomial, dist: ProductDistribution, opts: NormOptions):
-    """Yield (d, partition, NormResult-value, flagged) over d = 1..deg(f)."""
+    """Yield (d, partition, norm, flagged) over d = 1..deg(f), in enumeration order.
+
+    The symmetric E D^d f cannot tell apart partitions of one shape, so only
+    the first of each shape calls ``norm_J``; the later ones reuse its row.
+    """
     for d in range(1, f.degree + 1):
         tens = expected_derivative_tensor(f, dist, d)
+        by_shape = {}
         for part in enumerate_partitions(d):
-            res = norm_J(tens, part, opts)
-            yield d, part, res.value, res.method == "als"
+            if part.shape not in by_shape:
+                res = norm_J(tens, part, opts)
+                by_shape[part.shape] = (res.value, res.method == "als")
+            yield (d, part) + by_shape[part.shape]
 
 
 def gaussian_moment_bound(f: Polynomial, dist: ProductDistribution, p: float,
@@ -189,8 +205,11 @@ def weibull_moment_bound(f: Polynomial, dist: ProductDistribution, p: float,
     terms = []
     for d in range(1, f.degree + 1):
         tens = expected_derivative_tensor(f, dist, d)
+        by_shape = {}   # one mixed_norm solve per split shape, as in _norm_rows
         for split in enumerate_splits(d):
-            norm = mixed_norm(tens, split, alpha, opts)
+            if split.shape not in by_shape:
+                by_shape[split.shape] = mixed_norm(tens, split, alpha, opts)
+            norm = by_shape[split.shape]
             expo = len(split.inner) / 2.0 + len(split.outer) / alpha
             exact = (alpha == 2.0 and merged(split).n_blocks <= 2) or \
                     (len(split.inner) + len(split.outer)) <= 1

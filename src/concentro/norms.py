@@ -132,7 +132,9 @@ def _alternating_max(a: Tensor, blocks: list[_BlockSpec], vecs: list[np.ndarray]
     side's other, already-updated vectors and takes its dual step, so this is
     plain Gauss-Seidel with the sums grouped differently.  The objective is
     nondecreasing in every update, so the reported value per restart is the
-    form value at the returned vectors.
+    form value at the returned vectors.  The batch stops after the first sweep
+    in which no restart's value rose by more than `tol` relative to it, so a
+    tensor with small entries is not stopped early.
     """
     m = a.dim
     nrestarts = vecs[0].shape[1]
@@ -168,7 +170,7 @@ def _alternating_max(a: Tensor, blocks: list[_BlockSpec], vecs: list[np.ndarray]
                 del g, new_vec  # batch-sized: free them before the next allocation
             del w
         new_vals = np.ldexp(new_vals, exponent)
-        improved = new_vals - vals > tol * np.maximum(1.0, new_vals)
+        improved = new_vals - vals > tol * new_vals
         vals = new_vals
         if not improved.any():
             break

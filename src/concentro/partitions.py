@@ -56,8 +56,10 @@ class SetPartition:
         return len(self.blocks)
 
     @property
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
+    def shape(self) -> tuple[int, ...]:
+        """The sorted block sizes: partitions of one shape differ by a
+        relabeling of {1,..,d}."""
+        return tuple(sorted(len(b) for b in self.blocks))
 
     @classmethod
     def parse(cls, text: str, d: int | None = None) -> "SetPartition":
@@ -112,6 +114,11 @@ class SplitPartition:
     @property
     def inner_set(self) -> tuple[int, ...]:
         return tuple(sorted(i for b in self.inner for i in b))
+
+    @property
+    def shape(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(sorted inner block sizes, sorted outer block sizes)."""
+        return tuple(sorted(len(b) for b in self.inner)), tuple(sorted(len(b) for b in self.outer))
 
     @classmethod
     def parse(cls, text: str, d: int | None = None) -> "SplitPartition":

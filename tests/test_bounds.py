@@ -204,3 +204,63 @@ def test_report_consistency_guard():
     rows = list(rep.csv_rows())
     assert rows[0] == ("d", "partition", "exponent", "norm", "flag", "term")
     assert rows[1][1] == "1" and rows[1][4] == "exact"
+
+
+# ---------------------------------------------------------------------------
+# one norm solve per block-size shape
+
+def _counting(monkeypatch, name):
+    """Count the calls a report makes to bounds.<name>."""
+    import concentro.bounds as bounds
+
+    calls = []
+    inner = getattr(bounds, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, name, counted)
+    return calls
+
+
+def test_gaussian_report_solves_once_per_shape(monkeypatch):
+    calls = _counting(monkeypatch, "norm_J")
+    f = Polynomial(2, {((1, 5),): 1.0, ((1, 2), (2, 3)): -0.5, ((2, 1),): 2.0})
+    rep = gaussian_moment_bound(f, GAUSS2, 2.0, OPTS)
+    # sum of p(d) for d <= 5 solves, against sum of Bell(d) = 75 rows
+    assert len(calls) == 1 + 2 + 3 + 5 + 7
+    assert len(rep.terms) == 1 + 2 + 5 + 15 + 52
+    assert len({(part.d, part.shape) for part in calls}) == len(calls)
+
+
+def test_weibull_report_solves_once_per_split_shape(monkeypatch):
+    calls = _counting(monkeypatch, "mixed_norm")
+    f = Polynomial(2, {((1, 3),): 1.0, ((1, 1), (2, 1)): 0.5, ((2, 1),): -1.0})
+    rep = weibull_moment_bound(f, ProductDistribution.weibull(2, 1.5), 4.0, 1.5, OPTS)
+    assert len(calls) == 2 + 5 + 10
+    assert len(rep.terms) == 2 + 6 + 22
+
+
+@pytest.mark.parametrize("case", ["degree-4", "k6-4-cycle"])
+def test_every_row_equals_its_own_partition_norm(case):
+    from concentro.graphs import GraphSpec, counting_polynomial
+    from concentro.norms import norm_J
+    from concentro.partitions import SetPartition
+    from concentro.poly import expected_derivative_tensor
+
+    if case == "degree-4":
+        f = Polynomial(3, {((1, 2), (2, 2)): 1.3, ((1, 1), (2, 1), (3, 2)): -0.7,
+                           ((3, 4),): 0.4, ((2, 3),): 2.0, ((1, 1), (3, 1)): 0.5})
+        dist = ProductDistribution.gaussian(3)
+    else:
+        h = GraphSpec.cycle(4)
+        f = counting_polynomial(h, 6) * (1.0 / h.aut_size)
+        dist = ProductDistribution.bernoulli(f.nvars, 0.3)
+    rep = gaussian_moment_bound(f, dist, 2.0, OPTS)
+    tensors = {d: expected_derivative_tensor(f, dist, d) for d in range(1, f.degree + 1)}
+    for t in rep.terms:
+        part = SetPartition.parse(t.label, d=t.d)
+        own = norm_J(tensors[t.d], part, OPTS)
+        assert t.flagged == (own.method == "als")
+        assert t.norm == pytest.approx(own.value, rel=1e-9 if t.flagged else 1e-12)

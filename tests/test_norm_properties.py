@@ -9,7 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 from concentro.norms import NormOptions, norm_J
 from concentro.partitions import SetPartition, enumerate_partitions
-from concentro.tensor import Tensor, contract
+from concentro.poly import Polynomial, ProductDistribution, expected_derivative_tensor
+from concentro.tensor import Tensor, contract, symmetrize
 
 OPTS = NormOptions(restarts=16, seed=3)
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -61,3 +62,46 @@ def test_als_at_least_form_at_all_equal_start(case):
     start = [np.full(a.dim ** len(b), a.dim ** (-len(b) / 2)) for b in part.blocks]
     als = norm_J(a, part, OPTS, method="als").value
     assert als >= contract(a, part, start) * (1 - 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the symmetry that lets a bound report solve one partition per shape
+
+@st.composite
+def sparse_polynomial(draw):
+    nvars = draw(st.integers(1, 3))
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        powers = draw(st.lists(st.integers(0, 4), min_size=nvars, max_size=nvars)
+                      .filter(lambda ps: 0 < sum(ps) <= 4))
+        key = tuple((v + 1, k) for v, k in enumerate(powers) if k)
+        terms[key] = draw(st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False))
+    return Polynomial(nvars, terms)
+
+
+LAWS = [lambda n: ProductDistribution.gaussian(n),
+        lambda n: ProductDistribution.bernoulli(n, 0.3),
+        lambda n: ProductDistribution.weibull(n, 1.5)]
+
+
+@PROPERTY_SETTINGS
+@given(sparse_polynomial(), st.sampled_from(LAWS))
+def test_expected_derivative_tensor_is_exactly_symmetric(f, law):
+    dist = law(f.nvars)
+    for d in range(1, f.degree + 1):
+        tens = expected_derivative_tensor(f, dist, d).values
+        for perm in itertools.permutations(range(d)):
+            assert np.array_equal(tens, tens.transpose(perm))
+
+
+@PROPERTY_SETTINGS
+@given(tensor_and_partition())
+def test_exact_norms_agree_across_a_shape(case):
+    a, _ = case
+    a = symmetrize(a)
+    by_shape = {}
+    for part in enumerate_partitions(a.order):
+        if part.n_blocks <= 2:
+            by_shape.setdefault(part.shape, []).append(norm_J(a, part).value)
+    for values in by_shape.values():
+        assert max(values) - min(values) <= 1e-12 * max(values)

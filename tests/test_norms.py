@@ -174,6 +174,18 @@ def test_permutation_invariance_for_symmetric_tensors():
             assert norm_J(a, relabeled, OPTS).value == pytest.approx(base, abs=1e-8)
 
 
+def test_als_stopping_test_is_relative():
+    # a tensor with small entries sweeps to the same value as at scale 1;
+    # an absolute tolerance stopped it after 9 of 47 sweeps at scale 1e-9
+    a = np.random.default_rng(5).standard_normal((4, 4, 4))
+    part = SetPartition.parse("1|2|3")
+    opts = NormOptions(restarts=64)
+    base = norm_J(Tensor(a), part, opts)
+    for scale in (1e-9, 1e-30):
+        small = norm_J(Tensor(scale * a), part, opts)
+        assert small.value / scale == pytest.approx(base.value, rel=1e-12)
+
+
 def test_norm_is_deterministic():
     rng = np.random.default_rng(107)
     a = Tensor(rng.standard_normal((3, 3, 3)))

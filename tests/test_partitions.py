@@ -83,6 +83,21 @@ def test_split_counts(d, count):
     assert len(set((s.inner, s.outer) for s in splits)) == count
 
 
+@pytest.mark.parametrize("d,count", [(1, 1), (2, 2), (3, 3), (4, 5), (5, 7), (6, 11)])
+def test_partition_shapes_are_integer_partitions(d, count):
+    shapes = {part.shape for part in enumerate_partitions(d)}
+    assert len(shapes) == count
+    assert all(sum(s) == d and list(s) == sorted(s) for s in shapes)
+
+
+@pytest.mark.parametrize("d,count", [(1, 2), (2, 5), (3, 10)])
+def test_split_shape_counts(d, count):
+    shapes = {split.shape for split in enumerate_splits(d)}
+    assert len(shapes) == count
+    assert SplitPartition.parse("1|2||3").shape == SplitPartition.parse("1|3||2").shape \
+        == ((1, 1), (1,))
+
+
 def test_split_d1_members():
     splits = enumerate_splits(1)
     assert SplitPartition(1, ((1,),), ()) in splits
