@@ -32,7 +32,6 @@ from .montecarlo import (
     empirical_moment,
     empirical_tail,
     hermite_tetrahedral_convergence,
-    sample_vector,
     sandwich_check,
     sobolev_check,
 )

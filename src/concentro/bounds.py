@@ -13,9 +13,9 @@ partials commute, and ``expected_derivative_tensor`` builds it exactly
 symmetric), so |A|_J = |A|_(sigma J) for every relabeling sigma of {1,..,d},
 and a partition's or split's norm depends only on its ``shape``.  Within one
 derivative order of one report, the first partition (or split) of each shape
-in enumeration order is solved, and every later one of that shape reuses its
-value and flag.  A reused alternating-solver value is still a lower bound on
-its own row's norm, since that norm is the same number.
+in enumeration order is solved (at alpha = 2, of each merged shape), and every
+later one reuses its value and flag.  A reused alternating-solver value is
+still a lower bound on its own row's norm, since that norm is the same number.
 """
 
 from __future__ import annotations
@@ -205,11 +205,18 @@ def weibull_moment_bound(f: Polynomial, dist: ProductDistribution, p: float,
     terms = []
     for d in range(1, f.degree + 1):
         tens = expected_derivative_tensor(f, dist, d)
-        by_shape = {}   # one mixed_norm solve per split shape, as in _norm_rows
+        by_shape = {}   # one solve per split shape, as in _norm_rows
         for split in enumerate_splits(d):
-            if split.shape not in by_shape:
-                by_shape[split.shape] = mixed_norm(tens, split, alpha, opts)
-            norm = by_shape[split.shape]
+            if alpha == 2.0:
+                # mixed_norm at alpha=2: prod |outer block| * |A|_merged(split)
+                key = merged(split).shape
+                if key not in by_shape:
+                    by_shape[key] = norm_J(tens, merged(split), opts).value
+                norm = math.prod(len(b) for b in split.outer) * by_shape[key]
+            else:
+                if split.shape not in by_shape:
+                    by_shape[split.shape] = mixed_norm(tens, split, alpha, opts)
+                norm = by_shape[split.shape]
             expo = len(split.inner) / 2.0 + len(split.outer) / alpha
             exact = (alpha == 2.0 and merged(split).n_blocks <= 2) or \
                     (len(split.inner) + len(split.outer)) <= 1

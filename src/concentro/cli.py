@@ -115,12 +115,12 @@ def _cmd_norm(args) -> int:
     tens = load_tensor(args.tensor)
     part = SetPartition.parse(args.partition, d=tens.order)
     res = norm_J(tens, part, _norm_opts(args), method=args.method)
-    cert_path = args.cert_out or args.tensor + ".cert.json"
-    with open(cert_path, "w") as fh:
-        json.dump({"partition": str(part), "value": res.value,
-                   "blocks": [v.tolist() for v in res.certificate]}, fh)
+    if args.cert_out:
+        with open(args.cert_out, "w") as fh:
+            json.dump({"partition": str(part), "value": res.value,
+                       "blocks": [v.tolist() for v in res.certificate]}, fh)
     _emit(args, ["value,method,certificate",
-                 f"{_fmt(res.value)},{res.method},{cert_path}"])
+                 f"{_fmt(res.value)},{res.method},{args.cert_out or '-'}"])
     return 0
 
 

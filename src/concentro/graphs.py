@@ -204,13 +204,14 @@ def subgraph_norm_bound(h: GraphSpec, d: int, part: SetPartition, n: int, p: flo
 
 
 def cycle_norm_bound(h: GraphSpec, d: int, part: SetPartition, n: int, p: float) -> float:
-    """Norm bound for cycle counting polynomials, with the exact n^(k/2) cap in
-    the top-order single-block case."""
+    """Norm bound for cycle counting polynomials, exact at the top order d = k
+    with one block: D^k X_(C_k) is aut(C_k) = 2k on each of the k! (n)_k / 2k
+    edge k-tuples forming a k-cycle, so its norm is sqrt(2k * k! * (n)_k)."""
     if h.kind != "cycle":
         raise ValueError("cycle_norm_bound supports cycle patterns only"
                          " (subgraph_norm_bound is exposed but unvalidated)")
     if d == h.k and part.n_blocks == 1:
-        return float(n) ** (h.k / 2.0)
+        return math.sqrt(2 * h.k * math.factorial(h.k) * math.perm(n, h.k))
     return subgraph_norm_bound(h, d, part, n, p)
 
 

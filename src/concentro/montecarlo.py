@@ -17,9 +17,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .poly import Polynomial, ProductDistribution
-from .tensor import Tensor
-
-_LETTERS = "abcdef"
+from .tensor import Tensor, contract_rows
 
 
 def max_admissible_p(n_samples: int) -> float:
@@ -71,11 +69,6 @@ class TailEstimate:
 def chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def sample_vector(dist: ProductDistribution, rng: np.random.Generator) -> np.ndarray:
-    """One i.i.d. draw of the n coordinates."""
-    return dist.sample(rng)
 
 
 def _run_chunks(fn, cfg: MCConfig, workers: int = 1):
@@ -161,7 +154,8 @@ def _validate_undecoupled(a: Tensor) -> None:
 def chaos_moment(a: Tensor, mode: str, p: float, cfg: MCConfig,
                  workers: int = 1) -> MomentEstimate:
     """Empirical |Z|_p for Z = <A, G_1 x..x G_d> (decoupled) or the one-vector
-    form over distinct indices (undecoupled, validated)."""
+    form over distinct indices (undecoupled, validated); each chunk is one
+    ``contract_rows`` call on the draws."""
     if mode not in ("decoupled", "undecoupled"):
         raise ValueError(f"unknown chaos mode {mode!r}")
     if not 2.0 <= p <= max_admissible_p(cfg.N):
@@ -169,15 +163,13 @@ def chaos_moment(a: Tensor, mode: str, p: float, cfg: MCConfig,
     d, m = a.order, a.dim
     if mode == "undecoupled":
         _validate_undecoupled(a)
-    expr = _LETTERS[:d] + "," + ",".join("z" + _LETTERS[i] for i in range(d)) + "->z"
 
     def job(c, rows, rng):
         if mode == "decoupled":
             gs = [rng.standard_normal((rows, m)) for _ in range(d)]
         else:
-            g = rng.standard_normal((rows, m))
-            gs = [g] * d
-        return np.einsum(expr, a.values, *gs, optimize=True)
+            gs = [rng.standard_normal((rows, m))] * d
+        return contract_rows(a.values, gs)
 
     values = np.concatenate(_run_chunks(job, cfg, workers))
     return _centered_moments(values, [p], cfg.N)[0]
@@ -205,15 +197,24 @@ def sandwich_check(f: Polynomial, dist: ProductDistribution, p_list, cfg: MCConf
 
 
 def _elementary_symmetric(draws: np.ndarray, d: int) -> np.ndarray:
-    """e_0..e_d of each row, by the stable O(N d) recurrence; returns (rows, d+1)."""
+    """e_0..e_d of each row by the recurrence e_k += e_(k-1) * x_j over the
+    columns j; returns (rows, d+1).  A chunk no wider than tall takes one update
+    of e_1..e_d per column, a wider one a cumulative sum along the columns per k.
+    The sums stay sequential: the values are bit-identical to the plain loop."""
     rows, n = draws.shape
-    e = np.zeros((rows, d + 1))
-    e[:, 0] = 1.0
-    for j in range(n):
-        x = draws[:, j]
-        for k in range(min(j + 1, d), 0, -1):
-            e[:, k] += e[:, k - 1] * x
-    return e
+    cols = np.ascontiguousarray(draws.T)
+    e = np.zeros((d + 1, rows))
+    e[0] = 1.0
+    if n <= rows:
+        for x in cols:
+            e[1:] += e[:-1] * x
+        return e.T
+    run = np.ones((n + 1, rows))     # e_(k-1) after 0..n columns
+    for k in range(1, d + 1):
+        run[1:] = np.cumsum(run[:-1] * cols, axis=0)
+        run[0] = 0.0
+        e[k] = run[-1]
+    return e.T
 
 
 def hermite_tetrahedral_convergence(d: int, N_list, cfg: MCConfig,

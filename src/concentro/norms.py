@@ -295,12 +295,8 @@ def mixed_norm(a: Tensor, split: SplitPartition, alpha: float,
     if not np.any(a.values):
         return 0.0
 
-    n_choices = 1
-    for b in split.outer:
-        n_choices *= len(b)
-
     if alpha == 2.0:
-        return n_choices * norm_J(a, merged(split), opts).value
+        return math.prod(len(b) for b in split.outer) * norm_J(a, merged(split), opts).value
 
     total = 0.0
     for s_choice in itertools.product(*split.outer):

@@ -119,11 +119,12 @@ class Polynomial:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.nvars:
             raise ValueError(f"batch must have shape (N, {self.nvars})")
+        cols = np.ascontiguousarray(xs.T)
         total = np.zeros(xs.shape[0])
         for key, coef in self.terms.items():
             prod = np.full(xs.shape[0], coef)
             for v, p in key:
-                col = xs[:, v - 1]
+                col = cols[v - 1]
                 prod = prod * (col if p == 1 else col**p)
             total += prod
         return total

@@ -146,31 +146,36 @@ def apply_mask(a: Tensor, mask: IndexMask) -> Tensor:
     return Tensor(np.where(keep, a.values, 0.0))
 
 
-_LETTERS = "abcdef"
+def contract_rows(values: np.ndarray, vecs) -> np.ndarray:
+    """sum_i values[i_1, .., i_k] * prod_j vecs[j][z, i_j] for each row z of the
+    (rows, values.shape[j]) factors: one GEMM with the first factor, then one
+    batched reduction per remaining factor; returns (rows,)."""
+    rows = vecs[0].shape[0]
+    w = vecs[0] @ values.reshape(values.shape[0], -1)
+    for j, v in enumerate(vecs[1:], 1):
+        w = np.einsum("zb...,zb->z...", w.reshape((rows,) + values.shape[j:]), v)
+    return w.reshape(rows)
 
 
 def contract(a: Tensor, part: SetPartition, vectors) -> float:
     """Value of the multilinear form: sum_i a_i * prod_l x^(l)[i restricted to block l].
 
     Block vectors are flat arrays of length m^(#block), row-major over the
-    block's coordinates in ascending order.
+    block's coordinates in ascending order.  The axes of `a` are transposed
+    into block order and the form is one row of ``contract_rows``.
     """
     d, m = a.order, a.dim
     if part.d != d:
         raise ValueError(f"partition of [{part.d}] does not match tensor order {d}")
-    vectors = list(vectors)
+    vectors = [np.asarray(v, dtype=float) for v in vectors]
     if len(vectors) != part.n_blocks:
         raise ValueError(f"expected {part.n_blocks} block vectors, got {len(vectors)}")
-    operands = [a.values]
-    subs = [_LETTERS[:d]]
     for block, v in zip(part.blocks, vectors):
-        v = np.asarray(v, dtype=float)
         if v.size != m ** len(block):
             raise ValueError(f"block {block} vector has {v.size} entries, expected {m ** len(block)}")
-        operands.append(v.reshape((m,) * len(block)))
-        subs.append("".join(_LETTERS[i - 1] for i in block))
-    expr = ",".join(subs) + "->"
-    return float(np.einsum(expr, *operands, optimize=True))
+    perm = [i - 1 for block in part.blocks for i in block]
+    values = a.values.transpose(perm).reshape([v.size for v in vectors])
+    return float(contract_rows(values, [v.reshape(1, -1) for v in vectors])[0])
 
 
 def symmetrize(a: Tensor) -> Tensor:

@@ -242,6 +242,26 @@ def test_weibull_report_solves_once_per_split_shape(monkeypatch):
     assert len(rep.terms) == 2 + 6 + 22
 
 
+def test_weibull_alpha2_report_solves_once_per_merged_shape(monkeypatch):
+    from concentro.norms import mixed_norm
+    from concentro.partitions import SplitPartition
+    from concentro.poly import expected_derivative_tensor
+
+    f = Polynomial(3, {((1, 1), (2, 1), (3, 1)): 1.0, ((1, 2),): 0.5, ((2, 1),): 1.0})
+    dist = ProductDistribution.weibull(3, 2.0)
+    norm_calls = _counting(monkeypatch, "norm_J")
+    mixed_calls = _counting(monkeypatch, "mixed_norm")
+    rep = weibull_moment_bound(f, dist, 4.0, 2.0, OPTS)
+    # p(1) + p(2) + p(3) merged shapes, against 17 mixed_norm solves per split shape
+    assert len(norm_calls) == 1 + 2 + 3 and not mixed_calls
+    assert len({(part.d, part.shape) for part in norm_calls}) == len(norm_calls)
+    assert len(rep.terms) == 2 + 6 + 22
+    for t in rep.terms:
+        own = mixed_norm(expected_derivative_tensor(f, dist, t.d),
+                         SplitPartition.parse(t.label, d=t.d), 2.0, OPTS)
+        assert t.norm == pytest.approx(own, rel=1e-9 if t.flagged else 1e-12)
+
+
 @pytest.mark.parametrize("case", ["degree-4", "k6-4-cycle"])
 def test_every_row_equals_its_own_partition_norm(case):
     from concentro.graphs import GraphSpec, counting_polynomial

@@ -7,7 +7,7 @@ from concentro.cli import dispatch
 from concentro.norms import NormOptions, norm_J
 from concentro.partitions import SetPartition
 from concentro.poly import Polynomial, polynomial_to_dict
-from concentro.tensor import Tensor, load_tensor, save_tensor
+from concentro.tensor import IndexMask, Tensor, apply_mask, load_tensor, save_tensor, symmetrize
 
 
 @pytest.fixture
@@ -25,16 +25,27 @@ def x1x2(tmp_path):
     return path
 
 
-def test_norm_identity(id2, capsys):
-    assert dispatch(["norm", "--tensor", id2, "--partition", "1|2"]) == 0
+def test_norm_identity(id2, tmp_path, capsys):
+    cert_out = str(tmp_path / "id2.cert.json")
+    assert dispatch(["norm", "--tensor", id2, "--partition", "1|2",
+                     "--cert-out", cert_out]) == 0
     out = capsys.readouterr().out
     lines = [l for l in out.splitlines() if not l.startswith("#")]
     value, method, cert = lines[1].split(",")
     assert float(value) == 1.0
     assert method == "matricization-spectral"
+    assert cert == cert_out
     with open(cert) as fh:
         doc = json.load(fh)
     assert doc["value"] == pytest.approx(1.0)
+
+
+def test_norm_writes_no_certificate_unless_asked(id2, tmp_path, capsys):
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert dispatch(["norm", "--tensor", id2, "--partition", "1|2"]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    assert lines[1].split(",")[2] == "-"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def test_norm_header_has_version_and_seed(id2, capsys):
@@ -174,7 +185,8 @@ def test_graphs_cyclebound(capsys):
     assert dispatch(["graphs", "cyclebound", "--k", "4", "--n", "9", "--p", "0.2",
                      "--d", "4", "--partition", "1,2,3,4"]) == 0
     out = capsys.readouterr().out
-    assert out.splitlines()[-1].endswith(",81")
+    # sqrt(2k * k! * (n)_k) = sqrt(8 * 24 * 3024), the exact top-order norm
+    assert out.splitlines()[-1].endswith(",761.976377587")
 
 
 def test_graphs_triangles_small(capsys):
@@ -220,3 +232,37 @@ def test_hermite_expansion_command(tmp_path, capsys):
     out = capsys.readouterr().out
     rows = [l for l in out.splitlines() if not l.startswith("#")]
     assert "1,3" in rows and "3,1" in rows
+
+
+def _body(out):
+    return [l for l in out.splitlines() if not l.startswith("#")]
+
+
+def test_mc_chaos_lines_pinned(tmp_path, capsys):
+    # printed by the einsum kernel this replaced, at the same seeds
+    raw = np.sin(np.arange(27.0)).reshape(3, 3, 3)
+    dec, und = str(tmp_path / "dec.json"), str(tmp_path / "und.json")
+    save_tensor(Tensor(raw), dec)
+    save_tensor(apply_mask(symmetrize(Tensor(raw)), IndexMask.off_diagonal()), und)
+    assert dispatch(["mc", "chaos", "--tensor", dec, "--N", "30000", "--seed", "5",
+                     "--batch", "7000"]) == 0
+    assert _body(capsys.readouterr().out)[1] == \
+        "decoupled,2,3.57351275126,0.0458648937576,30000"
+    assert dispatch(["mc", "chaos", "--tensor", und, "--chaos-mode", "undecoupled",
+                     "--N", "30000", "--seed", "5", "--p", "3"]) == 0
+    assert _body(capsys.readouterr().out)[1] == \
+        "undecoupled,3,0.524876759162,0.0106774810603,30000"
+
+
+def test_mc_hermite_lines_pinned(capsys):
+    # printed by the column-by-column recurrence this replaced; the inner sizes
+    # put chunks on both sides of rows = N
+    assert dispatch(["mc", "hermite", "--d", "3", "--Nlist", "2", "10", "300", "--N", "3000",
+                     "--seed", "5", "--batch", "4096"]) == 0
+    assert _body(capsys.readouterr().out)[1:] == [
+        "2,3.95228490457,0.313452970809", "10,1.51665058912,0.102690955184",
+        "300,0.0579885697029,0.00278592058163"]
+    assert dispatch(["mc", "hermite", "--d", "4", "--Nlist", "5", "1000", "--N", "2000",
+                     "--seed", "6"]) == 0
+    assert _body(capsys.readouterr().out)[1:] == [
+        "5,16.7682515164,3.121994028", "1000,0.105435947599,0.00989521446709"]

@@ -23,7 +23,7 @@ from concentro.graphs import (
 )
 from concentro.montecarlo import MCConfig, chunk_rng
 from concentro.norms import NormOptions, norm_J
-from concentro.partitions import SetPartition
+from concentro.partitions import SetPartition, enumerate_partitions
 from concentro.poly import ProductDistribution, expected_derivative_tensor
 
 OPTS = NormOptions(restarts=16, seed=0)
@@ -117,7 +117,9 @@ def test_triangle_closed_forms_match_derivative_tensors():
 
 def test_cycle_norm_bound_cases():
     h = GraphSpec.cycle(3)
-    assert cycle_norm_bound(h, 3, SetPartition.full(3), 10, 0.5) == pytest.approx(10**1.5)
+    # top order: the exact norm sqrt(2k * k! * (n)_k) of the constant tensor D^k X
+    assert cycle_norm_bound(h, 3, SetPartition.full(3), 10, 0.5) == \
+        pytest.approx(math.sqrt(6 * 6 * 720), rel=1e-12)
     # order 2, singleton blocks: six ordered edge pairs, each contributing 2n
     n, p = 20, 0.3
     got = cycle_norm_bound(h, 2, SetPartition.parse("1|2"), n, p)
@@ -128,20 +130,27 @@ def test_cycle_norm_bound_cases():
     with pytest.raises(ValueError):
         cycle_norm_bound(GraphSpec.clique(4), 2, SetPartition.parse("1|2"), 10, 0.5)
     k4 = GraphSpec.cycle(4)
-    assert cycle_norm_bound(k4, 4, SetPartition.full(4), 9, 0.2) == pytest.approx(81.0)
+    assert cycle_norm_bound(k4, 4, SetPartition.full(4), 9, 0.2) == \
+        pytest.approx(math.sqrt(8 * 24 * 3024), rel=1e-12)
 
 
 def test_cycle_norm_bound_dominates_actual_norms():
-    # the combinatorial bound caps the true derivative-tensor norm
+    # the bound caps the true derivative-tensor norm at every order and shape,
+    # and is the norm itself at the top order with one block
     n, p = 6, 0.4
-    h = GraphSpec.cycle(3)
-    f = counting_polynomial(h, n)
-    dist = ProductDistribution.bernoulli(f.nvars, p)
-    for d in (1, 2):
-        tens = expected_derivative_tensor(f, dist, d)
-        for part in [SetPartition.full(d)] + ([SetPartition.parse("1|2")] if d == 2 else []):
-            true_norm = norm_J(tens, part, OPTS).value
-            assert true_norm <= subgraph_norm_bound(h, d, part, n, p) * (1 + 1e-9)
+    for k in (3, 4):
+        h = GraphSpec.cycle(k)
+        f = counting_polynomial(h, n)
+        dist = ProductDistribution.bernoulli(f.nvars, p)
+        for d in range(1, k + 1):
+            tens = expected_derivative_tensor(f, dist, d)
+            for part in enumerate_partitions(d):
+                true_norm = norm_J(tens, part, OPTS).value
+                bound = cycle_norm_bound(h, d, part, n, p)
+                assert true_norm <= bound * (1 + 1e-9), (k, d, str(part))
+        top = norm_J(tens, SetPartition.full(k)).value
+        assert top == pytest.approx(cycle_norm_bound(h, k, SetPartition.full(k), n, p),
+                                    rel=1e-12)
 
 
 def test_indicator_norm_check_single_edge():

@@ -1,8 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import concentro.montecarlo as montecarlo
 from concentro.bounds import gaussian_moment_bound
 from concentro.montecarlo import (
     MCConfig,
@@ -13,14 +18,13 @@ from concentro.montecarlo import (
     empirical_tail,
     hermite_tetrahedral_convergence,
     max_admissible_p,
-    sample_vector,
     sandwich_check,
     sobolev_check,
     wilson_interval,
 )
 from concentro.norms import NormOptions
 from concentro.poly import Polynomial, ProductDistribution
-from concentro.tensor import Tensor
+from concentro.tensor import IndexMask, Tensor, apply_mask, symmetrize
 
 X1 = Polynomial(2, {((1, 1),): 1.0})
 X1X2 = Polynomial(2, {((1, 1), (2, 1)): 1.0})
@@ -37,7 +41,7 @@ def test_sampler_statistics():
     rng = chunk_rng(11, 2)
     weib = ProductDistribution.weibull(1, 1.0).sample(rng, 1_000_000)[:, 0]
     assert (np.abs(weib) > 2.0).mean() == pytest.approx(math.exp(-2.0), abs=2e-3)
-    vec = sample_vector(GAUSS2, chunk_rng(11, 3))
+    vec = GAUSS2.sample(chunk_rng(11, 3))
     assert vec.shape == (2,)
 
 
@@ -160,6 +164,78 @@ def test_hermite_convergence_degree_two_matches_2_over_N():
     for r in rows:
         assert r["mean_sq_error"] == pytest.approx(2.0 / r["N"], abs=3 * r["stderr"])
     assert rows[0]["mean_sq_error"] > rows[1]["mean_sq_error"]
+
+
+def _elementary_symmetric_loop(draws, d):
+    """The column-by-column recurrence, kept as the reference."""
+    rows, n = draws.shape
+    e = np.zeros((rows, d + 1))
+    e[:, 0] = 1.0
+    for j in range(n):
+        x = draws[:, j]
+        for k in range(min(j + 1, d), 0, -1):
+            e[:, k] += e[:, k - 1] * x
+    return e
+
+
+@st.composite
+def draws_and_degree(draw):
+    # rows on both sides of n, so both the per-column and the cumulative-sum
+    # forms of the recurrence run
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 8)))
+    draws = draw(arrays(np.float64, shape,
+                        elements=st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)))
+    return draws, draw(st.integers(1, 4))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(draws_and_degree())
+def test_elementary_symmetric_matches_loop_and_subset_sums(case):
+    draws, d = case
+    e = montecarlo._elementary_symmetric(draws, d)
+    assert np.array_equal(e, _elementary_symmetric_loop(draws, d))
+    for k in range(d + 1):
+        prods = [draws[:, list(c)].prod(axis=1)
+                 for c in itertools.combinations(range(draws.shape[1]), k)]
+        brute = np.sum(prods, axis=0) if prods else np.zeros(len(draws))
+        scale = np.sum(np.abs(prods), axis=0) if prods else np.ones(len(draws))
+        assert np.all(np.abs(e[:, k] - brute) <= 1e-12 * np.maximum(scale, 1e-300))
+
+
+def _chaos_reference(a, mode, cfg):
+    """Per-sample chaos values by one einsum over the same Philox draws."""
+    d, m = a.order, a.dim
+    letters = "abcd"[:d]
+    expr = letters + "," + ",".join("z" + c for c in letters) + "->z"
+    out = []
+    for c, start in enumerate(range(0, cfg.N, cfg.batch)):
+        rng = montecarlo.chunk_rng(cfg.seed, c)
+        rows = min(cfg.batch, cfg.N - start)
+        if mode == "decoupled":
+            gs = [rng.standard_normal((rows, m)) for _ in range(d)]
+        else:
+            gs = [rng.standard_normal((rows, m))] * d
+        out.append(np.einsum(expr, a.values, *gs))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("mode", ["decoupled", "undecoupled"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_chaos_values_match_einsum_reference(monkeypatch, mode, d):
+    m = 4
+    raw = np.random.default_rng(30 + d).standard_normal((m,) * d)
+    a = Tensor(raw)
+    if mode == "undecoupled" and d > 1:
+        a = apply_mask(symmetrize(a), IndexMask.off_diagonal())
+    seen = []
+    centered = montecarlo._centered_moments
+    monkeypatch.setattr(montecarlo, "_centered_moments",
+                        lambda values, p_list, n: seen.append(values) or centered(values, p_list, n))
+    cfg = MCConfig(N=2500, seed=31, batch=1000)
+    chaos_moment(a, mode, 2.0, cfg)
+    ref = _chaos_reference(a, mode, cfg)
+    assert seen[0].shape == (cfg.N,)
+    assert np.allclose(seen[0], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
 def test_hermite_convergence_rejects_large_degree():

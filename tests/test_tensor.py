@@ -131,6 +131,20 @@ def test_contract_is_multilinear():
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_contract_matches_einsum_for_every_partition(d):
+    m = 3
+    rng = np.random.default_rng(40 + d)
+    a = Tensor(rng.standard_normal((m,) * d))
+    letters = "abcd"
+    for part in enumerate_partitions(d):
+        vecs = [rng.standard_normal(m ** len(b)) for b in part.blocks]
+        subs = [letters[:d]] + ["".join(letters[i - 1] for i in b) for b in part.blocks]
+        ref = np.einsum(",".join(subs) + "->", a.values,
+                        *[v.reshape((m,) * len(b)) for v, b in zip(vecs, part.blocks)])
+        assert contract(a, part, vecs) == pytest.approx(float(ref), rel=1e-12), str(part)
+
+
 def test_contract_shape_errors():
     a = Tensor(np.eye(2))
     with pytest.raises(ValueError):
