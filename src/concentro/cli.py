@@ -1,10 +1,13 @@
 """Command line surface: one binary, subcommand style, JSON inputs and CSV
 reports.
 
-A JSON config file (--config) sets defaults for the subcommand's options;
-flags given on the command line override them, and a key that names no
-option of the subcommand is an error.  Every report embeds the version, the
-seed, and the full parameter echo in '#' comment lines, and is
+The parser is built once per process, so `CONCENTRO_WORKERS`, the default of
+--workers, is read once per process too.  A JSON config file (--config) sets
+defaults for the subcommand's options: they are installed on a copy of the
+subcommand's parser, which parses the command line again, so flags given there
+override the config and no run's config reaches the next run.  A key that
+names no option of the subcommand is an error.  Every report embeds the
+version, the seed, and the full parameter echo in '#' comment lines, and is
 byte-reproducible for a fixed config.  Exit code 2 signals a validation
 failure with a one-line diagnostic.
 """
@@ -12,11 +15,11 @@ failure with a one-line diagnostic.
 from __future__ import annotations
 
 import argparse
+import copy
+import functools
 import json
 import os
 import sys
-
-import numpy as np
 
 from . import __version__
 from .bounds import eta_tail, gaussian_moment_bound, sobolev_moment_bound, weibull_moment_bound
@@ -32,21 +35,26 @@ from .montecarlo import (
 )
 from .norms import NormOptions, mixed_norm, norm_J
 from .partitions import SetPartition, SplitPartition
-from .poly import (
-    Polynomial,
-    ProductDistribution,
-    hermite,
-    hermite_expansion,
-    load_polynomial,
-)
+from .poly import ProductDistribution, hermite, hermite_expansion, load_polynomial
 from .rmt import WignerSpec, wigner_experiment
 from .tensor import load_tensor
+
+_TAIL_COLUMNS = ("t", "tail", "wilson_low", "wilson_high", "bound")
 
 
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.12g}"
     return str(x)
+
+
+def _csv(header: str, rows) -> list[str]:
+    """The header line, then one line per row of cells formatted by `_fmt`."""
+    return [header] + [",".join(_fmt(c) for c in row) for row in rows]
+
+
+def _tail_lines(rows) -> list[str]:
+    return _csv(",".join(_TAIL_COLUMNS), ([r[k] for k in _TAIL_COLUMNS] for r in rows))
 
 
 def _default_workers() -> int:
@@ -74,37 +82,17 @@ def _emit(args, lines: list[str]) -> None:
         sys.stdout.write(text)
 
 
-def _dist(args, n: int) -> ProductDistribution:
-    law = args.law
-    if law == "gaussian":
-        return ProductDistribution.gaussian(n)
-    if law == "rademacher":
-        return ProductDistribution.rademacher(n)
-    if law == "bernoulli":
-        if args.pp is None:
-            raise ValueError("bernoulli law needs --pp")
-        return ProductDistribution.bernoulli(n, args.pp)
-    if law == "weibull":
-        if args.alpha is None:
-            raise ValueError("weibull law needs --alpha")
-        return ProductDistribution.weibull(n, args.alpha)
-    raise ValueError(f"unknown law {law!r}")
-
-
 def _norm_opts(args) -> NormOptions:
     return NormOptions(restarts=args.restarts, tol=args.tol,
                        max_sweeps=args.max_sweeps, seed=args.seed)
 
 
 def _report_lines(report) -> list[str]:
-    rows = report.csv_rows()
-    lines = [",".join(str(c) for c in next(rows))]
-    for row in rows:
-        lines.append(",".join(_fmt(c) for c in row))
+    header, *rows = report.csv_rows()
+    lines = _csv(",".join(header), rows)
     lines.append(f"# total={_fmt(report.total)}")
-    for key in ("tail_estimate",):
-        if key in report.meta:
-            lines.append(f"# {key}={_fmt(report.meta[key])}")
+    if "tail_estimate" in report.meta:
+        lines.append(f"# tail_estimate={_fmt(report.meta['tail_estimate'])}")
     return lines
 
 
@@ -119,22 +107,21 @@ def _cmd_norm(args) -> int:
         with open(args.cert_out, "w") as fh:
             json.dump({"partition": str(part), "value": res.value,
                        "blocks": [v.tolist() for v in res.certificate]}, fh)
-    _emit(args, ["value,method,certificate",
-                 f"{_fmt(res.value)},{res.method},{args.cert_out or '-'}"])
+    _emit(args, _csv("value,method,certificate",
+                     [(res.value, res.method, args.cert_out or "-")]))
     return 0
 
 
 def _cmd_mixednorm(args) -> int:
     tens = load_tensor(args.tensor)
     split = SplitPartition.parse(args.split, d=tens.order)
-    value = mixed_norm(tens, split, args.alpha, _norm_opts(args))
-    _emit(args, ["value", _fmt(value)])
+    _emit(args, _csv("value", [(mixed_norm(tens, split, args.alpha, _norm_opts(args)),)]))
     return 0
 
 
 def _cmd_bounds(args) -> int:
     poly = load_polynomial(args.poly)
-    dist = _dist(args, poly.nvars)
+    dist = ProductDistribution(args.law, poly.nvars, p=args.pp, alpha=args.alpha)
     opts = _norm_opts(args)
     if args.alpha is not None and args.law == "weibull":
         report = weibull_moment_bound(poly, dist, args.p, args.alpha, opts)
@@ -150,7 +137,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_tail(args) -> int:
     poly = load_polynomial(args.poly)
-    dist = _dist(args, poly.nvars)
+    dist = ProductDistribution(args.law, poly.nvars, p=args.pp, alpha=args.alpha)
     if args.L == "auto":
         L = dist.psi2
         if L is None:
@@ -163,53 +150,46 @@ def _cmd_tail(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    workers = args.workers
-    if args.mode in ("moments", "tail", "sandwich", "sobolev"):
+    source = {"chaos": "tensor", "hermite": None}.get(args.mode, "poly")
+    if source and getattr(args, source) is None:
+        raise ValueError(f"mc {args.mode} needs --{source}")
+    if source == "poly":
         poly = load_polynomial(args.poly)
-        dist = _dist(args, poly.nvars)
+        dist = ProductDistribution(args.law, poly.nvars, p=args.pp, alpha=args.alpha)
+    takes_moments = args.mode in ("moments", "sandwich", "sobolev")
+    cfg = MCConfig(N=args.N, seed=args.seed, batch=args.batch,
+                   p_list=tuple(args.p) if takes_moments else ())
+    workers = args.workers
     if args.mode == "moments":
-        cfg = MCConfig(N=args.N, seed=args.seed, p_list=tuple(args.p), batch=args.batch)
         ests = empirical_moment(poly, dist, cfg, workers)
-        lines = ["p,value,stderr,N"]
-        lines += [f"{_fmt(e.p)},{_fmt(e.value)},{_fmt(e.stderr)},{e.N}" for e in ests]
+        lines = _csv("p,value,stderr,N", [(e.p, e.value, e.stderr, e.N) for e in ests])
     elif args.mode == "tail":
-        cfg = MCConfig(N=args.N, seed=args.seed, batch=args.batch)
         est = empirical_tail(poly, dist, args.t, cfg, workers)
-        lines = ["t,probability,wilson_low,wilson_high,N",
-                 ",".join(_fmt(v) for v in (est.t, est.probability, est.wilson_low,
-                                            est.wilson_high)) + f",{est.N}"]
+        lines = _csv("t,probability,wilson_low,wilson_high,N",
+                     [(est.t, est.probability, est.wilson_low, est.wilson_high, est.N)])
     elif args.mode == "chaos":
-        tens = load_tensor(args.tensor)
-        cfg = MCConfig(N=args.N, seed=args.seed, batch=args.batch)
-        est = chaos_moment(tens, args.chaos_mode, args.p[0], cfg, workers)
-        lines = ["mode,p,value,stderr,N",
-                 f"{args.chaos_mode},{_fmt(est.p)},{_fmt(est.value)},{_fmt(est.stderr)},{est.N}"]
+        est = chaos_moment(load_tensor(args.tensor), args.chaos_mode, args.p[0], cfg, workers)
+        lines = _csv("mode,p,value,stderr,N",
+                     [(args.chaos_mode, est.p, est.value, est.stderr, est.N)])
     elif args.mode == "sandwich":
-        cfg = MCConfig(N=args.N, seed=args.seed, p_list=tuple(args.p), batch=args.batch)
         opts = _norm_opts(args)
         bound_fn = lambda f, d, p: gaussian_moment_bound(f, d, p, opts)
         rows = sandwich_check(poly, dist, args.p, cfg, bound_fn,
-                              window=(args.window[0], args.window[1]), workers=workers)
-        lines = ["p,empirical,stderr,bound,ratio,status"]
-        for r in rows:
-            ratio = "degenerate" if r["ratio"] is None else _fmt(r["ratio"])
-            lines.append(f"{_fmt(r['p'])},{_fmt(r['empirical'])},{_fmt(r['stderr'])},"
-                         f"{_fmt(r['bound'])},{ratio},{r['status']}")
+                              window=tuple(args.window), workers=workers)
+        lines = _csv("p,empirical,stderr,bound,ratio,status",
+                     [(r["p"], r["empirical"], r["stderr"], r["bound"],
+                       "degenerate" if r["ratio"] is None else r["ratio"], r["status"])
+                      for r in rows])
     elif args.mode == "hermite":
-        cfg = MCConfig(N=args.N, seed=args.seed, batch=args.batch)
         rows = hermite_tetrahedral_convergence(args.d, args.Nlist, cfg, workers)
-        lines = ["N,mean_sq_error,stderr"]
-        lines += [f"{r['N']},{_fmt(r['mean_sq_error'])},{_fmt(r['stderr'])}" for r in rows]
-    elif args.mode == "sobolev":
-        cfg = MCConfig(N=args.N, seed=args.seed, p_list=tuple(args.p), batch=args.batch)
-        rows = sobolev_check(dist, poly, args.p, cfg, workers)
-        lines = ["p,lhs,rhs,ratio,status"]
-        for r in rows:
-            ratio = "degenerate" if r["ratio"] is None else _fmt(r["ratio"])
-            lines.append(f"{_fmt(r['p'])},{_fmt(r['lhs'])},{_fmt(r['rhs'])},"
-                         f"{ratio},{r['status']}")
+        lines = _csv("N,mean_sq_error,stderr",
+                     [(r["N"], r["mean_sq_error"], r["stderr"]) for r in rows])
     else:
-        raise ValueError(f"unknown mc mode {args.mode!r}")
+        rows = sobolev_check(dist, poly, args.p, cfg, workers)
+        lines = _csv("p,lhs,rhs,ratio,status",
+                     [(r["p"], r["lhs"], r["rhs"],
+                       "degenerate" if r["ratio"] is None else r["ratio"], r["status"])
+                      for r in rows])
     _emit(args, lines)
     return 0
 
@@ -217,23 +197,16 @@ def _cmd_mc(args) -> int:
 def _cmd_graphs(args) -> int:
     if args.mode == "triangles":
         cfg = MCConfig(N=args.N, seed=args.seed, batch=args.batch)
-        t_list = args.t if args.t else None
         res = er_tail_experiment(GraphSpec.cycle(3), args.n, args.p, cfg,
-                                 t_list=t_list, eps=args.eps, c=args.C,
+                                 t_list=args.t or None, eps=args.eps, c=args.C,
                                  workers=args.workers)
         lines = [f"# expected_mean={_fmt(res.expected_mean)}",
                  f"# empirical_mean={_fmt(res.mean)} stderr={_fmt(res.mean_stderr)}",
-                 "t,tail,wilson_low,wilson_high,bound"]
-        for r in res.rows:
-            lines.append(",".join(_fmt(r[k]) for k in
-                                  ("t", "tail", "wilson_low", "wilson_high", "bound")))
-    elif args.mode == "cyclebound":
+                 *_tail_lines(res.rows)]
+    else:
         part = SetPartition.parse(args.partition, d=args.d)
         value = cycle_norm_bound(GraphSpec.cycle(args.k), args.d, part, args.n, args.p)
-        lines = ["k,n,p,d,partition,bound",
-                 f"{args.k},{args.n},{_fmt(args.p)},{args.d},{part},{_fmt(value)}"]
-    else:
-        raise ValueError(f"unknown graphs mode {args.mode!r}")
+        lines = _csv("k,n,p,d,partition,bound", [(args.k, args.n, args.p, args.d, part, value)])
     _emit(args, lines)
     return 0
 
@@ -247,31 +220,31 @@ def _cmd_rmt(args) -> int:
     lines = [f"# z_mean={_fmt(res.z_mean)} z_stderr={_fmt(res.z_stderr)}",
              f"# sobolev_term={_fmt(res.sobolev_mean)} stderr={_fmt(res.sobolev_stderr)}"
              f" limit={_fmt(res.sobolev_limit)}",
-             "t,tail,wilson_low,wilson_high,bound"]
-    for r in res.rows:
-        lines.append(",".join(_fmt(r[k]) for k in
-                              ("t", "tail", "wilson_low", "wilson_high", "bound")))
+             *_tail_lines(res.rows)]
     _emit(args, lines)
     return 0
 
 
 def _cmd_hermite(args) -> int:
     if args.poly:
-        poly = load_polynomial(args.poly)
-        coeffs = hermite_expansion(poly)
-        lines = ["degrees,coefficient"]
-        for degrees, a in sorted(coeffs.items()):
-            lines.append(f"{'|'.join(str(d) for d in degrees)},{_fmt(a)}")
+        coeffs = hermite_expansion(load_polynomial(args.poly))
+        lines = _csv("degrees,coefficient", [("|".join(str(d) for d in degrees), a)
+                                             for degrees, a in sorted(coeffs.items())])
     else:
-        h = hermite(args.k)
-        lines = ["power,coefficient"]
-        lines += [f"{p},{c}" for p, c in enumerate(h.coeffs)]
+        lines = _csv("power,coefficient", enumerate(hermite(args.k).coeffs))
     _emit(args, lines)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+def _add_law(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--law", default="gaussian",
+                   choices=["gaussian", "rademacher", "bernoulli", "weibull"])
+    p.add_argument("--pp", type=float, help="bernoulli coordinate probability")
+    p.add_argument("--alpha", type=float, help="weibull exponent")
+
 
 def _add_norm_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--restarts", type=int, default=64)
@@ -286,7 +259,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int, default=_default_workers())
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and the subcommand parsers by name, built once."""
     parser = argparse.ArgumentParser(prog="concentro")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -311,11 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="moment-bound report")
     p.add_argument("--poly", required=True)
-    p.add_argument("--law", default="gaussian",
-                   choices=["gaussian", "rademacher", "bernoulli", "weibull"])
+    _add_law(p)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--pp", type=float, help="bernoulli coordinate probability")
-    p.add_argument("--alpha", type=float, help="weibull exponent (split bound)")
     p.add_argument("--gamma", type=float, help="Sobolev exponent (gamma form)")
     p.add_argument("--L", help="Sobolev constant for the gamma form")
     _add_norm_opts(p)
@@ -324,10 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tail", help="tail-exponent report")
     p.add_argument("--poly", required=True)
-    p.add_argument("--law", default="gaussian",
-                   choices=["gaussian", "rademacher", "bernoulli", "weibull"])
-    p.add_argument("--pp", type=float)
-    p.add_argument("--alpha", type=float)
+    _add_law(p)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--L", default="auto")
     p.add_argument("--CD", type=float, default=1.0)
@@ -340,10 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     "hermite", "sobolev"])
     p.add_argument("--poly")
     p.add_argument("--tensor")
-    p.add_argument("--law", default="gaussian",
-                   choices=["gaussian", "rademacher", "bernoulli", "weibull"])
-    p.add_argument("--pp", type=float)
-    p.add_argument("--alpha", type=float)
+    _add_law(p)
     p.add_argument("--N", type=int, default=100_000)
     p.add_argument("--batch", type=int, default=65536)
     p.add_argument("--p", type=float, nargs="+", default=[2.0])
@@ -391,37 +357,26 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_hermite)
 
-    return parser
-
-
-def _command_parser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return sub.choices[command]
-
-
-def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Install the JSON config of `args.config` as the subcommand's defaults,
-    so that flags given on the command line still override it."""
-    with open(args.config) as fh:
-        config = json.load(fh)
-    if not isinstance(config, dict):
-        raise ValueError(f"config {args.config} must hold a JSON object")
-    command = _command_parser(parser, args.command)
-    known = {a.dest for a in command._actions} - {"help", "config"}
-    unknown = sorted(set(config) - known)
-    if unknown:
-        raise ValueError(f"config {args.config}: unknown key {', '.join(unknown)}"
-                         f" for {args.command}")
-    command.set_defaults(**config)
+    return parser, sub.choices
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
+    parser, commands = _parsers()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            _apply_config(parser, args)
-            args = parser.parse_args(argv)
+        if args.config:
+            with open(args.config) as fh:
+                config = json.load(fh)
+            if not isinstance(config, dict):
+                raise ValueError(f"config {args.config} must hold a JSON object")
+            unknown = sorted(set(config) - (set(vars(args)) - {"command", "func", "config"}))
+            if unknown:
+                raise ValueError(f"config {args.config}: unknown key {', '.join(unknown)}"
+                                 f" for {args.command}")
+            # a copy, so that the cached parser keeps its own defaults
+            command = copy.deepcopy(commands[args.command])
+            command.set_defaults(**config)
+            args = command.parse_args(argv[1:], argparse.Namespace(command=args.command))
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -169,17 +169,23 @@ def _singly_covered(groups) -> int:
     return sum(1 for c in tally.values() if c == 1)
 
 
+def _block_exponents(e_seq, part: SetPartition) -> tuple[float, int]:
+    """(half the isolated-edge counts of the blocks' edge groups, summed; the
+    number of vertices covered by exactly one block)."""
+    half_isolated = 0.0
+    groups = []
+    for block in part.blocks:
+        sub = [e_seq[j - 1] for j in block]
+        half_isolated += 0.5 * _isolated_edge_count(sub)
+        groups.append([v for e in sub for v in e])
+    return half_isolated, _singly_covered(groups)
+
+
 def indicator_norm_bound(h: GraphSpec, e_seq, part: SetPartition, n: int) -> float:
     """Combinatorial cap on the pattern-indicator tensor norm: powers of 2 from
     isolated edges and sqrt(n) per singly covered vertex."""
-    h0_s = _isolated_edge_count(list(e_seq))
-    groups = []
-    exponent2 = -h0_s
-    for block in part.blocks:
-        sub = [e_seq[j - 1] for j in block]
-        exponent2 += 0.5 * _isolated_edge_count(sub)
-        groups.append([v for e in sub for v in e])
-    return 2.0**exponent2 * float(n) ** (0.5 * _singly_covered(groups))
+    half_isolated, singly = _block_exponents(e_seq, part)
+    return 2.0 ** (half_isolated - _isolated_edge_count(list(e_seq))) * float(n) ** (0.5 * singly)
 
 
 def subgraph_norm_bound(h: GraphSpec, d: int, part: SetPartition, n: int, p: float) -> float:
@@ -193,13 +199,8 @@ def subgraph_norm_bound(h: GraphSpec, d: int, part: SetPartition, n: int, p: flo
     total = 0.0
     for e_seq in itertools.permutations(h.edges, d):
         v0 = {v for e in e_seq for v in e}
-        groups = []
-        exponent2 = 0.0
-        for block in part.blocks:
-            sub = [e_seq[j - 1] for j in block]
-            exponent2 += 0.5 * _isolated_edge_count(sub)
-            groups.append([v for e in sub for v in e])
-        total += 2.0**exponent2 * float(n) ** (h.k - len(v0) + 0.5 * _singly_covered(groups))
+        half_isolated, singly = _block_exponents(e_seq, part)
+        total += 2.0**half_isolated * float(n) ** (h.k - len(v0) + 0.5 * singly)
     return p ** (h.n_edges - d) * total
 
 

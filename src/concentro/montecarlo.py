@@ -229,11 +229,14 @@ def hermite_tetrahedral_convergence(d: int, N_list, cfg: MCConfig,
 
     if not 1 <= d <= 4:
         raise ValueError("tetrahedral convergence check supports d in [1, 4]")
+    sizes = [int(big_n) for big_n in N_list]
+    for big_n in sizes:
+        if big_n < 1:
+            raise ValueError(f"inner size N={big_n} must be >= 1")
     coeffs = hermite(d).coeffs
     fact = float(math.factorial(d))
     out = []
-    for big_n in N_list:
-        big_n = int(big_n)
+    for big_n in sizes:
         rows_per_chunk = max(1, cfg.batch // big_n)
         sub = MCConfig(N=cfg.N, seed=cfg.seed, batch=rows_per_chunk)
 

@@ -260,19 +260,9 @@ class ProductDistribution:
 
     @classmethod
     def from_config(cls, doc: dict) -> "ProductDistribution":
-        law = doc.get("law")
-        n = int(doc.get("n", 0))
-        if law == "gaussian":
-            return cls.gaussian(n)
-        if law == "rademacher":
-            return cls.rademacher(n)
-        if law == "bernoulli":
-            return cls.bernoulli(n, float(doc["p"]))
-        if law == "weibull":
-            return cls.weibull(n, float(doc["alpha"]))
-        if law == "custom":
-            return cls.custom(n, doc["moments"])
-        raise ValueError(f"unknown law {law!r} in distribution config")
+        moments = doc.get("moments")
+        return cls(doc.get("law"), int(doc.get("n", 0)), p=doc.get("p"), alpha=doc.get("alpha"),
+                   moments_table=None if moments is None else tuple(float(m) for m in moments))
 
 
 # ---------------------------------------------------------------------------

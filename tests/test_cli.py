@@ -266,3 +266,44 @@ def test_mc_hermite_lines_pinned(capsys):
                      "--seed", "6"]) == 0
     assert _body(capsys.readouterr().out)[1:] == [
         "5,16.7682515164,3.121994028", "1000,0.105435947599,0.00989521446709"]
+
+
+def test_config_does_not_reach_the_next_run(als_config, capsys):
+    _, argv = als_config
+    assert dispatch(argv) == 0
+    capsys.readouterr()
+    assert dispatch(argv[:-2]) == 0
+    header = capsys.readouterr().out.splitlines()[1].split()
+    assert {"restarts=64", "seed=0", "max_sweeps=500"} <= set(header)
+
+
+def test_config_string_goes_through_the_option_type(id2, tmp_path, capsys):
+    cfg = str(tmp_path / "cfg.json")
+    with open(cfg, "w") as fh:
+        json.dump({"restarts": "2"}, fh)
+    assert dispatch(["norm", "--tensor", id2, "--partition", "1|2", "--config", cfg]) == 0
+    assert "restarts=2" in capsys.readouterr().out.splitlines()[1].split()
+
+
+def test_bernoulli_without_pp_exit_2(x1x2, capsys):
+    assert dispatch(["bounds", "--poly", x1x2, "--law", "bernoulli", "--p", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bernoulli" in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode,flag", [("moments", "--poly"), ("tail", "--poly"),
+                                       ("sandwich", "--poly"), ("sobolev", "--poly"),
+                                       ("chaos", "--tensor")])
+def test_mc_without_its_input_exit_2(mode, flag, capsys):
+    assert dispatch(["mc", mode, "--N", "100"]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_mc_hermite_inner_size_below_one_exit_2(size, capsys):
+    assert dispatch(["mc", "hermite", "--d", "2", "--Nlist", "10", size, "--N", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"N={size}" in captured.err and captured.err.count("\n") == 1

@@ -15,6 +15,7 @@ from concentro.graphs import (
     cycle_tail_bound,
     er_tail_experiment,
     expected_cycle_count,
+    indicator_norm_bound,
     indicator_norm_check,
     sample_adjacency,
     subgraph_norm_bound,
@@ -256,3 +257,16 @@ def test_er_tail_experiment_four_cycles():
     assert res.mean == pytest.approx(res.expected_mean, abs=3 * res.mean_stderr)
     assert res.rows[0]["tail"] == 1.0
     assert res.rows[1]["tail"] == 0.0
+
+
+@pytest.mark.parametrize("e_seq,label,expect", [
+    # two edges at vertex 2: one isolated edge per block, ends 1 and 3 singly covered
+    ([(1, 2), (2, 3)], "1|2", 2.0 * 9),
+    ([(1, 2), (2, 3)], "1,2", 9.0**1.5),
+    # disjoint edges: 2^(1 - 2) from isolated edges, all four vertices singly covered
+    ([(1, 2), (3, 4)], "1|2", 0.5 * 81),
+    ([(1, 2), (3, 4)], "1,2", 0.5 * 81),
+])
+def test_indicator_norm_bound_cases(e_seq, label, expect):
+    h = GraphSpec.cycle(4)
+    assert indicator_norm_bound(h, e_seq, SetPartition.parse(label), 9) == expect

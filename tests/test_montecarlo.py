@@ -257,3 +257,9 @@ def test_sobolev_check_examples():
         assert rows[0]["status"] == "degenerate" and rows[0]["ratio"] is None
     with pytest.raises(ValueError, match="Sobolev"):
         sobolev_check(ProductDistribution.bernoulli(2, 0.5), f_lin, [2.0], cfg)
+
+
+@pytest.mark.parametrize("size", [0, -3])
+def test_hermite_convergence_rejects_inner_size_below_one(size):
+    with pytest.raises(ValueError, match=f"N={size}"):
+        hermite_tetrahedral_convergence(2, [10, size], MCConfig(N=100, seed=0))

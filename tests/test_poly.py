@@ -241,3 +241,12 @@ def test_distribution_config_round_trip():
         ProductDistribution.bernoulli(2, 0.0)
     with pytest.raises(ValueError):
         ProductDistribution.weibull(2, 3.0)
+
+
+def test_distribution_config_without_law_parameter_is_a_value_error():
+    with pytest.raises(ValueError, match="bernoulli"):
+        ProductDistribution.from_config({"law": "bernoulli", "n": 3})
+    with pytest.raises(ValueError, match="weibull"):
+        ProductDistribution.from_config({"law": "weibull", "n": 3})
+    assert ProductDistribution.from_config({"law": "custom", "n": 2, "moments": [1, 0, 1]}) \
+        .moment(2) == 1.0
