@@ -26,9 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .norms import NormOptions, mixed_norm, norm_J
-from .partitions import SetPartition, SplitPartition, enumerate_partitions, enumerate_splits, merged
+from .partitions import enumerate_partitions, enumerate_splits, merged
 from .poly import Polynomial, ProductDistribution, expected_derivative_tensor
-from .tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -36,7 +35,6 @@ class BoundTerm:
     d: int
     label: str
     exponent: float      # power of p (moment bounds) or of t (eta terms)
-    l_power: int
     norm: float
     flagged: bool        # norm is an alternating-maximization lower bound
     value: float
@@ -84,9 +82,23 @@ def _norm_rows(f: Polynomial, dist: ProductDistribution, opts: NormOptions):
             yield (d, part) + by_shape[part.shape]
 
 
+def _moment_terms(f: Polynomial, dist: ProductDistribution, p: float, L: float,
+                  gamma: float, opts: NormOptions | None) -> list[BoundTerm]:
+    """The rows L^d p^((gamma-1/2)d + #J/2) |E D^d f|_J of the Sobolev-type
+    moment functional, for p >= 2."""
+    if p < 2:
+        raise ValueError(f"moment order p={p} must be >= 2")
+    terms = []
+    for d, part, norm, flagged in _norm_rows(f, dist, opts or NormOptions()):
+        expo = (gamma - 0.5) * d + part.n_blocks / 2.0
+        terms.append(BoundTerm(d, str(part), expo, norm, flagged, L**d * p**expo * norm))
+    return terms
+
+
 def gaussian_moment_bound(f: Polynomial, dist: ProductDistribution, p: float,
                           opts: NormOptions | None = None) -> BoundReport:
-    """Two-sided moment functional sum_d sum_J p^(#J/2) |E D^d f|_J.
+    """Two-sided moment functional sum_d sum_J p^(#J/2) |E D^d f|_J: the
+    Sobolev-type functional at the Gaussian pair (L, gamma) = (1, 1/2).
 
     For Gaussian f the total bounds |f - Ef|_p above and below only up to a
     constant C_D depending on the degree D.  meta["chaos_total"] is the same
@@ -94,13 +106,7 @@ def gaussian_moment_bound(f: Polynomial, dist: ProductDistribution, p: float,
     f - Ef = sum_d <E D^d f, :G^(x d):> / d!, so that is Latala's two-sided
     chaos estimate with the Wick-product coefficient tensors E D^d f / d!.
     """
-    if p < 2:
-        raise ValueError(f"moment order p={p} must be >= 2")
-    opts = opts or NormOptions()
-    terms = []
-    for d, part, norm, flagged in _norm_rows(f, dist, opts):
-        expo = part.n_blocks / 2.0
-        terms.append(BoundTerm(d, str(part), expo, 0, norm, flagged, p**expo * norm))
+    terms = _moment_terms(f, dist, p, 1.0, 0.5, opts)
     total = sum(t.value for t in terms)
     chaos_total = sum(t.value / math.factorial(t.d) for t in terms)
     return BoundReport("sum", tuple(terms), total,
@@ -125,7 +131,7 @@ def eta_tail(f: Polynomial, dist: ProductDistribution, t: float, L: float,
             continue
         expo = 2.0 / part.n_blocks
         value = (t / (L**d * norm)) ** expo
-        terms.append(BoundTerm(d, str(part), expo, d, norm, flagged, value))
+        terms.append(BoundTerm(d, str(part), expo, norm, flagged, value))
     if not terms:
         raise ValueError("degenerate polynomial: every derivative norm is zero")
     total = min(t.value for t in terms)
@@ -139,17 +145,11 @@ def sobolev_moment_bound(f: Polynomial, dist: ProductDistribution, p: float,
                          L: float, gamma: float,
                          opts: NormOptions | None = None) -> BoundReport:
     """Moment functional sum_d sum_J L^d p^((gamma-1/2)d + #J/2) |E D^d f|_J."""
-    if p < 2:
-        raise ValueError(f"moment order p={p} must be >= 2")
     if gamma < 0.5:
         raise ValueError(f"gamma={gamma} must be >= 1/2")
     if not L > 0:
         raise ValueError("L must be positive")
-    opts = opts or NormOptions()
-    terms = []
-    for d, part, norm, flagged in _norm_rows(f, dist, opts):
-        expo = (gamma - 0.5) * d + part.n_blocks / 2.0
-        terms.append(BoundTerm(d, str(part), expo, d, norm, flagged, L**d * p**expo * norm))
+    terms = _moment_terms(f, dist, p, L, gamma, opts)
     total = sum(t.value for t in terms)
     return BoundReport("sum", tuple(terms), total,
                        {"p": p, "L": L, "gamma": gamma, "law": dist.law,
@@ -220,7 +220,7 @@ def weibull_moment_bound(f: Polynomial, dist: ProductDistribution, p: float,
             expo = len(split.inner) / 2.0 + len(split.outer) / alpha
             exact = (alpha == 2.0 and merged(split).n_blocks <= 2) or \
                     (len(split.inner) + len(split.outer)) <= 1
-            terms.append(BoundTerm(d, str(split), expo, d, norm, not exact, p**expo * norm))
+            terms.append(BoundTerm(d, str(split), expo, norm, not exact, p**expo * norm))
     total = sum(t.value for t in terms)
     return BoundReport("sum", tuple(terms), total,
                        {"p": p, "alpha": alpha, "law": dist.law,

@@ -25,6 +25,7 @@ from . import __version__
 from .bounds import eta_tail, gaussian_moment_bound, sobolev_moment_bound, weibull_moment_bound
 from .graphs import GraphSpec, cycle_norm_bound, er_tail_experiment
 from .montecarlo import (
+    TAIL_COLUMNS,
     MCConfig,
     chaos_moment,
     empirical_moment,
@@ -39,8 +40,6 @@ from .poly import ProductDistribution, hermite, hermite_expansion, load_polynomi
 from .rmt import WignerSpec, wigner_experiment
 from .tensor import load_tensor
 
-_TAIL_COLUMNS = ("t", "tail", "wilson_low", "wilson_high", "bound")
-
 
 def _fmt(x) -> str:
     if isinstance(x, float):
@@ -54,7 +53,7 @@ def _csv(header: str, rows) -> list[str]:
 
 
 def _tail_lines(rows) -> list[str]:
-    return _csv(",".join(_TAIL_COLUMNS), ([r[k] for k in _TAIL_COLUMNS] for r in rows))
+    return _csv(",".join(TAIL_COLUMNS), ([r[k] for k in TAIL_COLUMNS] for r in rows))
 
 
 def _default_workers() -> int:
@@ -123,7 +122,7 @@ def _cmd_bounds(args) -> int:
     poly = load_polynomial(args.poly)
     dist = ProductDistribution(args.law, poly.nvars, p=args.pp, alpha=args.alpha)
     opts = _norm_opts(args)
-    if args.alpha is not None and args.law == "weibull":
+    if args.law == "weibull":
         report = weibull_moment_bound(poly, dist, args.p, args.alpha, opts)
     elif args.gamma is not None:
         if args.L is None:

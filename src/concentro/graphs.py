@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .montecarlo import MCConfig, _run_chunks, wilson_interval
+from .montecarlo import MCConfig, _run_chunks, tail_rows
 from .norms import NormOptions, NormResult, norm_J
 from .partitions import SetPartition
 from .poly import Polynomial
@@ -190,8 +190,7 @@ def indicator_norm_bound(h: GraphSpec, e_seq, part: SetPartition, n: int) -> flo
 
 def subgraph_norm_bound(h: GraphSpec, d: int, part: SetPartition, n: int, p: float) -> float:
     """Edge-enumeration upper bound on |E D^d f|_J for the ordered-copy
-    polynomial of any pattern without isolated vertices (unvalidated beyond
-    cycles)."""
+    polynomial of any pattern without isolated vertices."""
     if not 1 <= d <= h.n_edges:
         raise ValueError(f"derivative order {d} outside [1, {h.n_edges}]")
     if part.d != d:
@@ -210,7 +209,7 @@ def cycle_norm_bound(h: GraphSpec, d: int, part: SetPartition, n: int, p: float)
     edge k-tuples forming a k-cycle, so its norm is sqrt(2k * k! * (n)_k)."""
     if h.kind != "cycle":
         raise ValueError("cycle_norm_bound supports cycle patterns only"
-                         " (subgraph_norm_bound is exposed but unvalidated)")
+                         " (subgraph_norm_bound covers other patterns)")
     if d == h.k and part.n_blocks == 1:
         return math.sqrt(2 * h.k * math.factorial(h.k) * math.perm(n, h.k))
     return subgraph_norm_bound(h, d, part, n, p)
@@ -365,20 +364,13 @@ def er_tail_experiment(h: GraphSpec, n: int, p: float, cfg: MCConfig,
             raise ValueError("provide t_list or eps")
         t_list = [eps * expected_cycle_count(h.k, n, p)]
 
-    counts = np.concatenate(_run_chunks(
-        lambda chunk, rows, rng: count_cycles_trace(sample_adjacency(n, p, rng, rows), h.k),
-        cfg, workers))
-    mean = float(counts.mean())
-    stderr = float(counts.std() / math.sqrt(cfg.N))
-    rows = []
-    for t in t_list:
-        k_hits = int((np.abs(counts - mean) >= t).sum())
-        low, high = wilson_interval(k_hits, cfg.N)
-        if h.k == 3:
-            bound = triangle_tail_bound(n, p, t, c)
-        else:
-            bound = cycle_tail_bound(h.k, n, p, t, c)
-        rows.append({"t": float(t), "tail": k_hits / cfg.N,
-                     "wilson_low": low, "wilson_high": high, "bound": bound})
+    counts = _run_chunks(
+        lambda rows, rng: count_cycles_trace(sample_adjacency(n, p, rng, rows), h.k),
+        cfg, workers)
+    if h.k == 3:
+        bound = lambda t: triangle_tail_bound(n, p, t, c)
+    else:
+        bound = lambda t: cycle_tail_bound(h.k, n, p, t, c)
     return ERResult(h.k, n, p, cfg.N, expected_cycle_count(h.k, n, p),
-                    mean, stderr, tuple(rows))
+                    float(counts.mean()), float(counts.std() / math.sqrt(cfg.N)),
+                    tail_rows(counts, t_list, bound))

@@ -2,8 +2,10 @@
 sandwich-ratio checks that confront every bound functional with simulation.
 
 Randomness is counter-based: chunk c of a run with seed s draws from
-Philox-4x64 keyed with (s, c).  Chunks are reduced in index order, so results
-are bit-identical for a fixed (seed, N, batch) regardless of worker count.
+Philox-4x64 keyed with (s, c).  `_run_chunks` calls the job fn(rows, rng) per
+chunk and joins the chunks in chunk order, so results are bit-identical for a
+fixed (seed, N, batch) regardless of worker count.  Every deviation tail comes
+from `tail_rows`.
 """
 
 from __future__ import annotations
@@ -71,21 +73,26 @@ def chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _run_chunks(fn, cfg: MCConfig, workers: int = 1):
-    """fn(chunk_index, rows, rng) -> array(s); chunks reduced in index order."""
-    sizes = []
-    left = cfg.N
-    while left > 0:
-        sizes.append(min(cfg.batch, left))
-        left -= sizes[-1]
+def _run_chunks(fn, cfg: MCConfig, workers: int = 1) -> np.ndarray:
+    """fn(rows, rng) -> array per chunk; the arrays joined along the last axis,
+    in chunk order."""
+    sizes = [min(cfg.batch, cfg.N - start) for start in range(0, cfg.N, cfg.batch)]
 
     def job(c):
-        return fn(c, sizes[c], chunk_rng(cfg.seed, c))
+        return fn(sizes[c], chunk_rng(cfg.seed, c))
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(job, range(len(sizes))))
-    return [job(c) for c in range(len(sizes))]
+            return np.concatenate(list(pool.map(job, range(len(sizes)))), axis=-1)
+    return np.concatenate([job(c) for c in range(len(sizes))], axis=-1)
+
+
+def _sample_values(f: Polynomial, dist: ProductDistribution, cfg: MCConfig,
+                   workers: int) -> np.ndarray:
+    """f(X) on cfg.N draws of the product law."""
+    if dist.n != f.nvars:
+        raise ValueError(f"distribution over {dist.n} coordinates, polynomial over {f.nvars}")
+    return _run_chunks(lambda rows, rng: f.evaluate_batch(dist.sample(rng, rows)), cfg, workers)
 
 
 def _centered_moments(values: np.ndarray, p_list, n: int):
@@ -105,22 +112,36 @@ def _centered_moments(values: np.ndarray, p_list, n: int):
 def empirical_moment(f: Polynomial, dist: ProductDistribution, cfg: MCConfig,
                      workers: int = 1) -> list[MomentEstimate]:
     """Centered empirical L^p norms of f(X), centered at the empirical mean."""
-    if dist.n != f.nvars:
-        raise ValueError(f"distribution over {dist.n} coordinates, polynomial over {f.nvars}")
     if not cfg.p_list:
         raise ValueError("empirical moments need at least one order in p_list")
-    chunks = _run_chunks(lambda c, rows, rng: f.evaluate_batch(dist.sample(rng, rows)),
-                         cfg, workers)
-    values = np.concatenate(chunks)
-    return _centered_moments(values, cfg.p_list, cfg.N)
+    return _centered_moments(_sample_values(f, dist, cfg, workers), cfg.p_list, cfg.N)
 
 
-def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
+    z = 1.96   # the 95% Wilson score interval
     phat = k / n
     denom = 1 + z**2 / n
     mid = (phat + z**2 / (2 * n)) / denom
     half = z * math.sqrt(phat * (1 - phat) / n + z**2 / (4 * n**2)) / denom
     return max(0.0, mid - half), min(1.0, mid + half)
+
+
+TAIL_COLUMNS = ("t", "tail", "wilson_low", "wilson_high", "bound")
+
+
+def tail_rows(values: np.ndarray, t_list, bound=None) -> tuple:
+    """One row per t, keyed by TAIL_COLUMNS: the share of values at least t
+    from their sample mean, its Wilson interval, and bound(t) (None without
+    a bound)."""
+    n = values.size
+    dev = np.abs(values - values.mean())
+    rows = []
+    for t in t_list:
+        hits = int((dev >= t).sum())
+        low, high = wilson_interval(hits, n)
+        rows.append({"t": float(t), "tail": hits / n, "wilson_low": low,
+                     "wilson_high": high, "bound": None if bound is None else bound(t)})
+    return tuple(rows)
 
 
 def empirical_tail(f: Polynomial, dist: ProductDistribution, t: float, cfg: MCConfig,
@@ -130,12 +151,8 @@ def empirical_tail(f: Polynomial, dist: ProductDistribution, t: float, cfg: MCCo
         raise ValueError("tail estimation needs N >= 1000")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    chunks = _run_chunks(lambda c, rows, rng: f.evaluate_batch(dist.sample(rng, rows)),
-                         cfg, workers)
-    values = np.concatenate(chunks)
-    k = int((np.abs(values - values.mean()) >= t).sum())
-    low, high = wilson_interval(k, cfg.N)
-    return TailEstimate(float(t), k / cfg.N, low, high, cfg.N)
+    (row,) = tail_rows(_sample_values(f, dist, cfg, workers), [t])
+    return TailEstimate(row["t"], row["tail"], row["wilson_low"], row["wilson_high"], cfg.N)
 
 
 def _validate_undecoupled(a: Tensor) -> None:
@@ -164,15 +181,14 @@ def chaos_moment(a: Tensor, mode: str, p: float, cfg: MCConfig,
     if mode == "undecoupled":
         _validate_undecoupled(a)
 
-    def job(c, rows, rng):
+    def job(rows, rng):
         if mode == "decoupled":
             gs = [rng.standard_normal((rows, m)) for _ in range(d)]
         else:
             gs = [rng.standard_normal((rows, m))] * d
         return contract_rows(a.values, gs)
 
-    values = np.concatenate(_run_chunks(job, cfg, workers))
-    return _centered_moments(values, [p], cfg.N)[0]
+    return _centered_moments(_run_chunks(job, cfg, workers), [p], cfg.N)[0]
 
 
 def sandwich_check(f: Polynomial, dist: ProductDistribution, p_list, cfg: MCConfig,
@@ -240,7 +256,7 @@ def hermite_tetrahedral_convergence(d: int, N_list, cfg: MCConfig,
         rows_per_chunk = max(1, cfg.batch // big_n)
         sub = MCConfig(N=cfg.N, seed=cfg.seed, batch=rows_per_chunk)
 
-        def job(c, rows, rng, big_n=big_n):
+        def job(rows, rng, big_n=big_n):
             draws = rng.standard_normal((rows, big_n))
             e = _elementary_symmetric(draws, d)
             g = e[:, 1] * big_n**-0.5
@@ -248,7 +264,8 @@ def hermite_tetrahedral_convergence(d: int, N_list, cfg: MCConfig,
             sq = delta**2
             return np.array([sq.sum(), (sq**2).sum()])
 
-        s2, s4 = np.sum(_run_chunks(job, sub, workers), axis=0)
+        # summed down the chunk axis: a flat sum would go pairwise and move the last digits
+        s2, s4 = _run_chunks(job, sub, workers).reshape(-1, 2).sum(axis=0)
         mean = s2 / cfg.N
         var = max(s4 / cfg.N - mean**2, 0.0)
         out.append({"N": big_n, "mean_sq_error": float(mean),
@@ -261,14 +278,14 @@ def sobolev_check(dist: ProductDistribution, f: Polynomial, p_list, cfg: MCConfi
     """Ratio |f - Ef|_p / (L p^gamma | |grad f| |_p) per p, empirically."""
     pair = dist.sobolev
     if pair is None:
-        raise ValueError(f"law {dist.law!r} has no Sobolev (L, gamma) pair configured")
+        raise ValueError(f"law {dist.law!r} has no known Sobolev (L, gamma) pair")
     L, gamma = pair
     if dist.n != f.nvars:
         raise ValueError(f"distribution over {dist.n} coordinates, polynomial over {f.nvars}")
     cfg = replace(cfg, p_list=tuple(p_list))
     grads = f.gradient()
 
-    def job(c, rows, rng):
+    def job(rows, rng):
         xs = dist.sample(rng, rows)
         vals = f.evaluate_batch(xs)
         gsq = np.zeros(rows)
@@ -277,8 +294,7 @@ def sobolev_check(dist: ProductDistribution, f: Polynomial, p_list, cfg: MCConfi
                 gsq += gpoly.evaluate_batch(xs) ** 2
         return np.stack([vals, np.sqrt(gsq)])
 
-    stacked = np.concatenate(_run_chunks(job, cfg, workers), axis=1)
-    values, gnorm = stacked[0], stacked[1]
+    values, gnorm = _run_chunks(job, cfg, workers)
     center = values.mean()
     # a gradient that vanishes on every sample leaves only the rounding of the
     # empirical mean in lhs: no ratio is meaningful

@@ -7,7 +7,6 @@ k-th partition is the same on every run and every machine.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 # Bell numbers B_0 .. B_6
@@ -110,10 +109,6 @@ class SplitPartition:
         object.__setattr__(self, "inner", _canonical(self.inner) if self.inner else ())
         object.__setattr__(self, "outer", _canonical(self.outer) if self.outer else ())
         _check_cover(self.inner + self.outer, range(1, self.d + 1), f"split of [{self.d}]")
-
-    @property
-    def inner_set(self) -> tuple[int, ...]:
-        return tuple(sorted(i for b in self.inner for i in b))
 
     @property
     def shape(self) -> tuple[tuple[int, ...], tuple[int, ...]]:

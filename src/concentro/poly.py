@@ -67,10 +67,6 @@ class Polynomial:
     def constant(cls, nvars: int, c: float) -> "Polynomial":
         return cls(nvars, {(): c} if c != 0 else {})
 
-    @classmethod
-    def monomial(cls, nvars: int, exps, coef: float = 1.0) -> "Polynomial":
-        return cls(nvars, {tuple(exps): coef})
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if self.nvars != other.nvars:
             raise ValueError("polynomials over different variable counts")
@@ -121,11 +117,12 @@ class Polynomial:
             raise ValueError(f"batch must have shape (N, {self.nvars})")
         cols = np.ascontiguousarray(xs.T)
         total = np.zeros(xs.shape[0])
+        prod = np.empty(xs.shape[0])
         for key, coef in self.terms.items():
-            prod = np.full(xs.shape[0], coef)
+            prod.fill(coef)
             for v, p in key:
                 col = cols[v - 1]
-                prod = prod * (col if p == 1 else col**p)
+                prod *= col if p == 1 else col**p
             total += prod
         return total
 
@@ -159,8 +156,6 @@ class ProductDistribution:
     p: float | None = None
     alpha: float | None = None
     moments_table: tuple | None = None
-    psi2_override: float | None = None
-    sobolev_override: tuple | None = None
 
     def __post_init__(self):
         if self.law not in _LAWS:
@@ -171,6 +166,10 @@ class ProductDistribution:
             raise ValueError("bernoulli law needs p in (0, 1]")
         if self.law == "weibull" and not (self.alpha is not None and 1 <= self.alpha <= 2):
             raise ValueError("weibull law needs alpha in [1, 2]")
+        if self.p is not None and self.law != "bernoulli":
+            raise ValueError(f"{self.law} law takes no p (bernoulli only)")
+        if self.alpha is not None and self.law != "weibull":
+            raise ValueError(f"{self.law} law takes no alpha (weibull only)")
         if self.law == "custom" and not self.moments_table:
             raise ValueError("custom law needs a moments table")
 
@@ -191,10 +190,8 @@ class ProductDistribution:
         return cls("weibull", n, alpha=alpha)
 
     @classmethod
-    def custom(cls, n: int, moments, psi2: float | None = None,
-               sobolev: tuple | None = None) -> "ProductDistribution":
-        return cls("custom", n, moments_table=tuple(float(m) for m in moments),
-                   psi2_override=psi2, sobolev_override=sobolev)
+    def custom(cls, n: int, moments) -> "ProductDistribution":
+        return cls("custom", n, moments_table=tuple(float(m) for m in moments))
 
     def moment(self, k: int) -> float:
         """E X^k for one coordinate."""
@@ -222,8 +219,6 @@ class ProductDistribution:
     @property
     def psi2(self) -> float | None:
         """Sub-Gaussian norm bound for one coordinate, when finite."""
-        if self.psi2_override is not None:
-            return self.psi2_override
         if self.law == "gaussian":
             return math.sqrt(8.0 / 3.0)
         if self.law == "rademacher":
@@ -236,9 +231,7 @@ class ProductDistribution:
 
     @property
     def sobolev(self) -> tuple[float, float] | None:
-        """(L, gamma) pair of the moment-gradient inequality, when configured."""
-        if self.sobolev_override is not None:
-            return self.sobolev_override
+        """(L, gamma) pair of the moment-gradient inequality, when known."""
         if self.law == "gaussian":
             return (1.0, 0.5)
         return None

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,10 +55,6 @@ class Tensor:
         if flat.size != dim**order:
             raise ValueError(f"expected {dim**order} values, got {flat.size}")
         return cls(flat.reshape((dim,) * order))
-
-    @classmethod
-    def zeros(cls, order: int, dim: int) -> "Tensor":
-        return cls(np.zeros((dim,) * order))
 
     def __repr__(self) -> str:
         return f"Tensor(order={self.order}, dim={self.dim})"

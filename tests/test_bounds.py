@@ -195,7 +195,7 @@ def test_weibull_bound_constant_and_caps():
 
 
 def test_report_consistency_guard():
-    term = BoundTerm(1, "1", 0.5, 0, 1.0, False, 2.0)
+    term = BoundTerm(1, "1", 0.5, 1.0, False, 2.0)
     with pytest.raises(ValueError):
         BoundReport("sum", (term,), 3.0)
     with pytest.raises(ValueError):

@@ -292,6 +292,14 @@ def test_bernoulli_without_pp_exit_2(x1x2, capsys):
     assert "bernoulli" in captured.err and captured.err.count("\n") == 1
 
 
+def test_law_parameter_of_another_law_exit_2(x1x2, capsys):
+    argv = ["bounds", "--poly", x1x2, "--p", "3", "--law", "gaussian", "--alpha", "1.5"]
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "takes no alpha" in captured.err and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("mode,flag", [("moments", "--poly"), ("tail", "--poly"),
                                        ("sandwich", "--poly"), ("sobolev", "--poly"),
                                        ("chaos", "--tensor")])

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from concentro.graphs import (
     ERResult,
@@ -152,6 +154,38 @@ def test_cycle_norm_bound_dominates_actual_norms():
         top = norm_J(tens, SetPartition.full(k)).value
         assert top == pytest.approx(cycle_norm_bound(h, k, SetPartition.full(k), n, p),
                                     rel=1e-12)
+
+
+def _k4_cases():
+    """(n, d, partitions): every partition at n = 4, d <= 4 and at n = 5, d <= 3;
+    the partitions with at most two blocks at n = 4, d = 5, 6 and n = 5, d = 4."""
+    for n, d in [(4, 1), (4, 2), (4, 3), (4, 4), (5, 1), (5, 2), (5, 3)]:
+        yield n, d, enumerate_partitions(d)
+    for n, d in [(4, 5), (4, 6), (5, 4)]:
+        yield n, d, [part for part in enumerate_partitions(d) if part.n_blocks <= 2]
+
+
+@pytest.mark.parametrize("p", [0.2, 0.7])
+def test_subgraph_norm_bound_caps_k4_norms(p):
+    h = GraphSpec.clique(4)
+    worst = 0.0
+    for n, d, parts in _k4_cases():
+        f = counting_polynomial(h, n)
+        tens = expected_derivative_tensor(f, ProductDistribution.bernoulli(f.nvars, p), d)
+        for part in parts:
+            ratio = norm_J(tens, part, OPTS).value / subgraph_norm_bound(h, d, part, n, p)
+            assert ratio <= 1 + 1e-9, (n, d, str(part))
+            worst = max(worst, ratio)
+    assert worst > 0.0
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.integers(2, 40))
+def test_edge_index_is_a_bijection(n):
+    eidx = EdgeIndex(n)
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    assert sorted(eidx.index(e) for e in pairs) == list(range(1, n * (n - 1) // 2 + 1))
+    assert all(eidx.pair(eidx.index(e)) == e for e in pairs)
 
 
 def test_indicator_norm_check_single_edge():

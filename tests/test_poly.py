@@ -250,3 +250,11 @@ def test_distribution_config_without_law_parameter_is_a_value_error():
         ProductDistribution.from_config({"law": "weibull", "n": 3})
     assert ProductDistribution.from_config({"law": "custom", "n": 2, "moments": [1, 0, 1]}) \
         .moment(2) == 1.0
+
+
+@pytest.mark.parametrize("law,kwargs,name", [("gaussian", {"alpha": 1.5}, "alpha"),
+                                             ("rademacher", {"p": 0.3}, "p"),
+                                             ("weibull", {"alpha": 1.5, "p": 0.3}, "p")])
+def test_law_parameter_of_another_law_is_rejected(law, kwargs, name):
+    with pytest.raises(ValueError, match=f"{law} law takes no {name}"):
+        ProductDistribution(law, 2, **kwargs)
