@@ -1,15 +1,18 @@
 """Command line surface: one binary, subcommand style, JSON inputs and CSV
 reports.
 
-The parser is built once per process, so `CONCENTRO_WORKERS`, the default of
---workers, is read once per process too.  A JSON config file (--config) sets
-defaults for the subcommand's options: they are installed on a copy of the
-subcommand's parser, which parses the command line again, so flags given there
-override the config and no run's config reaches the next run.  A key that
-names no option of the subcommand is an error.  Every report embeds the
-version, the seed, and the full parameter echo in '#' comment lines, and is
-byte-reproducible for a fixed config.  Exit code 2 signals a validation
-failure with a one-line diagnostic.
+Every option a subcommand declares is read.  Only `mc`, `graphs` and `rmt` run
+Monte Carlo chunks, so only they take --workers, whose default
+`CONCENTRO_WORKERS` is read once per process, when the parser is built.  The
+norm solvers take --restarts and --seed; their tolerance and sweep cap are the
+constants `norms.ALS_TOL` and `norms.ALS_MAX_SWEEPS`.  A JSON config file
+(--config) sets defaults for the subcommand's options, required ones too: they
+are installed on a copy of the subcommand's parser, which parses the command
+line again, so flags given there override the config and no run's config
+reaches the next run.  A key that names no option of the subcommand is an
+error.  Every report embeds the version, the seed, and the full parameter echo
+in '#' comment lines, and is byte-reproducible for a fixed config.  Exit code
+2 signals a validation failure with a one-line diagnostic.
 """
 
 from __future__ import annotations
@@ -82,8 +85,7 @@ def _emit(args, lines: list[str]) -> None:
 
 
 def _norm_opts(args) -> NormOptions:
-    return NormOptions(restarts=args.restarts, tol=args.tol,
-                       max_sweeps=args.max_sweeps, seed=args.seed)
+    return NormOptions(restarts=args.restarts, seed=args.seed)
 
 
 def _report_lines(report) -> list[str]:
@@ -119,14 +121,16 @@ def _cmd_mixednorm(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.law == "weibull" and (args.gamma is not None or args.L is not None):
+        raise ValueError("the weibull report takes no --gamma or --L")
+    if (args.gamma is None) != (args.L is None):
+        raise ValueError("the Sobolev-form bound needs both --gamma and --L")
     poly = load_polynomial(args.poly)
     dist = ProductDistribution(args.law, poly.nvars, p=args.pp, alpha=args.alpha)
     opts = _norm_opts(args)
     if args.law == "weibull":
         report = weibull_moment_bound(poly, dist, args.p, args.alpha, opts)
     elif args.gamma is not None:
-        if args.L is None:
-            raise ValueError("the Sobolev-form bound needs --L")
         report = sobolev_moment_bound(poly, dist, args.p, float(args.L), args.gamma, opts)
     else:
         report = gaussian_moment_bound(poly, dist, args.p, opts)
@@ -155,12 +159,10 @@ def _cmd_mc(args) -> int:
     if source == "poly":
         poly = load_polynomial(args.poly)
         dist = ProductDistribution(args.law, poly.nvars, p=args.pp, alpha=args.alpha)
-    takes_moments = args.mode in ("moments", "sandwich", "sobolev")
-    cfg = MCConfig(N=args.N, seed=args.seed, batch=args.batch,
-                   p_list=tuple(args.p) if takes_moments else ())
+    cfg = MCConfig(N=args.N, seed=args.seed, batch=args.batch)
     workers = args.workers
     if args.mode == "moments":
-        ests = empirical_moment(poly, dist, cfg, workers)
+        ests = empirical_moment(poly, dist, args.p, cfg, workers)
         lines = _csv("p,value,stderr,N", [(e.p, e.value, e.stderr, e.N) for e in ests])
     elif args.mode == "tail":
         est = empirical_tail(poly, dist, args.t, cfg, workers)
@@ -247,20 +249,18 @@ def _add_law(p: argparse.ArgumentParser) -> None:
 
 def _add_norm_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--restarts", type=int, default=64)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-sweeps", dest="max_sweeps", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file of defaults; flags override")
     p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--workers", type=int, default=_default_workers())
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict]:
-    """The top-level parser and the subcommand parsers by name, built once."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict, dict]:
+    """The top-level parser, and the subcommand parsers and their required
+    options by name, built once."""
     parser = argparse.ArgumentParser(prog="concentro")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -268,8 +268,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("norm", help="partition-indexed tensor norm")
     p.add_argument("--tensor", required=True)
     p.add_argument("--partition", required=True)
-    p.add_argument("--method", default="auto",
-                   choices=["auto", "frobenius", "matricization-spectral", "als"])
+    p.add_argument("--method", default="auto", choices=["auto", "als"])
     p.add_argument("--cert-out", dest="cert_out")
     _add_norm_opts(p)
     _add_common(p)
@@ -319,6 +318,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--Nlist", type=int, nargs="+", default=[10, 100, 1000])
     p.add_argument("--window", type=float, nargs=2, default=[0.1, 10.0])
     _add_norm_opts(p)
+    p.add_argument("--workers", type=int, default=_default_workers())
     _add_common(p)
     p.set_defaults(func=_cmd_mc)
 
@@ -335,6 +335,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--partition", default="1")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--workers", type=int, default=_default_workers())
     _add_common(p)
     p.set_defaults(func=_cmd_graphs)
 
@@ -347,6 +348,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--CL", type=float, default=1.0)
     p.add_argument("--convention", default="paper", choices=["paper", "goe"])
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--workers", type=int, default=_default_workers())
     _add_common(p)
     p.set_defaults(func=_cmd_rmt)
 
@@ -356,13 +358,19 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     _add_common(p)
     p.set_defaults(func=_cmd_hermite)
 
-    return parser, sub.choices
+    # --config may supply a required option, so dispatch checks them after reading it
+    required = {name: [a for a in p._actions if a.required and a.option_strings]
+                for name, p in sub.choices.items()}
+    for action in sum(required.values(), []):
+        action.required = False
+    return parser, sub.choices, required
 
 
 def dispatch(argv) -> int:
-    parser, commands = _parsers()
+    parser, commands, required = _parsers()
     try:
         args = parser.parse_args(argv)
+        command = commands[args.command]
         if args.config:
             with open(args.config) as fh:
                 config = json.load(fh)
@@ -373,9 +381,13 @@ def dispatch(argv) -> int:
                 raise ValueError(f"config {args.config}: unknown key {', '.join(unknown)}"
                                  f" for {args.command}")
             # a copy, so that the cached parser keeps its own defaults
-            command = copy.deepcopy(commands[args.command])
+            command = copy.deepcopy(command)
             command.set_defaults(**config)
             args = command.parse_args(argv[1:], argparse.Namespace(command=args.command))
+        missing = ["/".join(a.option_strings) for a in required[args.command]
+                   if getattr(args, a.dest) is None]
+        if missing:
+            command.error(f"the following arguments are required: {', '.join(missing)}")
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -73,10 +73,6 @@ class GraphSpec:
             return 2 * self.k
         raise ValueError("automorphism count available for cycles and cliques only")
 
-    @classmethod
-    def from_config(cls, doc: dict) -> "GraphSpec":
-        return cls(int(doc["k"]), tuple(tuple(e) for e in doc["edges"]))
-
 
 class EdgeIndex:
     """Bijection between unordered pairs over [n] and 1..n(n-1)/2, lexicographic."""

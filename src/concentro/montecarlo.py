@@ -5,7 +5,9 @@ Randomness is counter-based: chunk c of a run with seed s draws from
 Philox-4x64 keyed with (s, c).  `_run_chunks` calls the job fn(rows, rng) per
 chunk and joins the chunks in chunk order, so results are bit-identical for a
 fixed (seed, N, batch) regardless of worker count.  Every deviation tail comes
-from `tail_rows`.
+from `tail_rows`.  Moment orders are an argument of the estimators that take
+them (`empirical_moment`, `chaos_moment`, `sandwich_check`, `sobolev_check`),
+not of `MCConfig`, and `_moment_orders` alone checks them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -27,15 +29,25 @@ def max_admissible_p(n_samples: int) -> float:
     return math.log(n_samples) / 1.5
 
 
+def _moment_orders(p_list, n_samples: int) -> tuple:
+    """The orders as floats, each in [2, ln(N)/1.5]; at least one."""
+    p_list = tuple(float(p) for p in p_list)
+    if not p_list:
+        raise ValueError("empirical moments need at least one order in p_list")
+    cap = max_admissible_p(n_samples)
+    for p in p_list:
+        if not 2.0 <= p <= cap:
+            raise ValueError(
+                f"moment order p={p} outside [2, ln(N)/1.5 = {cap:.3f}] for N={n_samples}")
+    return p_list
+
+
 @dataclass(frozen=True)
 class MCConfig:
-    """Replicas, seed and chunk size of a run, and the moment orders it
-    estimates; p_list stays empty for runs that take no moment, so that small
-    N is not held to the ln(N)/1.5 cap."""
+    """Replicas, seed and chunk size of a run."""
 
     N: int
     seed: int = 0
-    p_list: tuple = ()
     batch: int = 65536
 
     def __post_init__(self):
@@ -43,12 +55,6 @@ class MCConfig:
             raise ValueError("N must be >= 1")
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
-        object.__setattr__(self, "p_list", tuple(float(p) for p in self.p_list))
-        cap = max_admissible_p(self.N)
-        for p in self.p_list:
-            if not 2.0 <= p <= cap:
-                raise ValueError(
-                    f"moment order p={p} outside [2, ln(N)/1.5 = {cap:.3f}] for N={self.N}")
 
 
 @dataclass(frozen=True)
@@ -109,12 +115,11 @@ def _centered_moments(values: np.ndarray, p_list, n: int):
     return out
 
 
-def empirical_moment(f: Polynomial, dist: ProductDistribution, cfg: MCConfig,
+def empirical_moment(f: Polynomial, dist: ProductDistribution, p_list, cfg: MCConfig,
                      workers: int = 1) -> list[MomentEstimate]:
-    """Centered empirical L^p norms of f(X), centered at the empirical mean."""
-    if not cfg.p_list:
-        raise ValueError("empirical moments need at least one order in p_list")
-    return _centered_moments(_sample_values(f, dist, cfg, workers), cfg.p_list, cfg.N)
+    """Empirical L^p norms of f(X) - mean, one per p in p_list."""
+    p_list = _moment_orders(p_list, cfg.N)
+    return _centered_moments(_sample_values(f, dist, cfg, workers), p_list, cfg.N)
 
 
 def wilson_interval(k: int, n: int) -> tuple[float, float]:
@@ -175,8 +180,7 @@ def chaos_moment(a: Tensor, mode: str, p: float, cfg: MCConfig,
     ``contract_rows`` call on the draws."""
     if mode not in ("decoupled", "undecoupled"):
         raise ValueError(f"unknown chaos mode {mode!r}")
-    if not 2.0 <= p <= max_admissible_p(cfg.N):
-        raise ValueError(f"moment order p={p} outside [2, {max_admissible_p(cfg.N):.3f}]")
+    (p,) = _moment_orders([p], cfg.N)
     d, m = a.order, a.dim
     if mode == "undecoupled":
         _validate_undecoupled(a)
@@ -194,8 +198,7 @@ def chaos_moment(a: Tensor, mode: str, p: float, cfg: MCConfig,
 def sandwich_check(f: Polynomial, dist: ProductDistribution, p_list, cfg: MCConfig,
                    bound_fn, window: tuple = (0.1, 10.0), workers: int = 1) -> list[dict]:
     """Empirical moment / bound ratio per p, judged against the ratio window."""
-    cfg = replace(cfg, p_list=tuple(p_list))
-    estimates = empirical_moment(f, dist, cfg, workers)
+    estimates = empirical_moment(f, dist, p_list, cfg, workers)
     rows = []
     for est in estimates:
         bound = bound_fn(f, dist, est.p)
@@ -282,7 +285,7 @@ def sobolev_check(dist: ProductDistribution, f: Polynomial, p_list, cfg: MCConfi
     L, gamma = pair
     if dist.n != f.nvars:
         raise ValueError(f"distribution over {dist.n} coordinates, polynomial over {f.nvars}")
-    cfg = replace(cfg, p_list=tuple(p_list))
+    p_list = _moment_orders(p_list, cfg.N)
     grads = f.gradient()
 
     def job(rows, rng):
@@ -300,7 +303,7 @@ def sobolev_check(dist: ProductDistribution, f: Polynomial, p_list, cfg: MCConfi
     # empirical mean in lhs: no ratio is meaningful
     degenerate = not gnorm.any()
     rows = []
-    for p in cfg.p_list:
+    for p in p_list:
         lhs = float(np.mean(np.abs(values - center) ** p) ** (1.0 / p))
         rhs = float(L * p**gamma * np.mean(gnorm**p) ** (1.0 / p))
         if degenerate:

@@ -1,11 +1,13 @@
 """Partition-indexed injective tensor norms and their mixed-constraint variants.
 
 ``norm_J`` is exact for one block (Frobenius) and two blocks (largest singular
-value of the matricization).  For three or more blocks it runs alternating
-maximization from many restarts and reports the best value, which is always a
-certified lower bound on the true norm.  ``mixed_norm`` handles the variant
-where some blocks carry an l_alpha-of-l_2 constraint with a distinguished
-coordinate, summed over all choices of that coordinate.
+value of the matricization).  For three or more blocks, or method="als", it
+runs alternating maximization from `NormOptions.restarts` start points until
+no value rises by more than ALS_TOL relative to it in a sweep, or for
+ALS_MAX_SWEEPS sweeps, and reports the best value, which is always a certified
+lower bound on the true norm.  ``mixed_norm`` handles the variant where some
+blocks carry an l_alpha-of-l_2 constraint with a distinguished coordinate,
+summed over all choices of that coordinate.
 
 The alternating solver splits the blocks, in update order, into a prefix and
 a suffix of about d/2 coordinates each.  A sweep is one GEMM per side with the
@@ -27,20 +29,20 @@ from .tensor import Tensor
 
 BRUTEFORCE_DIM_CAP = 64
 _BRUTE_CHUNK = 8192
+ALS_TOL = 1e-10
+ALS_MAX_SWEEPS = 500
 
 
 @dataclass(frozen=True)
 class NormOptions:
+    """How many start points the alternating solver takes, and their seed."""
+
     restarts: int = 64
-    tol: float = 1e-10
-    max_sweeps: int = 500
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -200,23 +202,24 @@ def norm_J(a: Tensor, part: SetPartition, opts: NormOptions | None = None,
            method: str = "auto") -> NormResult:
     """The injective norm of `a` indexed by the partition `part`.
 
-    One block: exact Frobenius norm.  Two blocks: exact top singular value of
-    the matricization grouping the first block as rows.  Three or more blocks
-    (or method="als"): best of `opts.restarts` alternating-maximization runs,
-    a lower bound on the true norm.
+    `method` is "auto" or "als".  Under "auto", one block: exact Frobenius
+    norm; two blocks: exact top singular value of the matricization grouping
+    the first block as rows.  Three or more blocks, or "als": best of
+    `opts.restarts` alternating-maximization runs, a lower bound on the true
+    norm.  The result's `method` names the solver that ran.
     """
     opts = opts or NormOptions()
     d, m = a.order, a.dim
     if part.d != d:
         raise ValueError(f"partition of [{part.d}] does not match tensor order {d}")
+    if method not in ("auto", "als"):
+        raise ValueError(f"unknown norm method {method!r}")
     if method == "auto":
         method = {1: "frobenius", 2: "matricization-spectral"}.get(part.n_blocks, "als")
     if not np.any(a.values):
         return _zero_result(a, part, method)
 
     if method == "frobenius":
-        if part.n_blocks != 1:
-            raise ValueError("frobenius method needs a single-block partition")
         # scaling by a power of two is exact and keeps the sum of squares
         # from underflowing or overflowing
         exponent = int(np.frexp(np.abs(a.values).max())[1])
@@ -225,19 +228,15 @@ def norm_J(a: Tensor, part: SetPartition, opts: NormOptions | None = None,
         return NormResult(float(np.ldexp(value, exponent)), (unit / value,), "frobenius")
 
     if method == "matricization-spectral":
-        if part.n_blocks != 2:
-            raise ValueError("matricization method needs a two-block partition")
         b1, b2 = part.blocks
         perm = [i - 1 for i in b1] + [i - 1 for i in b2]
         mat = a.values.transpose(perm).reshape(m ** len(b1), m ** len(b2))
         u, s, vt = np.linalg.svd(mat, full_matrices=False)
         return NormResult(float(s[0]), (u[:, 0].copy(), vt[0].copy()), "matricization-spectral")
 
-    if method != "als":
-        raise ValueError(f"unknown norm method {method!r}")
     blocks = [_BlockSpec(b) for b in part.blocks]
     vecs = _init_vectors(blocks, m, opts.restarts, opts.seed)
-    vals, vecs, sweeps = _alternating_max(a, blocks, vecs, opts.max_sweeps, opts.tol)
+    vals, vecs, sweeps = _alternating_max(a, blocks, vecs, ALS_MAX_SWEEPS, ALS_TOL)
     best = int(np.argmax(vals))
     cert = tuple(v[:, best].copy() for v in vecs)
     return NormResult(float(vals[best]), cert, "als", sweeps, opts.restarts)
@@ -305,6 +304,6 @@ def mixed_norm(a: Tensor, split: SplitPartition, alpha: float,
             blocks.append(_BlockSpec(b, "mixed", s_pos=b.index(s), alpha=alpha))
         blocks.sort(key=lambda sp: sp.coords[0])
         vecs = _init_vectors(blocks, m, opts.restarts, opts.seed)
-        vals, _, _ = _alternating_max(a, blocks, vecs, opts.max_sweeps, opts.tol)
+        vals, _, _ = _alternating_max(a, blocks, vecs, ALS_MAX_SWEEPS, ALS_TOL)
         total += float(vals.max())
     return total

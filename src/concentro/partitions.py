@@ -73,13 +73,6 @@ class SetPartition:
         return cls(order, tuple(blocks))
 
     @classmethod
-    def from_blocks(cls, blocks, d: int | None = None) -> "SetPartition":
-        """Build from an array-of-arrays form such as [[1,2],[3]] (JSON configs)."""
-        blocks = tuple(tuple(b) for b in blocks)
-        order = d if d is not None else max(max(b) for b in blocks)
-        return cls(order, blocks)
-
-    @classmethod
     def singletons(cls, d: int) -> "SetPartition":
         return cls(d, tuple((i,) for i in range(1, d + 1)))
 

@@ -251,12 +251,6 @@ class ProductDistribution:
             return sign * mag
         raise ValueError(f"law {self.law!r} has no sampler")
 
-    @classmethod
-    def from_config(cls, doc: dict) -> "ProductDistribution":
-        moments = doc.get("moments")
-        return cls(doc.get("law"), int(doc.get("n", 0)), p=doc.get("p"), alpha=doc.get("alpha"),
-                   moments_table=None if moments is None else tuple(float(m) for m in moments))
-
 
 # ---------------------------------------------------------------------------
 # derivative tensors

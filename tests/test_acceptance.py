@@ -169,7 +169,7 @@ def test_criterion_05_gaussian_sandwich():
     detail = []
     for idx, (name, f) in enumerate(polys):
         dist = ProductDistribution.gaussian(f.nvars)
-        cfg = MCConfig(N=1_000_000, seed=500 + idx, p_list=(2.0, 4.0, 6.0))
+        cfg = MCConfig(N=1_000_000, seed=500 + idx)
         rows = sandwich_check(f, dist, (2.0, 4.0, 6.0), cfg, bound_fn, window=(0.1, 10.0))
         for r in rows:
             if r["status"] != "pass":

@@ -125,7 +125,7 @@ def als_config(tmp_path):
     save_tensor(Tensor(np.random.default_rng(11).standard_normal((3, 3, 3))), tensor)
     cfg = str(tmp_path / "cfg.json")
     with open(cfg, "w") as fh:
-        json.dump({"restarts": 2, "seed": 99, "max_sweeps": 1}, fh)
+        json.dump({"restarts": 2, "seed": 99}, fh)
     return tensor, ["norm", "--tensor", tensor, "--partition", "1|2|3", "--method", "als",
                     "--cert-out", str(tmp_path / "cert.json"), "--config", cfg]
 
@@ -139,9 +139,9 @@ def test_config_reaches_subcommand_options(als_config, capsys):
     assert dispatch(argv) == 0
     out = capsys.readouterr().out
     header = out.splitlines()[1].split()
-    assert {"restarts=2", "seed=99", "max_sweeps=1"} <= set(header)
+    assert {"restarts=2", "seed=99"} <= set(header)
     expect = norm_J(load_tensor(tensor), SetPartition.parse("1|2|3"),
-                    NormOptions(restarts=2, seed=99, max_sweeps=1), method="als").value
+                    NormOptions(restarts=2, seed=99), method="als").value
     assert _norm_value(out) == float(f"{expect:.12g}")
 
 
@@ -149,7 +149,22 @@ def test_flag_beats_config(als_config, capsys):
     _, argv = als_config
     assert dispatch(argv + ["--seed", "5"]) == 0
     header = capsys.readouterr().out.splitlines()[1].split()
-    assert {"restarts=2", "seed=5", "max_sweeps=1"} <= set(header)
+    assert {"restarts=2", "seed=5"} <= set(header)
+
+
+def test_config_supplies_required_options(x1x2, tmp_path, capsys):
+    cfg = str(tmp_path / "cfg.json")
+    with open(cfg, "w") as fh:
+        json.dump({"poly": x1x2, "p": 3.0}, fh)
+    assert dispatch(["bounds", "--poly", x1x2, "--p", "3"]) == 0
+    by_flags = capsys.readouterr().out
+    assert dispatch(["bounds", "--config", cfg]) == 0
+    assert capsys.readouterr().out == by_flags
+    # a required option that neither the flags nor the config give
+    with open(cfg, "w") as fh:
+        json.dump({"poly": x1x2}, fh)
+    assert dispatch(["bounds", "--config", cfg]) == 2
+    assert "required: --p" in capsys.readouterr().err
 
 
 def test_config_unknown_key_exit_2(id2, tmp_path, capsys):
@@ -274,7 +289,7 @@ def test_config_does_not_reach_the_next_run(als_config, capsys):
     capsys.readouterr()
     assert dispatch(argv[:-2]) == 0
     header = capsys.readouterr().out.splitlines()[1].split()
-    assert {"restarts=64", "seed=0", "max_sweeps=500"} <= set(header)
+    assert {"restarts=64", "seed=0"} <= set(header)
 
 
 def test_config_string_goes_through_the_option_type(id2, tmp_path, capsys):
@@ -315,3 +330,14 @@ def test_mc_hermite_inner_size_below_one_exit_2(size, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"N={size}" in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("extra,message", [
+    (["--L", "2"], "needs both --gamma and --L"),
+    (["--law", "weibull", "--alpha", "1.5", "--gamma", "1"], "weibull report takes no"),
+    (["--law", "weibull", "--alpha", "1.5", "--L", "2"], "weibull report takes no")])
+def test_bounds_rejects_options_it_would_ignore(x1x2, extra, message, capsys):
+    assert dispatch(["bounds", "--poly", x1x2, "--p", "3"] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and captured.err.count("\n") == 1

@@ -47,7 +47,7 @@ def test_graph_spec_validation():
     assert GraphSpec.cycle(3).aut_size == GraphSpec.clique(3).aut_size == 6
     with pytest.raises(ValueError):
         GraphSpec(3, ((1, 2), (2, 3), (1, 3))).aut_size  # kind unknown
-    assert GraphSpec.from_config({"k": 3, "edges": [[1, 2], [2, 3], [1, 3]]}).n_edges == 3
+    assert GraphSpec(3, ((1, 2), (2, 3), (1, 3))).n_edges == 3
 
 
 def test_edge_index_round_trip():

@@ -1,9 +1,11 @@
-"""Source hygiene: every module-level import of the package is used."""
+"""Source hygiene: every module-level import of the package is used, and
+every option a subcommand declares is read."""
 
 import ast
 import pathlib
 
 import concentro
+from concentro import cli
 
 PACKAGE = pathlib.Path(concentro.__file__).parent
 
@@ -33,3 +35,37 @@ def test_every_module_level_import_is_used():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert modules
     assert [u for path in modules for u in _unused_imports(path)] == []
+
+
+def _args_reads(fn):
+    """Names read as `args.<name>` or `getattr(args, "<name>")` in `fn`."""
+    reads = set()
+    for n in ast.walk(fn):
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "args":
+            reads.add(n.attr)
+        elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "getattr"
+              and isinstance(n.args[0], ast.Name) and n.args[0].id == "args"
+              and isinstance(n.args[1], ast.Constant)):
+            reads.add(n.args[1].value)
+    return reads
+
+
+def test_every_cli_option_is_read():
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    # the parameter echo prints every option, so it shows none is used
+    del funcs["_header"]
+    unread = []
+    for name, parser in cli._parsers()[1].items():
+        # the handler, the cli helpers it calls, and dispatch
+        reached, todo = set(), ["dispatch", parser.get_default("func").__name__]
+        while todo:
+            f = todo.pop()
+            if f not in reached:
+                reached.add(f)
+                todo += [n.func.id for n in ast.walk(funcs[f]) if isinstance(n, ast.Call)
+                         and isinstance(n.func, ast.Name) and n.func.id in funcs]
+        reads = set().union(*(_args_reads(funcs[f]) for f in reached))
+        unread += [f"{name} {'/'.join(a.option_strings) or a.dest}" for a in parser._actions
+                   if a.dest != "help" and a.dest not in reads]
+    assert unread == []

@@ -47,38 +47,44 @@ def test_sampler_statistics():
 
 def test_config_guard_lists_max_p():
     with pytest.raises(ValueError, match="ln\\(N\\)/1.5"):
-        MCConfig(N=1000, p_list=(8.0,))
+        empirical_moment(X1X2, GAUSS2, (8.0,), MCConfig(N=1000))
     with pytest.raises(ValueError):
         MCConfig(N=0)
     assert max_admissible_p(1_000_000) > 9.0
     # runs that take no moment are not held to the cap
-    assert MCConfig(N=10).p_list == ()
+    assert MCConfig(N=10).N == 10
     with pytest.raises(ValueError, match="ln\\(N\\)/1.5"):
-        MCConfig(N=10, p_list=(2.0,))
+        empirical_moment(X1X2, GAUSS2, (2.0,), MCConfig(N=10))
     with pytest.raises(ValueError, match="at least one order"):
-        empirical_moment(X1X2, GAUSS2, MCConfig(N=100))
+        empirical_moment(X1X2, GAUSS2, (), MCConfig(N=100))
+    # the same check guards every estimator that takes orders
+    with pytest.raises(ValueError, match="ln\\(N\\)/1.5"):
+        chaos_moment(Tensor(np.eye(2)), "decoupled", 8.0, MCConfig(N=1000))
+    with pytest.raises(ValueError, match="ln\\(N\\)/1.5"):
+        sobolev_check(GAUSS2, X1X2, (8.0,), MCConfig(N=1000))
+    with pytest.raises(ValueError, match="at least one order"):
+        sobolev_check(GAUSS2, X1X2, (), MCConfig(N=1000))
 
 
 def test_empirical_moment_gaussian_examples():
-    cfg = MCConfig(N=200_000, seed=7, p_list=(2.0, 4.0))
-    est2, est4 = empirical_moment(X1, GAUSS2, cfg)
+    cfg = MCConfig(N=200_000, seed=7)
+    est2, est4 = empirical_moment(X1, GAUSS2, (2.0, 4.0), cfg)
     assert est2.value == pytest.approx(1.0, abs=3 * est2.stderr)
     assert est4.value == pytest.approx(3.0**0.25, abs=3 * est4.stderr)
-    est = empirical_moment(X1X2, GAUSS2, MCConfig(N=200_000, seed=8, p_list=(2.0,)))[0]
+    est = empirical_moment(X1X2, GAUSS2, (2.0,), MCConfig(N=200_000, seed=8))[0]
     assert est.value == pytest.approx(1.0, abs=3 * est.stderr)
 
 
 def test_empirical_moment_monotone_in_p_on_sample():
-    cfg = MCConfig(N=50_000, seed=9, p_list=(2.0, 3.0, 4.0, 6.0))
-    ests = empirical_moment(X1X2, GAUSS2, cfg)
+    ests = empirical_moment(X1X2, GAUSS2, (2.0, 3.0, 4.0, 6.0), MCConfig(N=50_000, seed=9))
     vals = [e.value for e in ests]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 def test_determinism_across_workers():
-    cfg = MCConfig(N=30_000, seed=12, p_list=(2.0, 4.0), batch=4096)
-    a = empirical_moment(X1X2, GAUSS2, cfg, workers=1)
-    b = empirical_moment(X1X2, GAUSS2, cfg, workers=3)
+    cfg = MCConfig(N=30_000, seed=12, batch=4096)
+    a = empirical_moment(X1X2, GAUSS2, (2.0, 4.0), cfg, workers=1)
+    b = empirical_moment(X1X2, GAUSS2, (2.0, 4.0), cfg, workers=3)
     assert [(e.value, e.stderr) for e in a] == [(e.value, e.stderr) for e in b]
 
 

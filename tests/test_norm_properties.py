@@ -10,19 +10,20 @@ from hypothesis.extra.numpy import arrays
 from concentro.norms import NormOptions, norm_J
 from concentro.partitions import SetPartition, enumerate_partitions
 from concentro.poly import Polynomial, ProductDistribution, expected_derivative_tensor
-from concentro.tensor import Tensor, contract, symmetrize
+from concentro.tensor import Tensor, contract, hadamard_rank_one, symmetrize
 
 OPTS = NormOptions(restarts=16, seed=3)
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
 
 @st.composite
-def tensor_and_partition(draw, min_blocks=1):
+def tensor_and_partition(draw, min_blocks=1, max_blocks=4):
     d = draw(st.integers(3, 4))
     m = draw(st.integers(2, 3))
     values = draw(arrays(np.float64, (m,) * d,
                          elements=st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)))
-    part = draw(st.sampled_from([p for p in enumerate_partitions(d) if p.n_blocks >= min_blocks]))
+    part = draw(st.sampled_from([p for p in enumerate_partitions(d)
+                                 if min_blocks <= p.n_blocks <= max_blocks]))
     return Tensor(values), part
 
 
@@ -62,6 +63,18 @@ def test_als_at_least_form_at_all_equal_start(case):
     start = [np.full(a.dim ** len(b), a.dim ** (-len(b) / 2)) for b in part.blocks]
     als = norm_J(a, part, OPTS, method="als").value
     assert als >= contract(a, part, start) * (1 - 1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(tensor_and_partition(max_blocks=2), st.data())
+def test_hadamard_multiplier_bound(case, data):
+    # |A o (v_1 x .. x v_d)|_J <= prod_k max|v_k| |A|_J, checked where norm_J is exact
+    a, part = case
+    vecs = [data.draw(arrays(np.float64, a.dim, elements=st.floats(-3.0, 3.0)))
+            for _ in range(a.order)]
+    factor = float(np.prod([np.abs(v).max() for v in vecs]))
+    lhs = norm_J(hadamard_rank_one(a, *vecs), part).value
+    assert lhs <= factor * norm_J(a, part).value * (1 + 1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -260,8 +260,10 @@ def test_mixed_norm_validation():
 def test_norm_options_validation():
     with pytest.raises(ValueError):
         NormOptions(restarts=0)
-    with pytest.raises(ValueError):
-        NormOptions(tol=0.0)
+    # "auto" already picks the exact solvers; they cannot be forced
+    for method in ("frobenius", "matricization-spectral"):
+        with pytest.raises(ValueError, match="unknown norm method"):
+            norm_J(Tensor(np.eye(2)), SetPartition.parse("1|2"), method=method)
 
 
 # ---------------------------------------------------------------------------

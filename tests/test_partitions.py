@@ -68,10 +68,6 @@ def test_string_round_trip():
         assert SetPartition.parse(str(q), d=4) == q
 
 
-def test_json_blocks_form():
-    assert SetPartition.from_blocks([[1, 2], [3]]) == SetPartition.parse("1,2|3")
-
-
 @pytest.mark.parametrize("d,count", [(1, 2), (2, 6), (3, 22)])
 def test_split_counts(d, count):
     splits = enumerate_splits(d)

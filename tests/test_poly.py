@@ -233,10 +233,10 @@ def test_json_round_trip(tmp_path):
 
 
 def test_distribution_config_round_trip():
-    d = ProductDistribution.from_config({"law": "bernoulli", "p": 0.5, "n": 15})
+    d = ProductDistribution("bernoulli", 15, p=0.5)
     assert d.law == "bernoulli" and d.n == 15 and d.p == 0.5
     with pytest.raises(ValueError):
-        ProductDistribution.from_config({"law": "cauchy", "n": 3})
+        ProductDistribution("cauchy", 3)
     with pytest.raises(ValueError):
         ProductDistribution.bernoulli(2, 0.0)
     with pytest.raises(ValueError):
@@ -245,11 +245,10 @@ def test_distribution_config_round_trip():
 
 def test_distribution_config_without_law_parameter_is_a_value_error():
     with pytest.raises(ValueError, match="bernoulli"):
-        ProductDistribution.from_config({"law": "bernoulli", "n": 3})
+        ProductDistribution("bernoulli", 3)
     with pytest.raises(ValueError, match="weibull"):
-        ProductDistribution.from_config({"law": "weibull", "n": 3})
-    assert ProductDistribution.from_config({"law": "custom", "n": 2, "moments": [1, 0, 1]}) \
-        .moment(2) == 1.0
+        ProductDistribution("weibull", 3)
+    assert ProductDistribution("custom", 2, moments_table=(1.0, 0.0, 1.0)).moment(2) == 1.0
 
 
 @pytest.mark.parametrize("law,kwargs,name", [("gaussian", {"alpha": 1.5}, "alpha"),
