@@ -6,13 +6,15 @@ Monte Carlo chunks, so only they take --workers, whose default
 `CONCENTRO_WORKERS` is read once per process, when the parser is built.  The
 norm solvers take --restarts and --seed; their tolerance and sweep cap are the
 constants `norms.ALS_TOL` and `norms.ALS_MAX_SWEEPS`.  A JSON config file
-(--config) sets defaults for the subcommand's options, required ones too: they
-are installed on a copy of the subcommand's parser, which parses the command
-line again, so flags given there override the config and no run's config
-reaches the next run.  A key that names no option of the subcommand is an
-error.  Every report embeds the version, the seed, and the full parameter echo
-in '#' comment lines, and is byte-reproducible for a fixed config.  Exit code
-2 signals a validation failure with a one-line diagnostic.
+(--config) sets defaults for the subcommand's options, required ones too.  Each
+value is parsed as its text would be on the command line (`{"N": 3000.0}`
+fails as `--N 3000.0` does; null keeps the option's default), then installed
+on a copy of the subcommand's parser, which parses the command line again, so
+flags given there override the config and no run's config reaches the next
+run.  A key that names no option of the subcommand is an error.  Every report
+embeds the version, the seed, and the full parameter echo in '#' comment
+lines, and is byte-reproducible for a fixed config.  Exit code 2 signals a
+validation failure with a one-line diagnostic.
 """
 
 from __future__ import annotations
@@ -366,6 +368,30 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict, dict]:
     return parser, sub.choices, required
 
 
+def _config_value(action: argparse.Action, value, where: str):
+    """A config value parsed as its text would be on the command line: each
+    element through the option's type and choices, and a list, of the declared
+    length, where the option takes several values."""
+    convert = action.type or str
+
+    def parse(item):
+        try:
+            parsed = convert(str(item))
+        except ValueError:
+            raise ValueError(f"{where}: invalid {convert.__name__} value {item!r}") from None
+        if action.choices is not None and parsed not in action.choices:
+            raise ValueError(f"{where}: {item!r} is not one of {', '.join(action.choices)}")
+        return parsed
+
+    if action.nargs is None:
+        return parse(value)
+    items = value if isinstance(value, list) else [value]
+    if not items or isinstance(action.nargs, int) and len(items) != action.nargs:
+        wanted = "one or more" if action.nargs == "+" else action.nargs
+        raise ValueError(f"{where}: takes {wanted} values, got {len(items)}")
+    return [parse(item) for item in items]
+
+
 def dispatch(argv) -> int:
     parser, commands, required = _parsers()
     try:
@@ -380,6 +406,9 @@ def dispatch(argv) -> int:
             if unknown:
                 raise ValueError(f"config {args.config}: unknown key {', '.join(unknown)}"
                                  f" for {args.command}")
+            actions = {a.dest: a for a in command._actions}
+            config = {key: _config_value(actions[key], value, f"config {args.config}: {key}")
+                      for key, value in config.items() if value is not None}
             # a copy, so that the cached parser keeps its own defaults
             command = copy.deepcopy(command)
             command.set_defaults(**config)

@@ -5,13 +5,16 @@ Randomness is counter-based: chunk c of a run with seed s draws from
 Philox-4x64 keyed with (s, c).  `_run_chunks` calls the job fn(rows, rng) per
 chunk and joins the chunks in chunk order, so results are bit-identical for a
 fixed (seed, N, batch) regardless of worker count.  Every deviation tail comes
-from `tail_rows`.  Moment orders are an argument of the estimators that take
-them (`empirical_moment`, `chaos_moment`, `sandwich_check`, `sobolev_check`),
-not of `MCConfig`, and `_moment_orders` alone checks them.
+from `tail_rows`, and every stack of symmetric matrices (Erdos-Renyi adjacency,
+Wigner) from `symmetric_stack`.  Moment orders are an argument of the
+estimators that take them (`empirical_moment`, `chaos_moment`,
+`sandwich_check`, `sobolev_check`), not of `MCConfig`, and `_moment_orders`
+alone checks them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -91,6 +94,32 @@ def _run_chunks(fn, cfg: MCConfig, workers: int = 1) -> np.ndarray:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return np.concatenate(list(pool.map(job, range(len(sizes)))), axis=-1)
     return np.concatenate([job(c) for c in range(len(sizes))], axis=-1)
+
+
+@functools.lru_cache(maxsize=8)
+def _symmetric_index(n: int, diagonal: bool) -> np.ndarray:
+    """Read-only flat map from entry (i, j) of an n x n matrix to a column of
+    `symmetric_stack`'s values: the upper triangle row by row, then the n
+    diagonal entries, or one column for the whole diagonal."""
+    m = n * (n - 1) // 2
+    idx = np.empty((n, n), dtype=np.intp)
+    iu = np.triu_indices(n, 1)
+    idx[iu] = idx[iu[::-1]] = np.arange(m)
+    idx[np.diag_indices(n)] = m + np.arange(n) if diagonal else m
+    idx.flags.writeable = False
+    return idx.ravel()
+
+
+def symmetric_stack(values: np.ndarray, n: int) -> np.ndarray:
+    """The (rows, n, n) symmetric matrices, one per row of `values`, by one
+    gather.  A row holds the n(n-1)/2 upper-triangle entries row by row, then
+    either the n diagonal entries or one entry shared by the whole diagonal."""
+    m = n * (n - 1) // 2
+    if values.ndim != 2 or values.shape[1] not in (m + 1, m + n):
+        raise ValueError(f"rows of {m + 1} or {m + n} values build {n} x {n} matrices,"
+                         f" got shape {values.shape}")
+    idx = _symmetric_index(n, values.shape[1] == m + n)
+    return values.take(idx, axis=1).reshape(len(values), n, n)
 
 
 def _sample_values(f: Polynomial, dist: ProductDistribution, cfg: MCConfig,

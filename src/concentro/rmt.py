@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .montecarlo import MCConfig, _run_chunks, tail_rows
+from .montecarlo import MCConfig, _run_chunks, symmetric_stack, tail_rows
 from .poly import Polynomial
 
 MAX_EIG_SIZE = 400
@@ -73,13 +73,12 @@ class WignerSpec:
 
     def sample(self, rng: np.random.Generator, rows: int = 1) -> np.ndarray:
         n = self.n
-        iu = np.triu_indices(n, 1)
-        a = np.zeros((rows, n, n))
-        a[:, iu[0], iu[1]] = rng.standard_normal((rows, iu[0].size))
-        a += np.transpose(a, (0, 2, 1))
+        m = n * (n - 1) // 2
+        values = np.empty((rows, m + n))
+        values[:, :m] = rng.standard_normal((rows, m))
         diag_sd = math.sqrt(2.0) if self.convention == "goe" else 1.0
-        a[:, np.arange(n), np.arange(n)] = diag_sd * rng.standard_normal((rows, n))
-        return a
+        values[:, m:] = diag_sd * rng.standard_normal((rows, n))
+        return symmetric_stack(values, n)
 
 
 @dataclass(frozen=True)

@@ -300,6 +300,50 @@ def test_config_string_goes_through_the_option_type(id2, tmp_path, capsys):
     assert "restarts=2" in capsys.readouterr().out.splitlines()[1].split()
 
 
+def test_config_values_parse_as_their_text(x1x2, tmp_path, capsys):
+    cfg = str(tmp_path / "cfg.json")
+
+    def run(argv, config=None):
+        if config is not None:
+            with open(cfg, "w") as fh:
+                json.dump(config, fh)
+            argv = argv + ["--config", cfg]
+        return dispatch(argv), capsys.readouterr()
+
+    # a number goes through the option's type: the echo reads p=3.0, as for --p 3
+    _, by_flags = run(["bounds", "--poly", x1x2, "--p", "3"])
+    assert run(["bounds", "--poly", x1x2], {"p": 3}) == (0, by_flags)
+    moments = ["mc", "moments", "--poly", x1x2]
+    _, by_flags = run(moments + ["--N", "3000", "--p", "2", "4"])
+    assert run(moments, {"N": 3000, "p": [2, 4]}) == (0, by_flags)
+    _, by_flags = run(moments + ["--N", "3000", "--p", "3"])
+    assert run(moments, {"N": 3000, "p": 3}) == (0, by_flags)
+    # null keeps the default
+    _, by_flags = run(["mc", "tail", "--poly", x1x2, "--N", "3000"])
+    assert run(["mc", "tail", "--poly", x1x2, "--N", "3000"], {"t": None}) == (0, by_flags)
+    # what the flag's text would not pass: exit 2 with one line
+    for config, message in [({"N": 3000.0}, "invalid int value 3000.0"),
+                            ({"N": [3000]}, "invalid int value [3000]"),
+                            ({"t": "abc"}, "invalid float value 'abc'"),
+                            ({"law": "cauchy"}, "'cauchy' is not one of"),
+                            ({"window": [1]}, "takes 2 values, got 1"),
+                            ({"p": []}, "takes one or more values, got 0")]:
+        code, captured = run(["mc", "tail", "--poly", x1x2], config)
+        assert code == 2 and captured.out == "", config
+        assert message in captured.err and captured.err.count("\n") == 1, captured.err
+
+
+def test_graphs_triangles_lines_pinned(capsys):
+    # printed by the whole-chunk sampler and counter this replaced
+    assert dispatch(["graphs", "triangles", "--n", "60", "--p", "0.1", "--N", "2500",
+                     "--seed", "77", "--t", "20", "40", "--workers", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "# expected_mean=34.22", "# empirical_mean=34.3728 stderr=0.188723098915",
+        "t,tail,wilson_low,wilson_high,bound",
+        "20,0.0344,0.0279398223208,0.0422889014131,1.91020387181",
+        "40,0.0004,7.06114955515e-05,0.00226244343891,1.66428959121"]
+
+
 def test_bernoulli_without_pp_exit_2(x1x2, capsys):
     assert dispatch(["bounds", "--poly", x1x2, "--law", "bernoulli", "--p", "2"]) == 2
     captured = capsys.readouterr()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,9 +223,33 @@ def test_trace_counts_match_embedding_oracle():
     rng = chunk_rng(31, 0)
     for trial in range(5):
         adj = sample_adjacency(7, 0.6, rng, 1)[0]
-        for k in (3, 4):
+        for k in (3, 4, 5):
             got = count_cycles_trace(adj, k)[0]
             assert got == count_cycles_embedding(adj, k)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 4), st.floats(0.0, 1.0), st.integers(0, 2**32))
+def test_trace_counts_equal_embedding_counts(n, rows, p, seed):
+    # a stack mixing `rows` graphs at edge density p, the empty and full graphs included
+    iu = np.triu_indices(n, 1)
+    stack = np.zeros((rows, n, n))
+    stack[:, iu[0], iu[1]] = np.random.default_rng(seed).random((rows, iu[0].size)) < p
+    stack += np.transpose(stack, (0, 2, 1))
+    for k in (3, 4, 5):
+        assert count_cycles_trace(stack, k).tolist() == \
+            [count_cycles_embedding(a, k) for a in stack]
+
+
+def test_sample_adjacency_matches_the_scatter_build():
+    # the scatter-then-add-the-transpose construction this replaced, same draws
+    for n, rows in [(2, 3), (9, 5), (60, 4)]:
+        got = sample_adjacency(n, 0.3, chunk_rng(35, n), rows)
+        iu = np.triu_indices(n, 1)
+        a = np.zeros((rows, n, n))
+        a[:, iu[0], iu[1]] = (chunk_rng(35, n).random((rows, iu[0].size)) < 0.3).astype(float)
+        a += np.transpose(a, (0, 2, 1))
+        assert np.array_equal(got, a)
 
 
 def test_trace_counts_known_graphs_k5():
@@ -283,6 +308,43 @@ def test_er_tail_experiment_triangles():
         er_tail_experiment(GraphSpec.clique(4), 20, 0.5, cfg, eps=0.5)
     with pytest.raises(ValueError):
         er_tail_experiment(GraphSpec.cycle(6), 20, 0.5, cfg, eps=0.5)
+
+
+# printed by the whole-chunk sampler and counter this replaced; each chunk of
+# 1024 (then 452) graphs at n = 60 spans 29 (then 13) blocks, the last partial
+ER_PINNED = {
+    3: ("34.3728", "0.18872309891478573",
+        "({'t': 17.110000000000003, 'tail': 0.066, 'wilson_low': 0.056917919985929495,"
+        " 'wilson_high': 0.07641383710285758, 'bound': 1.9338767122548606},)"),
+    4: ("146.5268", "0.9356465319253847",
+        "({'t': 73.14525000000002, 'tail': 0.1016, 'wilson_low': 0.09036140566519384,"
+        " 'wilson_high': 0.11406111051953603, 'bound': 1.9345952471436054},)"),
+    5: ("657.9336", "5.1811580323723",
+        "({'t': 327.6907200000001, 'tail': 0.18, 'wilson_low': 0.16543437285527968,"
+        " 'wilson_high': 0.19554756785534666, 'bound': 1.934460660330824},)"),
+}
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_er_tail_experiment_pinned(k):
+    cfg = MCConfig(N=2500, seed=77, batch=1024)
+    for workers in (1, 2):
+        res = er_tail_experiment(GraphSpec.cycle(k), 60, 0.1, cfg, eps=0.5, workers=workers)
+        assert (repr(res.mean), repr(res.mean_stderr), repr(res.rows)) == ER_PINNED[k]
+
+
+@pytest.mark.parametrize("k,n,N", [(4, 60, 1024), (5, 200, 64)])
+def test_er_chunk_memory(k, n, N):
+    # one chunk of N graphs, counted block by block; the whole-chunk build
+    # peaked at 113 MB (C_4, n = 60) and about 80 MB (C_5, n = 200)
+    cfg = MCConfig(N=N, seed=36, batch=1024)
+    tracemalloc.start()
+    try:
+        er_tail_experiment(GraphSpec.cycle(k), n, 0.1, cfg, eps=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_er_tail_experiment_four_cycles():

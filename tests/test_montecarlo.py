@@ -20,6 +20,7 @@ from concentro.montecarlo import (
     max_admissible_p,
     sandwich_check,
     sobolev_check,
+    symmetric_stack,
     wilson_interval,
 )
 from concentro.norms import NormOptions
@@ -269,3 +270,20 @@ def test_sobolev_check_examples():
 def test_hermite_convergence_rejects_inner_size_below_one(size):
     with pytest.raises(ValueError, match=f"N={size}"):
         hermite_tetrahedral_convergence(2, [10, size], MCConfig(N=100, seed=0))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 4), st.booleans())
+def test_symmetric_stack_matches_entrywise_fill(n, rows, own_diagonal):
+    m = n * (n - 1) // 2
+    values = np.arange(rows * (m + (n if own_diagonal else 1)), dtype=float).reshape(rows, -1)
+    got = symmetric_stack(values, n)
+    for r in range(rows):
+        upper = iter(values[r])
+        for i in range(n):
+            for j in range(i + 1, n):
+                assert got[r, i, j] == got[r, j, i] == next(upper)
+        diag = [next(upper) for _ in range(n)] if own_diagonal else [values[r, m]] * n
+        assert got[r].diagonal().tolist() == diag
+    with pytest.raises(ValueError):
+        symmetric_stack(values[:, :-1], n + 2)

@@ -138,6 +138,21 @@ def test_wigner_spec_conventions():
         WignerSpec(10, convention="hermitian")
 
 
+@pytest.mark.parametrize("convention", ["paper", "goe"])
+def test_wigner_sample_matches_the_scatter_build(convention):
+    # the scatter-then-add-the-transpose construction this replaced, same draws
+    for n in (12, 30, 200):
+        got = WignerSpec(n, convention).sample(chunk_rng(46, n), 3)
+        rng = chunk_rng(46, n)
+        iu = np.triu_indices(n, 1)
+        a = np.zeros((3, n, n))
+        a[:, iu[0], iu[1]] = rng.standard_normal((3, iu[0].size))
+        a += np.transpose(a, (0, 2, 1))
+        diag_sd = math.sqrt(2.0) if convention == "goe" else 1.0
+        a[:, np.arange(n), np.arange(n)] = diag_sd * rng.standard_normal((3, n))
+        assert np.array_equal(got, a)
+
+
 def test_wigner_experiment_square_statistic():
     # Z = |A|_F^2 / n has mean n under the all-variance-one convention
     spec = WignerSpec(20)
