@@ -1,8 +1,9 @@
 """Command line surface: one binary, subcommand style, JSON inputs and CSV
 reports.
 
-Every option a subcommand declares is read.  Only `mc`, `graphs` and `rmt` run
-Monte Carlo chunks, so only they take --workers, whose default
+Every option a subcommand declares is read, and an `mc` mode rejects a value
+off the default for an option that only other modes read.  Only `mc`, `graphs`
+and `rmt` run Monte Carlo chunks, so only they take --workers, whose default
 `CONCENTRO_WORKERS` is read once per process, when the parser is built.  The
 norm solvers take --restarts and --seed; their tolerance and sweep cap are the
 constants `norms.ALS_TOL` and `norms.ALS_MAX_SWEEPS`.  A JSON config file
@@ -154,46 +155,83 @@ def _cmd_tail(args) -> int:
     return 0
 
 
+def _mc_law(args):
+    """The polynomial and its law, for the modes that sample one."""
+    if args.poly is None:
+        raise ValueError(f"mc {args.mode} needs --poly")
+    poly = load_polynomial(args.poly)
+    return poly, ProductDistribution(args.law, poly.nvars, p=args.pp, alpha=args.alpha)
+
+
+def _mc_moments(args, cfg) -> list[str]:
+    poly, dist = _mc_law(args)
+    ests = empirical_moment(poly, dist, args.p, cfg, args.workers)
+    return _csv("p,value,stderr,N", [(e.p, e.value, e.stderr, e.N) for e in ests])
+
+
+def _mc_tail(args, cfg) -> list[str]:
+    poly, dist = _mc_law(args)
+    est = empirical_tail(poly, dist, args.t, cfg, args.workers)
+    return _csv("t,probability,wilson_low,wilson_high,N",
+                [(est.t, est.probability, est.wilson_low, est.wilson_high, est.N)])
+
+
+def _mc_chaos(args, cfg) -> list[str]:
+    if args.tensor is None:
+        raise ValueError("mc chaos needs --tensor")
+    if len(args.p) != 1:
+        raise ValueError("mc chaos takes one --p")
+    est = chaos_moment(load_tensor(args.tensor), args.chaos_mode, args.p[0], cfg, args.workers)
+    return _csv("mode,p,value,stderr,N", [(args.chaos_mode, est.p, est.value, est.stderr, est.N)])
+
+
+def _mc_sandwich(args, cfg) -> list[str]:
+    poly, dist = _mc_law(args)
+    opts = _norm_opts(args)
+    bound_fn = lambda f, d, p: gaussian_moment_bound(f, d, p, opts)
+    rows = sandwich_check(poly, dist, args.p, cfg, bound_fn,
+                          window=tuple(args.window), workers=args.workers)
+    return _csv("p,empirical,stderr,bound,ratio,status",
+                [(r["p"], r["empirical"], r["stderr"], r["bound"],
+                  "degenerate" if r["ratio"] is None else r["ratio"], r["status"])
+                 for r in rows])
+
+
+def _mc_hermite(args, cfg) -> list[str]:
+    rows = hermite_tetrahedral_convergence(args.d, args.Nlist, cfg, args.workers)
+    return _csv("N,mean_sq_error,stderr", [(r["N"], r["mean_sq_error"], r["stderr"]) for r in rows])
+
+
+def _mc_sobolev(args, cfg) -> list[str]:
+    poly, dist = _mc_law(args)
+    rows = sobolev_check(dist, poly, args.p, cfg, args.workers)
+    return _csv("p,lhs,rhs,ratio,status",
+                [(r["p"], r["lhs"], r["rhs"],
+                  "degenerate" if r["ratio"] is None else r["ratio"], r["status"])
+                 for r in rows])
+
+
+# each mode's function, and the options of `mc` that it reads and some other
+# mode does not (tests/test_hygiene.py checks them); every mode reads the rest
+_MC_MODES = {
+    "moments": (_mc_moments, ("poly", "law", "pp", "alpha", "p")),
+    "tail": (_mc_tail, ("poly", "law", "pp", "alpha", "t")),
+    "chaos": (_mc_chaos, ("tensor", "chaos_mode", "p")),
+    "sandwich": (_mc_sandwich, ("poly", "law", "pp", "alpha", "p", "window", "restarts")),
+    "hermite": (_mc_hermite, ("d", "Nlist")),
+    "sobolev": (_mc_sobolev, ("poly", "law", "pp", "alpha", "p")),
+}
+
+
 def _cmd_mc(args) -> int:
-    source = {"chaos": "tensor", "hermite": None}.get(args.mode, "poly")
-    if source and getattr(args, source) is None:
-        raise ValueError(f"mc {args.mode} needs --{source}")
-    if source == "poly":
-        poly = load_polynomial(args.poly)
-        dist = ProductDistribution(args.law, poly.nvars, p=args.pp, alpha=args.alpha)
+    run, reads = _MC_MODES[args.mode]
+    others = set().union(*(r for _, r in _MC_MODES.values())) - set(reads)
+    ignored = ["/".join(a.option_strings) for a in _parsers()[1]["mc"]._actions
+               if a.dest in others and getattr(args, a.dest) != a.default]
+    if ignored:
+        raise ValueError(f"mc {args.mode} does not read {', '.join(ignored)}")
     cfg = MCConfig(N=args.N, seed=args.seed, batch=args.batch)
-    workers = args.workers
-    if args.mode == "moments":
-        ests = empirical_moment(poly, dist, args.p, cfg, workers)
-        lines = _csv("p,value,stderr,N", [(e.p, e.value, e.stderr, e.N) for e in ests])
-    elif args.mode == "tail":
-        est = empirical_tail(poly, dist, args.t, cfg, workers)
-        lines = _csv("t,probability,wilson_low,wilson_high,N",
-                     [(est.t, est.probability, est.wilson_low, est.wilson_high, est.N)])
-    elif args.mode == "chaos":
-        est = chaos_moment(load_tensor(args.tensor), args.chaos_mode, args.p[0], cfg, workers)
-        lines = _csv("mode,p,value,stderr,N",
-                     [(args.chaos_mode, est.p, est.value, est.stderr, est.N)])
-    elif args.mode == "sandwich":
-        opts = _norm_opts(args)
-        bound_fn = lambda f, d, p: gaussian_moment_bound(f, d, p, opts)
-        rows = sandwich_check(poly, dist, args.p, cfg, bound_fn,
-                              window=tuple(args.window), workers=workers)
-        lines = _csv("p,empirical,stderr,bound,ratio,status",
-                     [(r["p"], r["empirical"], r["stderr"], r["bound"],
-                       "degenerate" if r["ratio"] is None else r["ratio"], r["status"])
-                      for r in rows])
-    elif args.mode == "hermite":
-        rows = hermite_tetrahedral_convergence(args.d, args.Nlist, cfg, workers)
-        lines = _csv("N,mean_sq_error,stderr",
-                     [(r["N"], r["mean_sq_error"], r["stderr"]) for r in rows])
-    else:
-        rows = sobolev_check(dist, poly, args.p, cfg, workers)
-        lines = _csv("p,lhs,rhs,ratio,status",
-                     [(r["p"], r["lhs"], r["rhs"],
-                       "degenerate" if r["ratio"] is None else r["ratio"], r["status"])
-                      for r in rows])
-    _emit(args, lines)
+    _emit(args, run(args, cfg))
     return 0
 
 

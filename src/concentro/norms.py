@@ -13,12 +13,20 @@ The alternating solver splits the blocks, in update order, into a prefix and
 a suffix of about d/2 coordinates each.  A sweep is one GEMM per side with the
 prefix x suffix matricization, then one small contraction per block.  It runs
 on the tensor scaled by an exact power of two, so tiny entries do not
-underflow.  The three entry points run on one BLAS thread (see ``blas``)."""
+underflow.  Its vectors are block-major, one column per restart, and every
+dual step works on that layout.  The three entry points run on one BLAS thread
+(see ``blas``).
+
+The solver's raw start draw for a (total dim, restarts, seed) key is made once
+per process and kept in a memo of at most STARTS_MEMO_BYTES: the oldest draws
+leave first, and a larger draw is not kept.  The kept arrays are read-only, and
+the start points built from them are bit-identical to a fresh draw."""
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +39,10 @@ BRUTEFORCE_DIM_CAP = 64
 _BRUTE_CHUNK = 8192
 ALS_TOL = 1e-10
 ALS_MAX_SWEEPS = 500
+# raw start draws of the alternating solver, by (total dim, restarts, seed)
+STARTS_MEMO_BYTES = 1 << 20
+_starts_memo: dict[tuple[int, int, int], np.ndarray] = {}
+_starts_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -65,37 +77,34 @@ class _BlockSpec:
 
 
 def _dual_step(spec: _BlockSpec, g: np.ndarray, m: int):
-    """Maximize <g, y> over the block's unit ball; returns (values, maximizer)."""
+    """Maximize <g[:, r], y> over the block's unit ball for every column r of
+    the block-major (dim, restarts) g; returns (values, maximizers).  A zero
+    column has value 0 and a zero maximizer."""
     if spec.kind == "l2":
-        r = np.linalg.norm(g, axis=1)
-        safe = np.where(r > 0, r, 1.0)
-        return r, g / safe[:, None]
+        r = np.sqrt(np.add.reduce(g * g, axis=0))
+        return r, g / (r if r.all() else np.where(r > 0, r, 1.0))
     # mixed l_alpha(l_2) ball with distinguished coordinate spec.s_pos
     nb = len(spec.coords)
-    R = g.shape[0]
-    G = np.moveaxis(g.reshape((R,) + (m,) * nb), 1 + spec.s_pos, 1).reshape(R, m, -1)
-    r = np.linalg.norm(G, axis=2)                      # (R, m) slice norms
-    rsafe = np.where(r > 0, r, 1.0)
-    dirs = G / rsafe[:, :, None]
+    R = g.shape[1]
+    G = np.moveaxis(g.reshape((m,) * nb + (R,)), spec.s_pos, 0).reshape(m, -1, R)
+    r = np.sqrt(np.add.reduce(G * G, axis=1))          # (m, R) slice norms
+    rmax = r.max(axis=0)
+    dirs = G / np.where(r > 0, r, 1.0)[:, None, :]
     if spec.alpha == 1.0:
         # degenerate dual: all mass on the best slice, ties to the lowest index
-        vals = r.max(axis=1)
-        pick = r.argmax(axis=1)
+        vals = rmax
+        pick = r.argmax(axis=0)
         y = np.zeros_like(G)
-        y[np.arange(R), pick, :] = dirs[np.arange(R), pick, :]
+        y[pick, :, np.arange(R)] = dirs[pick, :, np.arange(R)]
     else:
         beta = spec.alpha / (spec.alpha - 1.0)
-        rmax = r.max(axis=1)
-        rmax_safe = np.where(rmax > 0, rmax, 1.0)
-        rn = r / rmax_safe[:, None]
-        vals = rmax * (rn**beta).sum(axis=1) ** (1.0 / beta)
+        rn = r / np.where(rmax > 0, rmax, 1.0)
+        vals = rmax * np.add.reduce(rn**beta, axis=0) ** (1.0 / beta)
         w = rn ** (beta - 1.0)
-        denom = (w**spec.alpha).sum(axis=1) ** (1.0 / spec.alpha)
-        rho = w / np.where(denom > 0, denom, 1.0)[:, None]
-        y = rho[:, :, None] * dirs
-    y = np.moveaxis(y.reshape((R,) + (m,) * nb), 1, 1 + spec.s_pos).reshape(R, -1)
-    vals = np.where(r.max(axis=1) > 0, vals, 0.0)
-    return vals, y
+        denom = np.add.reduce(w**spec.alpha, axis=0) ** (1.0 / spec.alpha)
+        y = (w / np.where(denom > 0, denom, 1.0))[:, None, :] * dirs
+    y = np.moveaxis(y.reshape((m,) * nb + (R,)), 0, spec.s_pos).reshape(-1, R)
+    return np.where(rmax > 0, vals, 0.0), y
 
 
 def _project_ball(spec: _BlockSpec, v: np.ndarray, m: int) -> np.ndarray:
@@ -166,9 +175,9 @@ def _alternating_max(a: Tensor, blocks: list[_BlockSpec], vecs: list[np.ndarray]
                                   _khatri_rao(partners).reshape(pre, -1, nrestarts))
                 else:
                     g = w
-                new_vals, new_vec = _dual_step(blocks[l], g.T, m)
-                keep = new_vals > 0
-                vecs[l] = np.where(keep[None, :], new_vec.T, vecs[l])
+                new_vals, new_vec = _dual_step(blocks[l], g, m)
+                keep = new_vals > 0   # a zero column keeps its vector
+                vecs[l] = new_vec if keep.all() else np.where(keep, new_vec, vecs[l])
                 del g, new_vec  # batch-sized: free them before the next allocation
             del w
         new_vals = np.ldexp(new_vals, exponent)
@@ -179,14 +188,37 @@ def _alternating_max(a: Tensor, blocks: list[_BlockSpec], vecs: list[np.ndarray]
     return vals, vecs, sweeps
 
 
+def _raw_starts(total: int, restarts: int, seed: int) -> np.ndarray:
+    """The read-only (restarts, total) start draw: row 0 all ones, row r a
+    standard normal draw from `default_rng(seed + r)`.  Drawn once per key
+    while the memo holds it."""
+    key = (total, restarts, seed)
+    starts = _starts_memo.get(key)
+    if starts is not None:
+        return starts
+    starts = np.ones((restarts, total))
+    for r in range(1, restarts):
+        starts[r] = np.random.default_rng(seed + r).standard_normal(total)
+    starts.flags.writeable = False
+    if starts.nbytes <= STARTS_MEMO_BYTES:
+        with _starts_lock:
+            _starts_memo[key] = starts
+            held = sum(a.nbytes for a in _starts_memo.values())
+            while held > STARTS_MEMO_BYTES:   # the oldest draws leave first
+                held -= _starts_memo.pop(next(iter(_starts_memo))).nbytes
+    return starts
+
+
 def _init_vectors(blocks: list[_BlockSpec], m: int, restarts: int, seed: int):
     """Block-major start points: column #0 is the all-equal tuple, column #r
     is a standard normal draw from `default_rng(seed + r)`, blocks in order,
-    each projected onto its block's unit sphere."""
+    each projected onto its block's unit sphere.
+
+    The raw draw comes from the process-wide memo of `_raw_starts`, which is
+    read-only; the projection makes fresh arrays, so the solver never writes
+    into it, and the start points are bit-identical to a fresh draw."""
     dims = [m ** len(b.coords) for b in blocks]
-    starts = np.ones((restarts, sum(dims)))
-    for r in range(1, restarts):
-        starts[r] = np.random.default_rng(seed + r).standard_normal(sum(dims))
+    starts = _raw_starts(sum(dims), restarts, seed)
     edges = np.cumsum([0] + dims)
     return [np.ascontiguousarray(_project_ball(spec, starts[:, lo:hi], m).T)
             for spec, lo, hi in zip(blocks, edges, edges[1:])]

@@ -385,3 +385,29 @@ def test_bounds_rejects_options_it_would_ignore(x1x2, extra, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["mc", "tail", "--poly", "x1x2", "--N", "2000", "--p", "9", "--window", "1", "2",
+      "--restarts", "3"], "mc tail does not read --p, --window, --restarts"),
+    (["mc", "moments", "--poly", "x1x2", "--tensor", "t.json"],
+     "mc moments does not read --tensor"),
+    (["mc", "hermite", "--law", "rademacher"], "mc hermite does not read --law"),
+    (["mc", "sobolev", "--poly", "x1x2", "--chaos-mode", "undecoupled", "--Nlist", "5"],
+     "mc sobolev does not read --chaos-mode, --Nlist"),
+    (["mc", "chaos", "--tensor", "t.json", "--p", "2", "4"], "mc chaos takes one --p")])
+def test_mc_rejects_options_its_mode_would_ignore(x1x2, argv, message, capsys):
+    assert dispatch([x1x2 if a == "x1x2" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and captured.err.count("\n") == 1
+
+
+def test_mc_rejects_a_config_value_its_mode_would_ignore(x1x2, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"window": [1, 2]}))
+    assert dispatch(["mc", "tail", "--poly", x1x2, "--N", "100", "--config", str(cfg)]) == 2
+    assert "mc tail does not read --window" in capsys.readouterr().err
+    # a mode's default, given explicitly, is not an option it ignores
+    assert dispatch(["mc", "tail", "--poly", x1x2, "--N", "1000", "--p", "2",
+                     "--window", "0.1", "10", "--restarts", "64"]) == 0

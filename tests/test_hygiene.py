@@ -50,22 +50,53 @@ def _args_reads(fn):
     return reads
 
 
-def test_every_cli_option_is_read():
+def _cli_functions():
     tree = ast.parse(pathlib.Path(cli.__file__).read_text())
     funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
     # the parameter echo prints every option, so it shows none is used
     del funcs["_header"]
+    return funcs
+
+
+def _reads(funcs, roots):
+    """The options read by the functions `roots` and the cli helpers they call."""
+    reached, todo = set(), list(roots)
+    while todo:
+        f = todo.pop()
+        if f not in reached:
+            reached.add(f)
+            todo += [n.func.id for n in ast.walk(funcs[f]) if isinstance(n, ast.Call)
+                     and isinstance(n.func, ast.Name) and n.func.id in funcs]
+    return set().union(*(_args_reads(funcs[f]) for f in reached))
+
+
+def test_every_cli_option_is_read():
+    funcs = _cli_functions()
     unread = []
     for name, parser in cli._parsers()[1].items():
-        # the handler, the cli helpers it calls, and dispatch
-        reached, todo = set(), ["dispatch", parser.get_default("func").__name__]
-        while todo:
-            f = todo.pop()
-            if f not in reached:
-                reached.add(f)
-                todo += [n.func.id for n in ast.walk(funcs[f]) if isinstance(n, ast.Call)
-                         and isinstance(n.func, ast.Name) and n.func.id in funcs]
-        reads = set().union(*(_args_reads(funcs[f]) for f in reached))
+        # the handler, dispatch, and for `mc` the mode functions
+        roots = ["dispatch", parser.get_default("func").__name__]
+        if name == "mc":
+            roots += [f.__name__ for f, _ in cli._MC_MODES.values()]
+        reads = _reads(funcs, roots)
         unread += [f"{name} {'/'.join(a.option_strings) or a.dest}" for a in parser._actions
                    if a.dest != "help" and a.dest not in reads]
     assert unread == []
+
+
+def test_each_mc_mode_reads_the_options_it_keeps():
+    """`_cmd_mc` rejects a set option that its mode does not read, by the
+    options listed in `_MC_MODES`: each mode's list must name exactly what it
+    reads beyond the options that every mode reads, and every other option
+    must be one of those."""
+    funcs = _cli_functions()
+    mc = cli._parsers()[1]["mc"]
+    assert set(cli._MC_MODES) == set(mc._actions[1].choices)
+    declared = {a.dest for a in mc._actions} - {"help"}
+    reads = {mode: _reads(funcs, [fn.__name__]) & declared
+             for mode, (fn, _) in cli._MC_MODES.items()}
+    every = _reads(funcs, ["dispatch", "_cmd_mc"]) | set.intersection(*reads.values())
+    listed = {mode: set(options) for mode, (_, options) in cli._MC_MODES.items()}
+    for mode in cli._MC_MODES:
+        assert reads[mode] - every == listed[mode], mode
+    assert declared - set().union(*listed.values()) <= every

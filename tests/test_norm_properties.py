@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from concentro.norms import NormOptions, norm_J
 from concentro.partitions import SetPartition, enumerate_partitions
 from concentro.poly import Polynomial, ProductDistribution, expected_derivative_tensor
-from concentro.tensor import Tensor, contract, hadamard_rank_one, symmetrize
+from concentro.tensor import IndexMask, Tensor, apply_mask, contract, hadamard_rank_one, symmetrize
 
 OPTS = NormOptions(restarts=16, seed=3)
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -75,6 +75,23 @@ def test_hadamard_multiplier_bound(case, data):
     factor = float(np.prod([np.abs(v).max() for v in vecs]))
     lhs = norm_J(hadamard_rank_one(a, *vecs), part).value
     assert lhs <= factor * norm_J(a, part).value * (1 + 1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(tensor_and_partition(max_blocks=2), st.data())
+def test_masking_factors(case, data):
+    # a generalized diagonal costs nothing; a level set of K costs at most
+    # 2^(#K(#K-1)/2), one factor |1 - delta| <= 2 per pair of its blocks;
+    # checked where norm_J is exact
+    a, part = case
+    subset = data.draw(st.sets(st.integers(1, a.order), min_size=2))
+    level = data.draw(st.sampled_from(enumerate_partitions(a.order)))
+    bound = norm_J(a, part).value * (1 + 1e-9)
+    pairs = lambda k: k * (k - 1) / 2
+    for mask, factor in ((IndexMask.generalized_diagonal(subset), 1.0),
+                         (IndexMask.level_set(level), 2.0 ** pairs(level.n_blocks)),
+                         (IndexMask.off_diagonal(), 2.0 ** pairs(a.order))):
+        assert norm_J(apply_mask(a, mask), part).value <= factor * bound
 
 
 # ---------------------------------------------------------------------------

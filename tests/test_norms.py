@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from concentro import norms
 from concentro.partitions import SetPartition, SplitPartition, enumerate_partitions, refines
 from concentro.norms import (
     NormOptions,
@@ -306,10 +307,10 @@ def _reference_sweep(a, blocks, vecs):
             if j != l:
                 operands.append(vecs[j].reshape((m,) * len(other.coords) + (nrestarts,)))
                 subs.append("".join(_AXES[i - 1] for i in other.coords) + "z")
-        out = "z" + "".join(_AXES[i - 1] for i in spec.coords)
-        g = np.einsum(",".join(subs) + "->" + out, *operands).reshape(nrestarts, -1)
+        out = "".join(_AXES[i - 1] for i in spec.coords) + "z"
+        g = np.einsum(",".join(subs) + "->" + out, *operands).reshape(-1, nrestarts)
         vals, y = _dual_step(spec, g, m)
-        vecs[l] = np.where(vals > 0, y.T, vecs[l])
+        vecs[l] = np.where(vals > 0, y, vecs[l])
     return vals, vecs
 
 
@@ -347,3 +348,77 @@ def test_returned_values_are_form_values(part):
     for r in range(8):
         form = contract(a, part, [v[:, r] for v in vecs])
         assert form == pytest.approx(vals[r], rel=1e-12)
+
+
+def test_dual_steps_keep_a_zero_column_zero():
+    g = np.random.default_rng(3).standard_normal((9, 4))
+    g[:, 2] = 0.0
+    vals, y = _dual_step(_BlockSpec((1, 2)), g, 3)
+    assert vals[2] == 0.0 and not y[:, 2].any()
+    np.testing.assert_allclose(np.linalg.norm(y[:, [0, 1, 3]], axis=0), 1.0, rtol=1e-15)
+    for spec in MIXED_BLOCKS[2]:
+        vals, y = _dual_step(spec, g[: 3 ** len(spec.coords)], 3)
+        assert vals[2] == 0.0 and not y[:, 2].any() and (vals[[0, 1, 3]] > 0).all()
+
+
+# ---------------------------------------------------------------------------
+# the start-point memo
+
+@pytest.fixture
+def cold_memo(monkeypatch):
+    """An empty start-point memo for one test; the process's memo is back after it."""
+    monkeypatch.setattr(norms, "_starts_memo", {})
+
+
+def test_warm_memo_builds_no_generators(cold_memo, monkeypatch):
+    first, second = (Tensor(np.random.default_rng(s).standard_normal((3, 3, 3))) for s in (1, 2))
+    built = []
+    make = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(a) or make(*a))
+    part = SetPartition.parse("1|2|3")
+    norm_J(first, part, NormOptions(restarts=16, seed=3))
+    assert len(built) == 15
+    # another tensor of the same shape, restarts and seed draws nothing
+    norm_J(second, part, NormOptions(restarts=16, seed=3))
+    assert len(built) == 15
+
+
+def test_cold_warm_and_unkept_draws_give_the_same_bits(cold_memo, monkeypatch):
+    a = Tensor(np.random.default_rng(4).standard_normal((3, 3, 3)))
+
+    def solve():
+        res = norm_J(a, SetPartition.parse("1|2|3"), OPTS)
+        mixed = mixed_norm(a, SplitPartition.parse("1||2,3", d=3), 1.5, OPTS)
+        return repr(res.value), [v.tobytes() for v in res.certificate], repr(mixed)
+
+    cold = solve()
+    assert len(norms._starts_memo) == 2
+    assert solve() == cold
+    monkeypatch.setattr(norms, "STARTS_MEMO_BYTES", 0)
+    monkeypatch.setattr(norms, "_starts_memo", {})
+    assert solve() == cold and not norms._starts_memo
+
+
+def test_memo_arrays_are_read_only(cold_memo):
+    vecs = _init_vectors(_l2_blocks(SetPartition.parse("1|2|3")), 3, 8, seed=2)
+    (starts,) = norms._starts_memo.values()
+    assert not starts.flags.writeable
+    with pytest.raises(ValueError):
+        starts[1, 0] = 0.0
+    # the start points are fresh arrays, which the solver may write
+    assert all(v.flags.writeable and not np.shares_memory(v, starts) for v in vecs)
+
+
+def test_memo_keeps_draws_within_its_byte_cap(cold_memo, monkeypatch):
+    blocks = _l2_blocks(SetPartition.parse("1|2|3"))
+    # above the cap: not kept
+    too_many = norms.STARTS_MEMO_BYTES // (8 * 64) + 1
+    assert norms._raw_starts(too_many, 64, 0).nbytes > norms.STARTS_MEMO_BYTES
+    assert not norms._starts_memo
+    # room for two 8-restart draws of 9 coordinates: the oldest leaves first
+    monkeypatch.setattr(norms, "STARTS_MEMO_BYTES", 2 * 8 * 9 * 8)
+    for seed in (0, 1, 2):
+        _init_vectors(blocks, 3, 8, seed)
+    assert list(norms._starts_memo) == [(9, 8, 1), (9, 8, 2)]
+    _init_vectors(blocks, 3, 64, seed=0)
+    assert list(norms._starts_memo) == [(9, 8, 1), (9, 8, 2)]

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from concentro.partitions import (
     BELL,
@@ -139,3 +141,45 @@ def test_enumeration_order_is_deterministic():
     # restricted-growth order starts with the single block, ends with singletons
     assert first[0] == SetPartition.full(4)
     assert first[-1] == SetPartition.singletons(4)
+
+
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+
+@st.composite
+def labelled_blocks(draw, max_d=6):
+    """The blocks of a random labelling of {1,..,d}, in a random block order
+    and with each block's indices in a random order."""
+    d = draw(st.integers(1, max_d))
+    labels = draw(st.lists(st.integers(0, d - 1), min_size=d, max_size=d))
+    blocks = [[i for i, lab in enumerate(labels, 1) if lab == label] for label in set(labels)]
+    return d, [tuple(draw(st.permutations(b))) for b in draw(st.permutations(blocks))]
+
+
+@PROPERTY_SETTINGS
+@given(labelled_blocks(), st.data())
+def test_canonical_form_is_idempotent_and_ignores_block_labels(case, data):
+    d, blocks = case
+    part = SetPartition(d, tuple(blocks))
+    assert list(part.blocks) == sorted(part.blocks)
+    assert all(list(b) == sorted(b) for b in part.blocks)
+    # idempotent: the canonical blocks, and their text, give the same partition
+    assert SetPartition(d, part.blocks) == part
+    assert SetPartition.parse(str(part), d=d) == part
+    # another order of the blocks and of each block's indices
+    relabelled = [tuple(data.draw(st.permutations(b))) for b in data.draw(st.permutations(blocks))]
+    assert SetPartition(d, tuple(relabelled)) == part
+    assert part in enumerate_partitions(d)
+
+
+@PROPERTY_SETTINGS
+@given(labelled_blocks(max_d=3), st.data())
+def test_split_canonical_form_ignores_block_order(case, data):
+    d, blocks = case
+    outer = data.draw(st.lists(st.booleans(), min_size=len(blocks), max_size=len(blocks)))
+    split = SplitPartition(d, tuple(b for b, o in zip(blocks, outer) if not o),
+                           tuple(b for b, o in zip(blocks, outer) if o))
+    assert SplitPartition(d, split.inner, split.outer) == split
+    assert SplitPartition.parse(str(split), d=d) == split
+    assert SplitPartition(d, split.inner[::-1], split.outer[::-1]) == split
+    assert split in enumerate_splits(d)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from concentro.poly import (
     HermiteCoeffs,
@@ -221,6 +223,28 @@ def test_hermite_expansion_round_trip_exact():
         back = hermite_combination(coeffs, 3)
         diff = f - back
         assert diff.terms == {}
+
+
+@st.composite
+def small_polynomial(draw):
+    """At most six terms of degree at most 6 in one to three variables, with
+    dyadic coefficients, so that the expansion's arithmetic is exact."""
+    nvars = draw(st.integers(1, 3))
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        powers = draw(st.lists(st.integers(0, 6), min_size=nvars, max_size=nvars)
+                      .filter(lambda ps: sum(ps) <= 6))
+        key = tuple((v + 1, k) for v, k in enumerate(powers) if k)
+        terms[key] = draw(st.integers(-64, 64)) / 8.0
+    return Polynomial(nvars, terms)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(small_polynomial())
+def test_hermite_expansion_round_trips(f):
+    coeffs = hermite_expansion(f)
+    assert all(len(degrees) == f.nvars and sum(degrees) <= 6 for degrees in coeffs)
+    assert (f - hermite_combination(coeffs, f.nvars)).terms == {}
 
 
 def test_json_round_trip(tmp_path):
