@@ -1,27 +1,27 @@
 """Command line surface: one binary, subcommand style, JSON inputs and CSV
 reports.
 
-Every option a subcommand declares is read, and an `mc` mode rejects a value
-off the default for an option that only other modes read.  Only `mc`, `graphs`
-and `rmt` run Monte Carlo chunks, so only they take --workers, whose default
-`CONCENTRO_WORKERS` is read once per process, when the parser is built.  The
-norm solvers take --restarts and --seed; their tolerance and sweep cap are the
-constants `norms.ALS_TOL` and `norms.ALS_MAX_SWEEPS`.  A JSON config file
-(--config) sets defaults for the subcommand's options, required ones too.  Each
-value is parsed as its text would be on the command line (`{"N": 3000.0}`
-fails as `--N 3000.0` does; null keeps the option's default), then installed
-on a copy of the subcommand's parser, which parses the command line again, so
-flags given there override the config and no run's config reaches the next
-run.  A key that names no option of the subcommand is an error.  Every report
-embeds the version, the seed, and the full parameter echo in '#' comment
-lines, and is byte-reproducible for a fixed config.  Exit code 2 signals a
-validation failure with a one-line diagnostic.
+Each runnable command (`norm`, `mixednorm`, `bounds`, `tail`, `rmt`, `hermite`
+and the modes of `mc` and `graphs`) is a leaf parser that declares exactly the
+options its function reads, so an option a run would not read is an
+unrecognized argument; options match by their full name only.  Only the leaves
+that run Monte Carlo chunks take --workers, a positive integer whose default
+`CONCENTRO_WORKERS` is read once per process, when the parsers are built.  The
+norm solvers' tolerance and sweep cap are the constants `norms.ALS_TOL` and
+`norms.ALS_MAX_SWEEPS`.  A JSON config file (--config) sets defaults for the
+leaf's options, required ones too: each value is parsed as its text would be on
+the command line (`{"N": 3000.0}` fails as `--N 3000.0` does; null keeps the
+default), then the leaf parses its flags again over those values, so flags
+override the config and no run's config reaches the next run.  A key that names
+no option of the leaf is an error.  Every report embeds the version, the seed,
+and the full parameter echo in '#' comment lines, and is byte-reproducible for
+a fixed config.  Exit code 2 signals a parse or validation failure with a
+one-line diagnostic.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import functools
 import json
 import os
@@ -62,13 +62,6 @@ def _tail_lines(rows) -> list[str]:
     return _csv(",".join(TAIL_COLUMNS), ([r[k] for k in TAIL_COLUMNS] for r in rows))
 
 
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("CONCENTRO_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 def _header(args: argparse.Namespace) -> list[str]:
     skip = {"func", "config"}
     echo = " ".join(f"{k}={v}" for k, v in sorted(vars(args).items())
@@ -78,11 +71,10 @@ def _header(args: argparse.Namespace) -> list[str]:
 
 def _emit(args, lines: list[str]) -> None:
     text = "\n".join(_header(args) + lines) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
-        print(f"report written to {out}")
+        print(f"report written to {args.out}")
     else:
         sys.stdout.write(text)
 
@@ -101,9 +93,19 @@ def _report_lines(report) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# runnable commands: each returns its report lines
 
-def _cmd_norm(args) -> int:
+def _poly_law(args):
+    """The polynomial and the law of its variables."""
+    poly = load_polynomial(args.poly)
+    return poly, ProductDistribution(args.law, poly.nvars, p=args.pp, alpha=args.alpha)
+
+
+def _mc_config(args) -> MCConfig:
+    return MCConfig(N=args.N, seed=args.seed, batch=args.batch)
+
+
+def _cmd_norm(args) -> list[str]:
     tens = load_tensor(args.tensor)
     part = SetPartition.parse(args.partition, d=tens.order)
     res = norm_J(tens, part, _norm_opts(args), method=args.method)
@@ -111,25 +113,21 @@ def _cmd_norm(args) -> int:
         with open(args.cert_out, "w") as fh:
             json.dump({"partition": str(part), "value": res.value,
                        "blocks": [v.tolist() for v in res.certificate]}, fh)
-    _emit(args, _csv("value,method,certificate",
-                     [(res.value, res.method, args.cert_out or "-")]))
-    return 0
+    return _csv("value,method,certificate", [(res.value, res.method, args.cert_out or "-")])
 
 
-def _cmd_mixednorm(args) -> int:
+def _cmd_mixednorm(args) -> list[str]:
     tens = load_tensor(args.tensor)
     split = SplitPartition.parse(args.split, d=tens.order)
-    _emit(args, _csv("value", [(mixed_norm(tens, split, args.alpha, _norm_opts(args)),)]))
-    return 0
+    return _csv("value", [(mixed_norm(tens, split, args.alpha, _norm_opts(args)),)])
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> list[str]:
     if args.law == "weibull" and (args.gamma is not None or args.L is not None):
         raise ValueError("the weibull report takes no --gamma or --L")
     if (args.gamma is None) != (args.L is None):
         raise ValueError("the Sobolev-form bound needs both --gamma and --L")
-    poly = load_polynomial(args.poly)
-    dist = ProductDistribution(args.law, poly.nvars, p=args.pp, alpha=args.alpha)
+    poly, dist = _poly_law(args)
     opts = _norm_opts(args)
     if args.law == "weibull":
         report = weibull_moment_bound(poly, dist, args.p, args.alpha, opts)
@@ -137,59 +135,44 @@ def _cmd_bounds(args) -> int:
         report = sobolev_moment_bound(poly, dist, args.p, float(args.L), args.gamma, opts)
     else:
         report = gaussian_moment_bound(poly, dist, args.p, opts)
-    _emit(args, _report_lines(report))
-    return 0
+    return _report_lines(report)
 
 
-def _cmd_tail(args) -> int:
-    poly = load_polynomial(args.poly)
-    dist = ProductDistribution(args.law, poly.nvars, p=args.pp, alpha=args.alpha)
+def _cmd_tail(args) -> list[str]:
+    poly, dist = _poly_law(args)
     if args.L == "auto":
         L = dist.psi2
         if L is None:
             raise ValueError(f"law {args.law!r} has no psi2 bound; give --L explicitly")
     else:
         L = float(args.L)
-    report = eta_tail(poly, dist, args.t, L, c_d=args.CD, opts=_norm_opts(args))
-    _emit(args, _report_lines(report))
-    return 0
+    return _report_lines(eta_tail(poly, dist, args.t, L, c_d=args.CD, opts=_norm_opts(args)))
 
 
-def _mc_law(args):
-    """The polynomial and its law, for the modes that sample one."""
-    if args.poly is None:
-        raise ValueError(f"mc {args.mode} needs --poly")
-    poly = load_polynomial(args.poly)
-    return poly, ProductDistribution(args.law, poly.nvars, p=args.pp, alpha=args.alpha)
-
-
-def _mc_moments(args, cfg) -> list[str]:
-    poly, dist = _mc_law(args)
-    ests = empirical_moment(poly, dist, args.p, cfg, args.workers)
+def _mc_moments(args) -> list[str]:
+    poly, dist = _poly_law(args)
+    ests = empirical_moment(poly, dist, args.p, _mc_config(args), args.workers)
     return _csv("p,value,stderr,N", [(e.p, e.value, e.stderr, e.N) for e in ests])
 
 
-def _mc_tail(args, cfg) -> list[str]:
-    poly, dist = _mc_law(args)
-    est = empirical_tail(poly, dist, args.t, cfg, args.workers)
+def _mc_tail(args) -> list[str]:
+    poly, dist = _poly_law(args)
+    est = empirical_tail(poly, dist, args.t, _mc_config(args), args.workers)
     return _csv("t,probability,wilson_low,wilson_high,N",
                 [(est.t, est.probability, est.wilson_low, est.wilson_high, est.N)])
 
 
-def _mc_chaos(args, cfg) -> list[str]:
-    if args.tensor is None:
-        raise ValueError("mc chaos needs --tensor")
-    if len(args.p) != 1:
-        raise ValueError("mc chaos takes one --p")
-    est = chaos_moment(load_tensor(args.tensor), args.chaos_mode, args.p[0], cfg, args.workers)
+def _mc_chaos(args) -> list[str]:
+    est = chaos_moment(load_tensor(args.tensor), args.chaos_mode, args.p, _mc_config(args),
+                       args.workers)
     return _csv("mode,p,value,stderr,N", [(args.chaos_mode, est.p, est.value, est.stderr, est.N)])
 
 
-def _mc_sandwich(args, cfg) -> list[str]:
-    poly, dist = _mc_law(args)
+def _mc_sandwich(args) -> list[str]:
+    poly, dist = _poly_law(args)
     opts = _norm_opts(args)
     bound_fn = lambda f, d, p: gaussian_moment_bound(f, d, p, opts)
-    rows = sandwich_check(poly, dist, args.p, cfg, bound_fn,
+    rows = sandwich_check(poly, dist, args.p, _mc_config(args), bound_fn,
                           window=tuple(args.window), workers=args.workers)
     return _csv("p,empirical,stderr,bound,ratio,status",
                 [(r["p"], r["empirical"], r["stderr"], r["bound"],
@@ -197,189 +180,196 @@ def _mc_sandwich(args, cfg) -> list[str]:
                  for r in rows])
 
 
-def _mc_hermite(args, cfg) -> list[str]:
-    rows = hermite_tetrahedral_convergence(args.d, args.Nlist, cfg, args.workers)
+def _mc_hermite(args) -> list[str]:
+    rows = hermite_tetrahedral_convergence(args.d, args.Nlist, _mc_config(args), args.workers)
     return _csv("N,mean_sq_error,stderr", [(r["N"], r["mean_sq_error"], r["stderr"]) for r in rows])
 
 
-def _mc_sobolev(args, cfg) -> list[str]:
-    poly, dist = _mc_law(args)
-    rows = sobolev_check(dist, poly, args.p, cfg, args.workers)
+def _mc_sobolev(args) -> list[str]:
+    poly, dist = _poly_law(args)
+    rows = sobolev_check(dist, poly, args.p, _mc_config(args), args.workers)
     return _csv("p,lhs,rhs,ratio,status",
                 [(r["p"], r["lhs"], r["rhs"],
                   "degenerate" if r["ratio"] is None else r["ratio"], r["status"])
                  for r in rows])
 
 
-# each mode's function, and the options of `mc` that it reads and some other
-# mode does not (tests/test_hygiene.py checks them); every mode reads the rest
-_MC_MODES = {
-    "moments": (_mc_moments, ("poly", "law", "pp", "alpha", "p")),
-    "tail": (_mc_tail, ("poly", "law", "pp", "alpha", "t")),
-    "chaos": (_mc_chaos, ("tensor", "chaos_mode", "p")),
-    "sandwich": (_mc_sandwich, ("poly", "law", "pp", "alpha", "p", "window", "restarts")),
-    "hermite": (_mc_hermite, ("d", "Nlist")),
-    "sobolev": (_mc_sobolev, ("poly", "law", "pp", "alpha", "p")),
-}
+def _graphs_triangles(args) -> list[str]:
+    res = er_tail_experiment(GraphSpec.cycle(3), args.n, args.p, _mc_config(args),
+                             t_list=args.t or None, eps=args.eps, c=args.C,
+                             workers=args.workers)
+    return [f"# expected_mean={_fmt(res.expected_mean)}",
+            f"# empirical_mean={_fmt(res.mean)} stderr={_fmt(res.mean_stderr)}",
+            *_tail_lines(res.rows)]
 
 
-def _cmd_mc(args) -> int:
-    run, reads = _MC_MODES[args.mode]
-    others = set().union(*(r for _, r in _MC_MODES.values())) - set(reads)
-    ignored = ["/".join(a.option_strings) for a in _parsers()[1]["mc"]._actions
-               if a.dest in others and getattr(args, a.dest) != a.default]
-    if ignored:
-        raise ValueError(f"mc {args.mode} does not read {', '.join(ignored)}")
-    cfg = MCConfig(N=args.N, seed=args.seed, batch=args.batch)
-    _emit(args, run(args, cfg))
-    return 0
+def _graphs_cyclebound(args) -> list[str]:
+    part = SetPartition.parse(args.partition, d=args.d)
+    value = cycle_norm_bound(GraphSpec.cycle(args.k), args.d, part, args.n, args.p)
+    return _csv("k,n,p,d,partition,bound", [(args.k, args.n, args.p, args.d, part, value)])
 
 
-def _cmd_graphs(args) -> int:
-    if args.mode == "triangles":
-        cfg = MCConfig(N=args.N, seed=args.seed, batch=args.batch)
-        res = er_tail_experiment(GraphSpec.cycle(3), args.n, args.p, cfg,
-                                 t_list=args.t or None, eps=args.eps, c=args.C,
-                                 workers=args.workers)
-        lines = [f"# expected_mean={_fmt(res.expected_mean)}",
-                 f"# empirical_mean={_fmt(res.mean)} stderr={_fmt(res.mean_stderr)}",
-                 *_tail_lines(res.rows)]
-    else:
-        part = SetPartition.parse(args.partition, d=args.d)
-        value = cycle_norm_bound(GraphSpec.cycle(args.k), args.d, part, args.n, args.p)
-        lines = _csv("k,n,p,d,partition,bound", [(args.k, args.n, args.p, args.d, part, value)])
-    _emit(args, lines)
-    return 0
-
-
-def _cmd_rmt(args) -> int:
+def _cmd_rmt(args) -> list[str]:
     poly = load_polynomial(args.f)
     spec = WignerSpec(args.n, convention=args.convention)
     cfg = MCConfig(N=args.replicas, seed=args.seed, batch=args.batch)
     res = wigner_experiment(poly, spec, cfg, t_list=args.t, c_l=args.CL,
                             workers=args.workers)
-    lines = [f"# z_mean={_fmt(res.z_mean)} z_stderr={_fmt(res.z_stderr)}",
-             f"# sobolev_term={_fmt(res.sobolev_mean)} stderr={_fmt(res.sobolev_stderr)}"
-             f" limit={_fmt(res.sobolev_limit)}",
-             *_tail_lines(res.rows)]
-    _emit(args, lines)
-    return 0
+    return [f"# z_mean={_fmt(res.z_mean)} z_stderr={_fmt(res.z_stderr)}",
+            f"# sobolev_term={_fmt(res.sobolev_mean)} stderr={_fmt(res.sobolev_stderr)}"
+            f" limit={_fmt(res.sobolev_limit)}",
+            *_tail_lines(res.rows)]
 
 
-def _cmd_hermite(args) -> int:
+def _cmd_hermite(args) -> list[str]:
     if args.poly:
         coeffs = hermite_expansion(load_polynomial(args.poly))
-        lines = _csv("degrees,coefficient", [("|".join(str(d) for d in degrees), a)
-                                             for degrees, a in sorted(coeffs.items())])
-    else:
-        lines = _csv("power,coefficient", enumerate(hermite(args.k).coeffs))
-    _emit(args, lines)
-    return 0
+        return _csv("degrees,coefficient", [("|".join(str(d) for d in degrees), a)
+                                            for degrees, a in sorted(coeffs.items())])
+    return _csv("power,coefficient", enumerate(hermite(args.k).coeffs))
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parsers
 
-def _add_law(p: argparse.ArgumentParser) -> None:
+class _Parser(argparse.ArgumentParser):
+    """Matches an option by its full name only, and raises a parse error as a
+    ValueError, which `dispatch` reports on one line with exit code 2."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _add_poly_law(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--poly", required=True)
     p.add_argument("--law", default="gaussian",
                    choices=["gaussian", "rademacher", "bernoulli", "weibull"])
     p.add_argument("--pp", type=float, help="bernoulli coordinate probability")
     p.add_argument("--alpha", type=float, help="weibull exponent")
 
 
-def _add_norm_opts(p: argparse.ArgumentParser) -> None:
+def _add_norm_opts(p: argparse.ArgumentParser, seed: bool = True) -> None:
     p.add_argument("--restarts", type=int, default=64)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
+
+
+def positive_int(text: str) -> int:
+    """An integer of at least 1, as --workers takes."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
+def _add_workers(p: argparse.ArgumentParser) -> None:
+    # a string default goes through the type too, so a bad environment value
+    # is a parse error
+    p.add_argument("--workers", type=positive_int,
+                   default=os.environ.get("CONCENTRO_WORKERS", "1"),
+                   help="threads running Monte Carlo chunks (default $CONCENTRO_WORKERS or 1)")
+
+
+def _add_chunks(p: argparse.ArgumentParser, N: int, batch: int) -> None:
+    p.add_argument("--N", type=int, default=N)
+    p.add_argument("--batch", type=int, default=batch)
     p.add_argument("--seed", type=int, default=0)
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file of defaults; flags override")
-    p.add_argument("--out", help="write the report here instead of stdout")
+    _add_workers(p)
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict, dict]:
-    """The top-level parser, and the subcommand parsers and their required
-    options by name, built once."""
-    parser = argparse.ArgumentParser(prog="concentro")
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser, and each runnable command's function mapped to
+    its leaf parser and that parser's required options, built once."""
+    parser = _Parser(prog="concentro")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    leaves = {}
 
-    p = sub.add_parser("norm", help="partition-indexed tensor norm")
+    def leaf(group, name, func, help):
+        p = group.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        leaves[func] = p
+        return p
+
+    p = leaf(sub, "norm", _cmd_norm, "partition-indexed tensor norm")
     p.add_argument("--tensor", required=True)
     p.add_argument("--partition", required=True)
     p.add_argument("--method", default="auto", choices=["auto", "als"])
     p.add_argument("--cert-out", dest="cert_out")
     _add_norm_opts(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_norm)
 
-    p = sub.add_parser("mixednorm", help="mixed-constraint norm")
+    p = leaf(sub, "mixednorm", _cmd_mixednorm, "mixed-constraint norm")
     p.add_argument("--tensor", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--alpha", type=float, required=True)
     _add_norm_opts(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_mixednorm)
 
-    p = sub.add_parser("bounds", help="moment-bound report")
-    p.add_argument("--poly", required=True)
-    _add_law(p)
+    p = leaf(sub, "bounds", _cmd_bounds, "moment-bound report")
+    _add_poly_law(p)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--gamma", type=float, help="Sobolev exponent (gamma form)")
     p.add_argument("--L", help="Sobolev constant for the gamma form")
     _add_norm_opts(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("tail", help="tail-exponent report")
-    p.add_argument("--poly", required=True)
-    _add_law(p)
+    p = leaf(sub, "tail", _cmd_tail, "tail-exponent report")
+    _add_poly_law(p)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--L", default="auto")
     p.add_argument("--CD", type=float, default=1.0)
     _add_norm_opts(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_tail)
 
-    p = sub.add_parser("mc", help="Monte Carlo estimators and checks")
-    p.add_argument("mode", choices=["moments", "tail", "chaos", "sandwich",
-                                    "hermite", "sobolev"])
-    p.add_argument("--poly")
-    p.add_argument("--tensor")
-    _add_law(p)
-    p.add_argument("--N", type=int, default=100_000)
-    p.add_argument("--batch", type=int, default=65536)
+    modes = sub.add_parser("mc", help="Monte Carlo estimators and checks").add_subparsers(
+        dest="mode", required=True)
+
+    def mc(name, func, help):
+        p = leaf(modes, name, func, help)
+        _add_chunks(p, N=100_000, batch=65536)
+        return p
+
+    p = mc("moments", _mc_moments, "moments ||f - Ef||_p")
+    _add_poly_law(p)
     p.add_argument("--p", type=float, nargs="+", default=[2.0])
+    p = mc("tail", _mc_tail, "tail P(|f - Ef| >= t) with a Wilson interval")
+    _add_poly_law(p)
     p.add_argument("--t", type=float, default=1.0)
+    p = mc("chaos", _mc_chaos, "moment of a Gaussian chaos")
+    p.add_argument("--tensor", required=True)
     p.add_argument("--chaos-mode", dest="chaos_mode", default="decoupled",
                    choices=["decoupled", "undecoupled"])
+    p.add_argument("--p", type=float, default=2.0)
+    p = mc("sandwich", _mc_sandwich, "moments against the Gaussian bound")
+    _add_poly_law(p)
+    p.add_argument("--p", type=float, nargs="+", default=[2.0])
+    p.add_argument("--window", type=float, nargs=2, default=[0.1, 10.0])
+    _add_norm_opts(p, seed=False)   # the sampler's --seed seeds the solver too
+    p = mc("hermite", _mc_hermite, "Hermite tetrahedral convergence")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--Nlist", type=int, nargs="+", default=[10, 100, 1000])
-    p.add_argument("--window", type=float, nargs=2, default=[0.1, 10.0])
-    _add_norm_opts(p)
-    p.add_argument("--workers", type=int, default=_default_workers())
-    _add_common(p)
-    p.set_defaults(func=_cmd_mc)
+    p = mc("sobolev", _mc_sobolev, "the Sobolev moment inequality")
+    _add_poly_law(p)
+    p.add_argument("--p", type=float, nargs="+", default=[2.0])
 
-    p = sub.add_parser("graphs", help="subgraph counting experiments")
-    p.add_argument("mode", choices=["triangles", "cyclebound"])
+    modes = sub.add_parser("graphs", help="subgraph counting experiments").add_subparsers(
+        dest="mode", required=True)
+    p = leaf(modes, "triangles", _graphs_triangles, "Erdős–Rényi triangle-count tails")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--N", type=int, default=10_000)
-    p.add_argument("--batch", type=int, default=1024)
     p.add_argument("--eps", type=float)
     p.add_argument("--t", type=float, nargs="+")
     p.add_argument("--C", type=float, default=1.0)
+    _add_chunks(p, N=10_000, batch=1024)
+    p = leaf(modes, "cyclebound", _graphs_cyclebound, "norm bound for k-cycle counts")
     p.add_argument("--k", type=int, default=3)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--p", type=float, required=True)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--partition", default="1")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=_default_workers())
-    _add_common(p)
-    p.set_defaults(func=_cmd_graphs)
 
-    p = sub.add_parser("rmt", help="Wigner linear-statistics experiment")
+    p = leaf(sub, "rmt", _cmd_rmt, "Wigner linear-statistics experiment")
     p.add_argument("--f", required=True, help="one-variable polynomial JSON")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--replicas", type=int, default=1000)
@@ -388,22 +378,21 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict, dict]:
     p.add_argument("--CL", type=float, default=1.0)
     p.add_argument("--convention", default="paper", choices=["paper", "goe"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=_default_workers())
-    _add_common(p)
-    p.set_defaults(func=_cmd_rmt)
+    _add_workers(p)
 
-    p = sub.add_parser("hermite", help="Hermite coefficients or expansion")
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--poly", help="expand this polynomial instead")
-    _add_common(p)
-    p.set_defaults(func=_cmd_hermite)
+    p = leaf(sub, "hermite", _cmd_hermite, "Hermite coefficients or expansion")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--k", type=int, default=3)
+    g.add_argument("--poly", help="expand this polynomial instead")
 
+    for p in leaves.values():
+        p.add_argument("--config", help="JSON file of defaults; flags override")
+        p.add_argument("--out", help="write the report here instead of stdout")
     # --config may supply a required option, so dispatch checks them after reading it
-    required = {name: [a for a in p._actions if a.required and a.option_strings]
-                for name, p in sub.choices.items()}
+    required = {func: [a for a in p._actions if a.required] for func, p in leaves.items()}
     for action in sum(required.values(), []):
         action.required = False
-    return parser, sub.choices, required
+    return parser, {func: (p, required[func]) for func, p in leaves.items()}
 
 
 def _config_value(action: argparse.Action, value, where: str):
@@ -430,32 +419,39 @@ def _config_value(action: argparse.Action, value, where: str):
     return [parse(item) for item in items]
 
 
+def _with_config(args: argparse.Namespace, leaf: argparse.ArgumentParser,
+                 argv) -> argparse.Namespace:
+    """`args` again, with the config file's values under the flags given."""
+    with open(args.config) as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"config {args.config} must hold a JSON object")
+    # the command words, which precede the leaf's options on the command line
+    words = leaf.prog.split()[1:]
+    actions = {a.dest: a for a in leaf._actions if a.dest not in ("help", "config")}
+    unknown = sorted(set(config) - set(actions))
+    if unknown:
+        raise ValueError(f"config {args.config}: unknown key {', '.join(unknown)}"
+                         f" for {' '.join(words)}")
+    config = {key: _config_value(actions[key], value, f"config {args.config}: {key}")
+              for key, value in config.items() if value is not None}
+    # argparse fills in a default only where the namespace has no value yet
+    outer = {key: value for key, value in vars(args).items() if key not in actions}
+    return leaf.parse_args(argv[len(words):], argparse.Namespace(**outer, **config))
+
+
 def dispatch(argv) -> int:
-    parser, commands, required = _parsers()
+    parser, leaves = _parsers()
     try:
         args = parser.parse_args(argv)
-        command = commands[args.command]
+        leaf, required = leaves[args.func]
         if args.config:
-            with open(args.config) as fh:
-                config = json.load(fh)
-            if not isinstance(config, dict):
-                raise ValueError(f"config {args.config} must hold a JSON object")
-            unknown = sorted(set(config) - (set(vars(args)) - {"command", "func", "config"}))
-            if unknown:
-                raise ValueError(f"config {args.config}: unknown key {', '.join(unknown)}"
-                                 f" for {args.command}")
-            actions = {a.dest: a for a in command._actions}
-            config = {key: _config_value(actions[key], value, f"config {args.config}: {key}")
-                      for key, value in config.items() if value is not None}
-            # a copy, so that the cached parser keeps its own defaults
-            command = copy.deepcopy(command)
-            command.set_defaults(**config)
-            args = command.parse_args(argv[1:], argparse.Namespace(command=args.command))
-        missing = ["/".join(a.option_strings) for a in required[args.command]
-                   if getattr(args, a.dest) is None]
+            args = _with_config(args, leaf, argv)
+        missing = ["/".join(a.option_strings) for a in required if getattr(args, a.dest) is None]
         if missing:
-            command.error(f"the following arguments are required: {', '.join(missing)}")
-        return args.func(args)
+            raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+        _emit(args, args.func(args))
+        return 0
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

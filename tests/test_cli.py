@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from concentro import cli
 from concentro.cli import dispatch
 from concentro.norms import NormOptions, norm_J
 from concentro.partitions import SetPartition
@@ -322,13 +323,13 @@ def test_config_values_parse_as_their_text(x1x2, tmp_path, capsys):
     _, by_flags = run(["mc", "tail", "--poly", x1x2, "--N", "3000"])
     assert run(["mc", "tail", "--poly", x1x2, "--N", "3000"], {"t": None}) == (0, by_flags)
     # what the flag's text would not pass: exit 2 with one line
-    for config, message in [({"N": 3000.0}, "invalid int value 3000.0"),
-                            ({"N": [3000]}, "invalid int value [3000]"),
-                            ({"t": "abc"}, "invalid float value 'abc'"),
-                            ({"law": "cauchy"}, "'cauchy' is not one of"),
-                            ({"window": [1]}, "takes 2 values, got 1"),
-                            ({"p": []}, "takes one or more values, got 0")]:
-        code, captured = run(["mc", "tail", "--poly", x1x2], config)
+    for mode, config, message in [("tail", {"N": 3000.0}, "invalid int value 3000.0"),
+                                  ("tail", {"N": [3000]}, "invalid int value [3000]"),
+                                  ("tail", {"t": "abc"}, "invalid float value 'abc'"),
+                                  ("tail", {"law": "cauchy"}, "'cauchy' is not one of"),
+                                  ("sandwich", {"window": [1]}, "takes 2 values, got 1"),
+                                  ("sandwich", {"p": []}, "takes one or more values, got 0")]:
+        code, captured = run(["mc", mode, "--poly", x1x2], config)
         assert code == 2 and captured.out == "", config
         assert message in captured.err and captured.err.count("\n") == 1, captured.err
 
@@ -387,15 +388,33 @@ def test_bounds_rejects_options_it_would_ignore(x1x2, extra, message, capsys):
     assert message in captured.err and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv,message", [
-    (["mc", "tail", "--poly", "x1x2", "--N", "2000", "--p", "9", "--window", "1", "2",
-      "--restarts", "3"], "mc tail does not read --p, --window, --restarts"),
-    (["mc", "moments", "--poly", "x1x2", "--tensor", "t.json"],
-     "mc moments does not read --tensor"),
-    (["mc", "hermite", "--law", "rademacher"], "mc hermite does not read --law"),
-    (["mc", "sobolev", "--poly", "x1x2", "--chaos-mode", "undecoupled", "--Nlist", "5"],
-     "mc sobolev does not read --chaos-mode, --Nlist"),
-    (["mc", "chaos", "--tensor", "t.json", "--p", "2", "4"], "mc chaos takes one --p")])
+# (what the case shows, argv, argparse's message)
+_UNREAD = [
+    ("mc tail does not read --p, --window, --restarts",
+     ["mc", "tail", "--poly", "x1x2", "--N", "2000", "--p", "9", "--window", "1", "2",
+      "--restarts", "3"], "unrecognized arguments: --p 9 --window 1 2 --restarts 3"),
+    ("mc moments does not read --tensor",
+     ["mc", "moments", "--poly", "x1x2", "--tensor", "t.json"],
+     "unrecognized arguments: --tensor t.json"),
+    ("mc hermite does not read --law", ["mc", "hermite", "--law", "rademacher"],
+     "unrecognized arguments: --law rademacher"),
+    ("mc sobolev does not read --chaos-mode, --Nlist",
+     ["mc", "sobolev", "--poly", "x1x2", "--chaos-mode", "undecoupled", "--Nlist", "5"],
+     "unrecognized arguments: --chaos-mode undecoupled --Nlist 5"),
+    ("mc chaos takes one --p", ["mc", "chaos", "--tensor", "t.json", "--p", "2", "4"],
+     "unrecognized arguments: 4"),
+    ("graphs cyclebound does not read --N, --workers, --t, --eps",
+     ["graphs", "cyclebound", "--k", "4", "--n", "9", "--p", "0.2", "--N", "5", "--workers", "2",
+      "--t", "3", "--eps", "0.1"], "unrecognized arguments: --N 5 --workers 2 --t 3 --eps 0.1"),
+    ("graphs triangles does not read --k",
+     ["graphs", "triangles", "--n", "10", "--p", "0.5", "--k", "4"],
+     "unrecognized arguments: --k 4"),
+    ("hermite --poly does not read --k", ["hermite", "--poly", "x1x2", "--k", "5"],
+     "argument --k: not allowed with argument --poly")]
+
+
+@pytest.mark.parametrize("argv,message", [case[1:] for case in _UNREAD],
+                         ids=[f"argv{i}-{case[0]}" for i, case in enumerate(_UNREAD)])
 def test_mc_rejects_options_its_mode_would_ignore(x1x2, argv, message, capsys):
     assert dispatch([x1x2 if a == "x1x2" else a for a in argv]) == 2
     captured = capsys.readouterr()
@@ -407,7 +426,80 @@ def test_mc_rejects_a_config_value_its_mode_would_ignore(x1x2, tmp_path, capsys)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"window": [1, 2]}))
     assert dispatch(["mc", "tail", "--poly", x1x2, "--N", "100", "--config", str(cfg)]) == 2
-    assert "mc tail does not read --window" in capsys.readouterr().err
-    # a mode's default, given explicitly, is not an option it ignores
+    assert "unknown key window for mc tail" in capsys.readouterr().err
+    # a mode's default, given explicitly, is still an option it does not read
     assert dispatch(["mc", "tail", "--poly", x1x2, "--N", "1000", "--p", "2",
-                     "--window", "0.1", "10", "--restarts", "64"]) == 0
+                     "--window", "0.1", "10", "--restarts", "64"]) == 2
+    assert "unrecognized arguments: --p 2 --window 0.1 10 --restarts 64" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["norm", "--tensor", "t.json"], "the following arguments are required: --partition"),
+    (["norm", "--tensor", "t.json", "--partition", "1", "--bogus"],
+     "unrecognized arguments: --bogus"),
+    (["bounds", "--poly", "x.json", "--p", "2", "--law", "cauchy"],
+     "argument --law: invalid choice: 'cauchy'"),
+    (["mc", "mean", "--poly", "x.json"], "argument mode: invalid choice: 'mean'"),
+    (["graphs"], "the following arguments are required: mode"),
+    ([], "the following arguments are required: command"),
+    # options match by their full name only: --gamma and --tensor would take these
+    (["bounds", "--poly", "x.json", "--p", "2", "--gam", "1", "--L", "2"],
+     "unrecognized arguments: --gam 1"),
+    (["mc", "chaos", "--t", "5"], "unrecognized arguments: --t 5")])
+def test_parse_errors_take_one_line(argv, message, capsys):
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["mc", "--help"],
+                                  ["mc", "sandwich", "--help"]])
+def test_help_and_version_exit_0(argv, capsys):
+    assert dispatch(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out
+
+
+@pytest.fixture
+def environ(monkeypatch):
+    """monkeypatch, with the parsers rebuilt around the test, since they read
+    CONCENTRO_WORKERS when they are built."""
+    cli._parsers.cache_clear()
+    yield monkeypatch
+    cli._parsers.cache_clear()
+
+
+_TRIANGLES = ["graphs", "triangles", "--n", "8", "--p", "0.5", "--N", "20", "--eps", "0.5"]
+
+
+@pytest.mark.parametrize("env,flags,message", [
+    ("abc", [], "argument --workers: invalid positive_int value: 'abc'"),
+    ("0", [], "argument --workers: invalid positive_int value: '0'"),
+    (None, ["--workers", "0"], "argument --workers: invalid positive_int value: '0'"),
+    (None, ["--workers", "-3"], "argument --workers: invalid positive_int value: '-3'")])
+def test_workers_must_be_a_positive_int(environ, env, flags, message, capsys):
+    if env is None:
+        environ.delenv("CONCENTRO_WORKERS", raising=False)
+    else:
+        environ.setenv("CONCENTRO_WORKERS", env)
+    assert dispatch(_TRIANGLES + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and captured.err.count("\n") == 1
+
+
+def test_workers_echo(environ, tmp_path, capsys):
+    environ.delenv("CONCENTRO_WORKERS", raising=False)
+    assert dispatch(_TRIANGLES) == 0
+    assert "workers=1" in capsys.readouterr().out.splitlines()[1].split()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"workers": 0}))
+    assert dispatch(_TRIANGLES + ["--config", str(cfg)]) == 2
+    assert "workers: invalid positive_int value 0" in capsys.readouterr().err
+    cli._parsers.cache_clear()
+    environ.setenv("CONCENTRO_WORKERS", "2")
+    assert dispatch(_TRIANGLES) == 0
+    assert "workers=2" in capsys.readouterr().out.splitlines()[1].split()

@@ -71,32 +71,19 @@ def _reads(funcs, roots):
 
 
 def test_every_cli_option_is_read():
+    """Each leaf parser declares exactly the options that its function, the
+    cli helpers that function calls and `dispatch` read."""
     funcs = _cli_functions()
-    unread = []
-    for name, parser in cli._parsers()[1].items():
-        # the handler, dispatch, and for `mc` the mode functions
-        roots = ["dispatch", parser.get_default("func").__name__]
-        if name == "mc":
-            roots += [f.__name__ for f, _ in cli._MC_MODES.values()]
-        reads = _reads(funcs, roots)
-        unread += [f"{name} {'/'.join(a.option_strings) or a.dest}" for a in parser._actions
-                   if a.dest != "help" and a.dest not in reads]
-    assert unread == []
-
-
-def test_each_mc_mode_reads_the_options_it_keeps():
-    """`_cmd_mc` rejects a set option that its mode does not read, by the
-    options listed in `_MC_MODES`: each mode's list must name exactly what it
-    reads beyond the options that every mode reads, and every other option
-    must be one of those."""
-    funcs = _cli_functions()
-    mc = cli._parsers()[1]["mc"]
-    assert set(cli._MC_MODES) == set(mc._actions[1].choices)
-    declared = {a.dest for a in mc._actions} - {"help"}
-    reads = {mode: _reads(funcs, [fn.__name__]) & declared
-             for mode, (fn, _) in cli._MC_MODES.items()}
-    every = _reads(funcs, ["dispatch", "_cmd_mc"]) | set.intersection(*reads.values())
-    listed = {mode: set(options) for mode, (_, options) in cli._MC_MODES.items()}
-    for mode in cli._MC_MODES:
-        assert reads[mode] - every == listed[mode], mode
-    assert declared - set().union(*listed.values()) <= every
+    common = _reads(funcs, ["dispatch"])
+    leaves = cli._parsers()[1]
+    # eight subcommands, `mc` and `graphs` split into their six and two modes
+    assert len(leaves) == 14
+    unread, undeclared = [], []
+    for func, (parser, _) in leaves.items():
+        options = {a.dest: "/".join(a.option_strings) for a in parser._actions
+                   if a.dest != "help"}
+        reads = _reads(funcs, [func.__name__])
+        unread += [f"{parser.prog} {flag}" for dest, flag in options.items()
+                   if dest not in reads | common]
+        undeclared += [f"{parser.prog} args.{name}" for name in sorted(reads - set(options))]
+    assert unread == [] and undeclared == []
