@@ -8,15 +8,14 @@ unrecognized argument; options match by their full name only.  Only the leaves
 that run Monte Carlo chunks take --workers, a positive integer whose default
 `CONCENTRO_WORKERS` is read once per process, when the parsers are built.  The
 norm solvers' tolerance and sweep cap are the constants `norms.ALS_TOL` and
-`norms.ALS_MAX_SWEEPS`.  A JSON config file (--config) sets defaults for the
-leaf's options, required ones too: each value is parsed as its text would be on
-the command line (`{"N": 3000.0}` fails as `--N 3000.0` does; null keeps the
-default), then the leaf parses its flags again over those values, so flags
-override the config and no run's config reaches the next run.  A key that names
-no option of the leaf is an error.  Every report embeds the version, the seed,
-and the full parameter echo in '#' comment lines, and is byte-reproducible for
-a fixed config.  Exit code 2 signals a parse or validation failure with a
-one-line diagnostic.
+`norms.ALS_MAX_SWEEPS`.  A JSON config file (--config) holds values of the
+leaf's options, required ones too, and is read as those options' flags placed
+before the given ones: argparse checks each value as it checks its flag
+(`{"N": 3000.0}` fails as `--N=3000.0` does; null keeps the default), and a
+given flag overrides the config.  A key that names no option of the leaf is an
+error.  Every report embeds the version, the seed, and the full parameter echo
+in '#' comment lines, and is byte-reproducible for a fixed config.  Exit code 2
+signals a parse or validation failure with a one-line diagnostic.
 """
 
 from __future__ import annotations
@@ -171,7 +170,7 @@ def _mc_chaos(args) -> list[str]:
 def _mc_sandwich(args) -> list[str]:
     poly, dist = _poly_law(args)
     opts = _norm_opts(args)
-    bound_fn = lambda f, d, p: gaussian_moment_bound(f, d, p, opts)
+    bound_fn = lambda f, d, p: gaussian_moment_bound(f, d, p, opts).total
     rows = sandwich_check(poly, dist, args.p, _mc_config(args), bound_fn,
                           window=tuple(args.window), workers=args.workers)
     return _csv("p,empirical,stderr,bound,ratio,status",
@@ -382,11 +381,13 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
 
     p = leaf(sub, "hermite", _cmd_hermite, "Hermite coefficients or expansion")
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--k", type=int, default=3)
+    # a string default goes through the type too, so an explicit --k 3 is not
+    # the default object, which the exclusion check would let pass
+    g.add_argument("--k", type=int, default="3")
     g.add_argument("--poly", help="expand this polynomial instead")
 
     for p in leaves.values():
-        p.add_argument("--config", help="JSON file of defaults; flags override")
+        p.add_argument("--config", help="JSON file of option values; flags override")
         p.add_argument("--out", help="write the report here instead of stdout")
     # --config may supply a required option, so dispatch checks them after reading it
     required = {func: [a for a in p._actions if a.required] for func, p in leaves.items()}
@@ -395,49 +396,32 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     return parser, {func: (p, required[func]) for func, p in leaves.items()}
 
 
-def _config_value(action: argparse.Action, value, where: str):
-    """A config value parsed as its text would be on the command line: each
-    element through the option's type and choices, and a list, of the declared
-    length, where the option takes several values."""
-    convert = action.type or str
-
-    def parse(item):
-        try:
-            parsed = convert(str(item))
-        except ValueError:
-            raise ValueError(f"{where}: invalid {convert.__name__} value {item!r}") from None
-        if action.choices is not None and parsed not in action.choices:
-            raise ValueError(f"{where}: {item!r} is not one of {', '.join(action.choices)}")
-        return parsed
-
-    if action.nargs is None:
-        return parse(value)
-    items = value if isinstance(value, list) else [value]
-    if not items or isinstance(action.nargs, int) and len(items) != action.nargs:
-        wanted = "one or more" if action.nargs == "+" else action.nargs
-        raise ValueError(f"{where}: takes {wanted} values, got {len(items)}")
-    return [parse(item) for item in items]
-
-
-def _with_config(args: argparse.Namespace, leaf: argparse.ArgumentParser,
-                 argv) -> argparse.Namespace:
-    """`args` again, with the config file's values under the flags given."""
-    with open(args.config) as fh:
+def _config_argv(path: str, leaf: argparse.ArgumentParser) -> list[str]:
+    """The config file's values written as the leaf's own flags: `--opt=text`
+    for a single value, `--opt item ...` for a list given to an option that
+    takes several; null keeps the default.  The leaf parses them once alone, so
+    that a bad value's error names the file."""
+    with open(path) as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
-        raise ValueError(f"config {args.config} must hold a JSON object")
-    # the command words, which precede the leaf's options on the command line
-    words = leaf.prog.split()[1:]
+        raise ValueError(f"config {path} must hold a JSON object")
     actions = {a.dest: a for a in leaf._actions if a.dest not in ("help", "config")}
     unknown = sorted(set(config) - set(actions))
     if unknown:
-        raise ValueError(f"config {args.config}: unknown key {', '.join(unknown)}"
-                         f" for {' '.join(words)}")
-    config = {key: _config_value(actions[key], value, f"config {args.config}: {key}")
-              for key, value in config.items() if value is not None}
-    # argparse fills in a default only where the namespace has no value yet
-    outer = {key: value for key, value in vars(args).items() if key not in actions}
-    return leaf.parse_args(argv[len(words):], argparse.Namespace(**outer, **config))
+        raise ValueError(f"config {path}: unknown key {', '.join(unknown)}"
+                         f" for {leaf.prog.split(maxsplit=1)[1]}")
+    argv = []
+    for key, value in config.items():
+        flag = actions[key].option_strings[0]
+        if isinstance(value, list) and actions[key].nargs is not None:
+            argv += [flag, *map(str, value)]
+        elif value is not None:
+            argv.append(f"{flag}={value}")
+    try:
+        leaf.parse_args(argv)
+    except ValueError as exc:
+        raise ValueError(f"config {path}: {exc}") from None
+    return argv
 
 
 def dispatch(argv) -> int:
@@ -446,7 +430,10 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
         leaf, required = leaves[args.func]
         if args.config:
-            args = _with_config(args, leaf, argv)
+            # the command words precede the leaf's flags; a given flag comes
+            # after the config's and so overrides it
+            words = len(leaf.prog.split()) - 1
+            args = parser.parse_args(argv[:words] + _config_argv(args.config, leaf) + argv[words:])
         missing = ["/".join(a.option_strings) for a in required if getattr(args, a.dest) is None]
         if missing:
             raise ValueError(f"the following arguments are required: {', '.join(missing)}")
@@ -454,7 +441,7 @@ def dispatch(argv) -> int:
         return 0
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -226,12 +226,12 @@ def chaos_moment(a: Tensor, mode: str, p: float, cfg: MCConfig,
 
 def sandwich_check(f: Polynomial, dist: ProductDistribution, p_list, cfg: MCConfig,
                    bound_fn, window: tuple = (0.1, 10.0), workers: int = 1) -> list[dict]:
-    """Empirical moment / bound ratio per p, judged against the ratio window."""
+    """Empirical moment / bound ratio per p, judged against the ratio window;
+    `bound_fn(f, dist, p)` returns the bound as a number."""
     estimates = empirical_moment(f, dist, p_list, cfg, workers)
     rows = []
     for est in estimates:
         bound = bound_fn(f, dist, est.p)
-        bound = getattr(bound, "total", bound)
         if bound == 0.0 and est.value == 0.0:
             rows.append({"p": est.p, "empirical": 0.0, "stderr": est.stderr,
                          "bound": 0.0, "ratio": None, "status": "degenerate"})

@@ -197,10 +197,8 @@ def test_weibull_bound_constant_and_caps():
 def test_report_consistency_guard():
     term = BoundTerm(1, "1", 0.5, 1.0, False, 2.0)
     with pytest.raises(ValueError):
-        BoundReport("sum", (term,), 3.0)
-    with pytest.raises(ValueError):
-        BoundReport("max", (term,), 2.0)
-    rep = BoundReport("sum", (term,), 2.0)
+        BoundReport("max", (term,))
+    rep = BoundReport("sum", (term,))
     rows = list(rep.csv_rows())
     assert rows[0] == ("d", "partition", "exponent", "norm", "flag", "term")
     assert rows[1][1] == "1" and rows[1][4] == "exact"

@@ -323,15 +323,81 @@ def test_config_values_parse_as_their_text(x1x2, tmp_path, capsys):
     _, by_flags = run(["mc", "tail", "--poly", x1x2, "--N", "3000"])
     assert run(["mc", "tail", "--poly", x1x2, "--N", "3000"], {"t": None}) == (0, by_flags)
     # what the flag's text would not pass: exit 2 with one line
-    for mode, config, message in [("tail", {"N": 3000.0}, "invalid int value 3000.0"),
-                                  ("tail", {"N": [3000]}, "invalid int value [3000]"),
-                                  ("tail", {"t": "abc"}, "invalid float value 'abc'"),
-                                  ("tail", {"law": "cauchy"}, "'cauchy' is not one of"),
-                                  ("sandwich", {"window": [1]}, "takes 2 values, got 1"),
-                                  ("sandwich", {"p": []}, "takes one or more values, got 0")]:
+    # argparse's messages, after the file's name
+    for mode, config, message in [
+            ("tail", {"N": 3000.0}, "argument --N: invalid int value: '3000.0'"),
+            ("tail", {"N": [3000]}, "argument --N: invalid int value: '[3000]'"),
+            ("tail", {"t": "abc"}, "argument --t: invalid float value: 'abc'"),
+            ("tail", {"law": "cauchy"}, "argument --law: invalid choice: 'cauchy'"),
+            ("sandwich", {"window": [1]}, "argument --window: expected 2 arguments"),
+            ("sandwich", {"p": []}, "argument --p: expected at least one argument")]:
         code, captured = run(["mc", mode, "--poly", x1x2], config)
         assert code == 2 and captured.out == "", config
-        assert message in captured.err and captured.err.count("\n") == 1, captured.err
+        assert f"config {cfg}: {message}" in captured.err, captured.err
+        assert captured.err.count("\n") == 1, captured.err
+
+
+# every leaf with each of its options but --out and --config, by flag name;
+# "<name>" stands for an input file of the test
+_EVERY_LEAF = [
+    (["norm"], {"--tensor": "<t3>", "--partition": "1|2,3", "--method": "als",
+                "--cert-out": "<cert>", "--restarts": 3, "--seed": 4}),
+    (["mixednorm"], {"--tensor": "<t3>", "--split": "1||2,3", "--alpha": 1.5, "--restarts": 3,
+                     "--seed": 4}),
+    (["bounds"], {"--poly": "<x1x2>", "--law": "bernoulli", "--pp": 0.3, "--alpha": None,
+                  "--p": 3, "--gamma": 1, "--L": "2", "--restarts": 3, "--seed": 4}),
+    (["tail"], {"--poly": "<x1x2>", "--law": "gaussian", "--pp": None, "--alpha": None,
+                "--t": 2, "--L": "1.5", "--CD": 2, "--restarts": 3, "--seed": 4}),
+    (["mc", "moments"], {"--poly": "<x1x2>", "--law": "rademacher", "--pp": None,
+                         "--alpha": None, "--p": [2, 4], "--N": 500, "--batch": 128,
+                         "--seed": 4, "--workers": 2}),
+    (["mc", "tail"], {"--poly": "<x1x2>", "--law": "weibull", "--pp": None, "--alpha": 1.5,
+                      "--t": 0.5, "--N": 1000, "--batch": 256, "--seed": 4, "--workers": 1}),
+    (["mc", "chaos"], {"--tensor": "<off>", "--chaos-mode": "undecoupled", "--p": 3,
+                       "--N": 500, "--batch": 128, "--seed": 4, "--workers": 1}),
+    (["mc", "sandwich"], {"--poly": "<x1x2>", "--law": "gaussian", "--pp": None,
+                          "--alpha": None, "--p": [2, 4], "--window": [0.5, 2],
+                          "--restarts": 3, "--N": 500, "--batch": 128, "--seed": 4,
+                          "--workers": 1}),
+    (["mc", "hermite"], {"--d": 2, "--Nlist": [5, 10], "--N": 100, "--batch": 64, "--seed": 4,
+                         "--workers": 1}),
+    (["mc", "sobolev"], {"--poly": "<x1x2>", "--law": "gaussian", "--pp": None,
+                         "--alpha": None, "--p": [2, 3], "--N": 500, "--batch": 128,
+                         "--seed": 4, "--workers": 1}),
+    (["graphs", "triangles"], {"--n": 8, "--p": 0.5, "--eps": 0.5, "--t": [3, 5], "--C": 2,
+                               "--N": 40, "--batch": 16, "--seed": 4, "--workers": 2}),
+    (["graphs", "cyclebound"], {"--k": 4, "--n": 9, "--p": 0.2, "--d": 2,
+                                "--partition": "1|2"}),
+    (["rmt"], {"--f": "<xsq>", "--n": 6, "--replicas": 20, "--batch": 8, "--t": [1, 2],
+               "--CL": 2, "--convention": "goe", "--seed": 4, "--workers": 1}),
+    (["hermite"], {"--k": 4, "--poly": None})]
+
+
+def test_each_leaf_prints_the_same_bytes_from_a_config_as_from_flags(x1x2, tmp_path, capsys):
+    files = {"<x1x2>": x1x2, "<t3>": str(tmp_path / "t3.json"), "<off>": str(tmp_path / "off.json"),
+             "<xsq>": str(tmp_path / "xsq.json"), "<cert>": str(tmp_path / "cert.json")}
+    save_tensor(Tensor(np.sin(np.arange(27.0)).reshape(3, 3, 3)), files["<t3>"])
+    save_tensor(Tensor(np.array([[0.0, 1.0], [1.0, 0.0]])), files["<off>"])
+    with open(files["<xsq>"], "w") as fh:
+        json.dump(polynomial_to_dict(Polynomial(1, {((1, 2),): 1.0})), fh)
+    leaves = {p.prog.split(maxsplit=1)[1]: p for p, _ in cli._parsers()[1].values()}
+    assert sorted(leaves) == sorted(" ".join(words) for words, _ in _EVERY_LEAF)
+    cfg = tmp_path / "cfg.json"
+    for words, options in _EVERY_LEAF:
+        options = {flag: files.get(v, v) if isinstance(v, str) else v
+                   for flag, v in options.items()}
+        # the case names every option of its leaf
+        declared = {a.option_strings[0] for a in leaves[" ".join(words)]._actions} - \
+            {"-h", "--config", "--out"}
+        assert set(options) == declared, words
+        flags = [text for flag, v in options.items() if v is not None
+                 for text in [flag, *map(str, v if isinstance(v, list) else [v])]]
+        assert dispatch(words + flags) == 0, words
+        by_flags = capsys.readouterr().out
+        cfg.write_text(json.dumps({flag.lstrip("-").replace("-", "_"): v
+                                   for flag, v in options.items()}))
+        assert dispatch(words + ["--config", str(cfg)]) == 0, words
+        assert capsys.readouterr().out == by_flags, words
 
 
 def test_graphs_triangles_lines_pinned(capsys):
@@ -422,6 +488,27 @@ def test_mc_rejects_options_its_mode_would_ignore(x1x2, argv, message, capsys):
     assert message in captured.err and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,config,message", [
+    # an explicit --k 3 is not the default, so the group check sees it
+    (["--poly", "x1x2", "--k", "3"], None, "argument --k: not allowed with argument --poly"),
+    (["--poly", "x1x2"], {"k": 5}, "argument --poly: not allowed with argument --k"),
+    (["--k", "5"], {"poly": "x1x2"}, "argument --k: not allowed with argument --poly"),
+    ([], {"k": 5, "poly": "x1x2"}, "cfg.json: argument --poly: not allowed with argument --k")])
+def test_hermite_reads_k_or_poly_from_flags_and_config_alike(x1x2, tmp_path, argv, config,
+                                                            message, capsys):
+    argv = ["hermite"] + [x1x2 if a == "x1x2" else a for a in argv]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({k: x1x2 if v == "x1x2" else v for k, v in config.items()}))
+        argv += ["--config", str(cfg)]
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and captured.err.count("\n") == 1
+    assert dispatch(["hermite"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "# command=hermite k=3"
+
+
 def test_mc_rejects_a_config_value_its_mode_would_ignore(x1x2, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"window": [1, 2]}))
@@ -498,7 +585,7 @@ def test_workers_echo(environ, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"workers": 0}))
     assert dispatch(_TRIANGLES + ["--config", str(cfg)]) == 2
-    assert "workers: invalid positive_int value 0" in capsys.readouterr().err
+    assert "argument --workers: invalid positive_int value: '0'" in capsys.readouterr().err
     cli._parsers.cache_clear()
     environ.setenv("CONCENTRO_WORKERS", "2")
     assert dispatch(_TRIANGLES) == 0

@@ -1,5 +1,5 @@
 """Source hygiene: every module-level import of the package is used, and
-every option a subcommand declares is read."""
+every option a subcommand declares is read and has an option string."""
 
 import ast
 import pathlib
@@ -87,3 +87,11 @@ def test_every_cli_option_is_read():
                    if dest not in reads | common]
         undeclared += [f"{parser.prog} args.{name}" for name in sorted(reads - set(options))]
     assert unread == [] and undeclared == []
+
+
+def test_every_leaf_option_has_an_option_string():
+    """A config value is written as its option's first option string, so a
+    leaf takes no positional argument."""
+    leaves = cli._parsers()[1]
+    assert [f"{parser.prog} {a.dest}" for parser, _ in leaves.values()
+            for a in parser._actions if a.dest != "help" and not a.option_strings] == []

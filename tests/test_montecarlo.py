@@ -145,7 +145,7 @@ def test_sandwich_linear_ratio_is_inverse_sqrt2():
     cfg = MCConfig(N=200_000, seed=17)
     opts = NormOptions(restarts=8, seed=0)
     rows = sandwich_check(f, dist, [2.0], cfg,
-                          lambda g, d, p: gaussian_moment_bound(g, d, p, opts))
+                          lambda g, d, p: gaussian_moment_bound(g, d, p, opts).total)
     row = rows[0]
     assert row["status"] == "pass"
     se_ratio = 3 * row["stderr"] / row["bound"]
@@ -155,7 +155,7 @@ def test_sandwich_linear_ratio_is_inverse_sqrt2():
 def test_sandwich_degenerate_constant():
     f = Polynomial.constant(2, 3.0)
     rows = sandwich_check(f, GAUSS2, [2.0], MCConfig(N=5000, seed=18),
-                          lambda g, d, p: gaussian_moment_bound(g, d, p))
+                          lambda g, d, p: gaussian_moment_bound(g, d, p).total)
     assert rows[0]["status"] == "degenerate"
 
 
