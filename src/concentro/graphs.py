@@ -12,6 +12,7 @@ and every count is an exact integer.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -157,20 +158,15 @@ def triangle_norms_exact(n: int, p: float) -> TriangleNorms:
 
 
 def _isolated_edge_count(edges) -> int:
-    """Edges sharing a vertex with no other edge of the list."""
-    count = 0
-    for i, e in enumerate(edges):
-        if all(set(e).isdisjoint(f) for j, f in enumerate(edges) if j != i):
-            count += 1
-    return count
+    """Edges sharing a vertex with no other edge of the list: as the edges are
+    distinct, those whose two endpoints both have degree 1."""
+    degree = collections.Counter(v for e in edges for v in e)
+    return sum(1 for u, v in edges if degree[u] == degree[v] == 1)
 
 
 def _singly_covered(groups) -> int:
     """Vertices appearing in exactly one of the vertex groups."""
-    tally: dict = {}
-    for g in groups:
-        for v in set(g):
-            tally[v] = tally.get(v, 0) + 1
+    tally = collections.Counter(v for g in groups for v in set(g))
     return sum(1 for c in tally.values() if c == 1)
 
 
@@ -333,10 +329,7 @@ def count_cycles_embedding(adj: np.ndarray, k: int) -> int:
 
 
 def expected_cycle_count(k: int, n: int, p: float) -> float:
-    falling = 1.0
-    for j in range(k):
-        falling *= n - j
-    return falling * p**k / (2 * k)
+    return math.perm(n, k) * p**k / (2 * k)
 
 
 @dataclass(frozen=True)

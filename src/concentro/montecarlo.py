@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .poly import Polynomial, ProductDistribution
+from .poly import Polynomial, ProductDistribution, hermite
 from .tensor import Tensor, contract_rows
 
 
@@ -273,8 +273,6 @@ def hermite_tetrahedral_convergence(d: int, N_list, cfg: MCConfig,
     The sum over distinct index tuples equals d! times the d-th elementary
     symmetric polynomial, which is what gets evaluated.
     """
-    from .poly import hermite
-
     if not 1 <= d <= 4:
         raise ValueError("tetrahedral convergence check supports d in [1, 4]")
     sizes = [int(big_n) for big_n in N_list]
@@ -327,13 +325,12 @@ def sobolev_check(dist: ProductDistribution, f: Polynomial, p_list, cfg: MCConfi
         return np.stack([vals, np.sqrt(gsq)])
 
     values, gnorm = _run_chunks(job, cfg, workers)
-    center = values.mean()
     # a gradient that vanishes on every sample leaves only the rounding of the
     # empirical mean in lhs: no ratio is meaningful
     degenerate = not gnorm.any()
     rows = []
-    for p in p_list:
-        lhs = float(np.mean(np.abs(values - center) ** p) ** (1.0 / p))
+    for est in _centered_moments(values, p_list, cfg.N):
+        p, lhs = est.p, est.value
         rhs = float(L * p**gamma * np.mean(gnorm**p) ** (1.0 / p))
         if degenerate:
             rows.append({"p": p, "lhs": lhs, "rhs": rhs, "ratio": None,

@@ -131,28 +131,17 @@ class SplitPartition:
 
 
 def _partitions_of(elements: tuple[int, ...]):
-    """All partitions of the given sorted elements, in restricted-growth order."""
-    n = len(elements)
-    if n == 0:
+    """All partitions of the given sorted elements, in restricted-growth order:
+    the last element joins each block of a partition of the others in turn,
+    then opens a block of its own."""
+    if not elements:
         yield ()
         return
-    # a[i] = block label of element i; labels grow by at most one (RGS)
-    a = [0] * n
-
-    def rec(i: int, maxlab: int):
-        if i == n:
-            nblocks = maxlab + 1
-            blocks = [[] for _ in range(nblocks)]
-            for j, lab in enumerate(a):
-                blocks[lab].append(elements[j])
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for lab in range(maxlab + 2):
-            a[i] = lab
-            yield from rec(i + 1, max(maxlab, lab))
-
-    a[0] = 0
-    yield from rec(1, 0)
+    last = elements[-1]
+    for blocks in _partitions_of(elements[:-1]):
+        for i in range(len(blocks)):
+            yield blocks[:i] + (blocks[i] + (last,),) + blocks[i + 1:]
+        yield blocks + ((last,),)
 
 
 def enumerate_partitions(d: int) -> list[SetPartition]:

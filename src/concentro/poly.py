@@ -2,7 +2,9 @@
 
 Provides evaluation, symbolic differentiation, expected derivative tensors
 built by coordinatewise moment substitution, and the probabilists' Hermite
-polynomials with an exact expansion of any polynomial in the Hermite basis.
+polynomials.  Any polynomial expands exactly in the Hermite basis: each
+monomial factors over its coordinates, and each power has the closed form
+x^p = sum_k p!/(2^k k! (p-2k)!) h_{p-2k}(x).
 """
 
 from __future__ import annotations
@@ -255,25 +257,6 @@ class ProductDistribution:
 # ---------------------------------------------------------------------------
 # derivative tensors
 
-def _falling(k: int, l: int) -> int:
-    out = 1
-    for j in range(l):
-        out *= k - j
-    return out
-
-
-def _l_assignments(powers, d):
-    """All (l_1..l_t) with 0 <= l_i <= powers[i] and sum d."""
-    if not powers:
-        if d == 0:
-            yield ()
-        return
-    head = powers[0]
-    for l0 in range(min(head, d) + 1):
-        for rest in _l_assignments(powers[1:], d - l0):
-            yield (l0,) + rest
-
-
 def _derivative_tensor(f: Polynomial, d: int, power_value) -> Tensor:
     """Order-d tensor of d-th partial derivatives with remaining powers folded
     through `power_value(var, power)` (a moment or a point evaluation)."""
@@ -288,11 +271,14 @@ def _derivative_tensor(f: Polynomial, d: int, power_value) -> Tensor:
     for key, coef in f.terms.items():
         vars_ = [v for v, _ in key]
         ks = [p for _, p in key]
-        for ls in _l_assignments(tuple(ks), d):
+        # every (l_1..l_t) with 0 <= l_i <= k_i and sum d, in lexicographic order
+        for ls in itertools.product(*(range(min(k, d) + 1) for k in ks)):
+            if sum(ls) != d:
+                continue
             weight = coef
             seq = []
             for v, k, l in zip(vars_, ks, ls):
-                weight *= _falling(k, l)
+                weight *= math.perm(k, l)
                 if l < k:
                     weight *= power_value(v, k - l)
                 seq.extend([v - 1] * l)
@@ -369,73 +355,47 @@ MAX_EXPANSION_DEGREE = 6
 MAX_EXPANSION_VARS = 12
 
 
-def _hermite_product_exact(degrees) -> dict:
-    """prod_i h_{degrees[i]}(x_i) as {dense exponent tuple: Fraction}."""
-    n = len(degrees)
-    acc = {tuple([0] * n): Fraction(1)}
-    for i, deg in enumerate(degrees):
-        if deg == 0:
-            continue
-        coeffs = hermite(deg).coeffs
-        nxt: dict = {}
-        for expo, c in acc.items():
-            for p, hc in enumerate(coeffs):
-                if hc == 0:
-                    continue
-                key = list(expo)
-                key[i] += p
-                key = tuple(key)
-                nxt[key] = nxt.get(key, Fraction(0)) + c * hc
-        acc = {k: v for k, v in nxt.items() if v != 0}
-    return acc
+def _monomial_in_hermite(p: int) -> dict:
+    """x^p = sum_k p!/(2^k k! (p-2k)!) h_{p-2k}(x), as {degree: integer coefficient}."""
+    return {p - 2 * k: math.factorial(p) // (2**k * math.factorial(k) * math.factorial(p - 2 * k))
+            for k in range(p // 2 + 1)}
 
 
 def hermite_expansion(f: Polynomial) -> dict:
     """Coefficients a_d with f = sum_d a_d prod_i h_{d_i}(x_i), exact arithmetic.
 
-    Keys are dense degree tuples of length nvars.  Exact for coefficients
-    representable as binary floats; round-tripping reproduces f.
+    Keys are dense degree tuples of length nvars.  Each monomial expands
+    coordinate by coordinate through the closed form for x^p, and the
+    products of the coordinate coefficients are summed as fractions, so every
+    a_d is the float nearest its exact value.  With dyadic coefficients,
+    hermite_combination reproduces f exactly.
     """
     n = f.nvars
     if f.degree > MAX_EXPANSION_DEGREE:
         raise ValueError(f"degree {f.degree} exceeds expansion cap {MAX_EXPANSION_DEGREE}")
     if n > MAX_EXPANSION_VARS:
         raise ValueError(f"{n} variables exceed expansion cap {MAX_EXPANSION_VARS}")
-    work: dict = {}
-    for key, coef in f.terms.items():
-        dense = [0] * n
-        for v, p in key:
-            dense[v - 1] = p
-        work[tuple(dense)] = work.get(tuple(dense), Fraction(0)) + Fraction(coef)
-    work = {k: v for k, v in work.items() if v != 0}
-
     out: dict = {}
-    while work:
-        # the Hermite product with top degree pattern e has leading monomial x^e
-        top = max(work, key=lambda e: (sum(e), e))
-        c = work.pop(top)
-        out[top] = out.get(top, Fraction(0)) + c
-        for expo, hc in _hermite_product_exact(top).items():
-            if expo == top:
-                continue
-            cur = work.get(expo, Fraction(0)) - c * hc
-            if cur == 0:
-                work.pop(expo, None)
-            else:
-                work[expo] = cur
+    for key, coef in f.terms.items():
+        powers = [0] * n
+        for v, p in key:
+            powers[v - 1] = p
+        for factors in itertools.product(*(_monomial_in_hermite(p).items() for p in powers)):
+            degrees = tuple(deg for deg, _ in factors)
+            c = Fraction(coef) * math.prod(m for _, m in factors)
+            out[degrees] = out.get(degrees, Fraction(0)) + c
     return {k: float(v) for k, v in out.items() if v != 0}
 
 
 def hermite_combination(coeffs: dict, nvars: int) -> Polynomial:
-    """Inverse of hermite_expansion: rebuild the polynomial from a_d coefficients."""
+    """Inverse of hermite_expansion: rebuild the polynomial from a_d coefficients,
+    multiplying out the Hermite polynomials of the recurrence."""
     total = Polynomial.zero(nvars)
     for degrees, a in coeffs.items():
-        prod = _hermite_product_exact(tuple(degrees))
-        terms = {}
-        for expo, c in prod.items():
-            key = tuple((i + 1, p) for i, p in enumerate(expo) if p)
-            terms[key] = terms.get(key, 0.0) + float(c) * a
-        total = total + Polynomial(nvars, terms)
+        term = Polynomial.constant(nvars, a)
+        for i, deg in enumerate(degrees):
+            term = term * hermite(deg).to_polynomial(nvars, i + 1)
+        total = total + term
     return total
 
 

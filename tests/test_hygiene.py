@@ -1,5 +1,6 @@
-"""Source hygiene: every module-level import of the package is used, and
-every option a subcommand declares is read and has an option string."""
+"""Source hygiene: every module-level import and private definition of the
+package is used, and every option a subcommand declares is read and has an
+option string."""
 
 import ast
 import pathlib
@@ -35,6 +36,24 @@ def test_every_module_level_import_is_used():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert modules
     assert [u for path in modules for u in _unused_imports(path)] == []
+
+
+def test_every_private_module_level_definition_is_read():
+    """A module-level function or class whose name starts with `_` is read, as
+    a name or an attribute, somewhere in the package outside its own body."""
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    reads = [(n, n.id if isinstance(n, ast.Name) else n.attr)
+             for tree in trees.values() for n in ast.walk(tree)
+             if isinstance(n, (ast.Name, ast.Attribute))]
+    private = [(module, node) for module, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")]
+    assert private
+    unread = []
+    for module, node in private:
+        inside = {id(n) for n in ast.walk(node)}
+        if not any(name == node.name and id(n) not in inside for n, name in reads):
+            unread.append(f"{module} {node.name}")
+    assert unread == []
 
 
 def _args_reads(fn):

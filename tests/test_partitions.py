@@ -143,6 +143,37 @@ def test_enumeration_order_is_deterministic():
     assert first[-1] == SetPartition.singletons(4)
 
 
+def _restricted_growth_partitions(elements):
+    """The partitions of the sorted `elements`, built from their restricted-growth
+    labellings in lexicographic order: each label is at most one more than every
+    label before it, and the elements of one label form a block."""
+    out = []
+    for labels in itertools.product(range(len(elements)), repeat=len(elements)):
+        if all(lab <= 1 + max(labels[:i], default=-1) for i, lab in enumerate(labels)):
+            out.append(tuple(tuple(e for e, lab in zip(elements, labels) if lab == block)
+                             for block in range(max(labels, default=-1) + 1)))
+    return out
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_partitions_come_in_restricted_growth_order(d):
+    expect = [SetPartition(d, blocks)
+              for blocks in _restricted_growth_partitions(tuple(range(1, d + 1)))]
+    assert enumerate_partitions(d) == expect
+
+
+@pytest.mark.parametrize("d", range(1, 4))
+def test_splits_come_by_ascending_bitmask_then_restricted_growth_order(d):
+    expect = []
+    for mask in range(1 << d):
+        inner = tuple(i for i in range(1, d + 1) if mask & (1 << (i - 1)))
+        outer = tuple(i for i in range(1, d + 1) if not mask & (1 << (i - 1)))
+        expect += [SplitPartition(d, inner_blocks, outer_blocks)
+                   for inner_blocks in _restricted_growth_partitions(inner)
+                   for outer_blocks in _restricted_growth_partitions(outer)]
+    assert enumerate_splits(d) == expect
+
+
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
 

@@ -225,6 +225,22 @@ def test_hermite_expansion_round_trip_exact():
         assert diff.terms == {}
 
 
+def test_hermite_expansion_is_exact_for_non_dyadic_coefficients():
+    # summing the coefficients in floats would give 3.8999999999999995 for the
+    # constant and -1.2000000000000006 for h_1(x_2)
+    f = Polynomial(3, {((1, 6),): 0.1, ((1, 4), (2, 1)): 0.7, ((1, 2), (2, 2), (3, 1)): 0.3,
+                       ((2, 3),): -1.1, ((1, 2),): 0.3, ((1, 4),): 0.7})
+    assert hermite_expansion(f) == {
+        (0, 0, 0): 3.9, (0, 0, 1): 0.3, (0, 1, 0): -1.2000000000000004, (0, 2, 1): 0.3,
+        (0, 3, 0): -1.1, (2, 0, 0): 9.0, (2, 0, 1): 0.3, (2, 1, 0): 4.199999999999999,
+        (2, 2, 1): 0.3, (4, 0, 0): 2.2, (4, 1, 0): 0.7, (6, 0, 0): 0.1}
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_hermite_expansion_of_a_hermite_polynomial_is_itself(k):
+    assert hermite_expansion(hermite(k).to_polynomial()) == {(k,): 1.0}
+
+
 @st.composite
 def small_polynomial(draw):
     """At most six terms of degree at most 6 in one to three variables, with
