@@ -5,8 +5,10 @@ Every report itemizes one row per (derivative order, partition) or (order,
 split) term.  Unspecified universal constants are set to 1, so totals are
 exact functionals of the inputs, honest up to those constants; only the tail
 functionals ``eta_tail`` and ``additive_functional_tail`` take theirs as a
-parameter ``c_d``.  Rows whose norm came from the alternating solver carry a
-lower-bound flag.
+parameter ``c_d``, which ``two_sided_tail`` requires to be positive.  Rows
+whose norm came from the alternating solver carry a lower-bound flag.
+``_norm_rows`` alone builds derivative tensors and solves norms, for every
+report here.
 
 One norm solve per block-size shape: E D^d f is a symmetric tensor (mixed
 partials commute, and ``expected_derivative_tensor`` builds it exactly
@@ -66,32 +68,52 @@ class BoundReport:
                    t.value)
 
 
-def _norm_rows(f: Polynomial, dist: ProductDistribution, opts: NormOptions):
-    """Yield (d, partition, norm, flagged) over d = 1..deg(f), in enumeration order.
+def two_sided_tail(args, c: float) -> float:
+    """The two-sided tail estimate 2 exp(-min(args)/c) of the exponents
+    `args`, 0 when there are none; the constant c must be positive."""
+    if not c > 0:
+        raise ValueError(f"tail constant {c} must be positive")
+    args = list(args)
+    return 2.0 * math.exp(-min(args) / c) if args else 0.0
 
-    The symmetric E D^d f cannot tell apart partitions of one shape, so only
-    the first of each shape calls ``norm_J``; the later ones reuse its row.
-    """
+
+def _norm_rows(f: Polynomial, dist: ProductDistribution, opts: NormOptions,
+               alpha: float | None = None):
+    """Yield (d, J, norm, flagged) over d = 1..deg(f) in enumeration order, J
+    over the partitions of [d], or over its splits when `alpha` is given.  Only
+    the first J of each shape is solved (module docstring); at alpha = 2 a
+    split's mixed norm is prod |outer block| * |A|_merged(split)."""
     for d in range(1, f.degree + 1):
         tens = expected_derivative_tensor(f, dist, d)
         by_shape = {}
-        for part in enumerate_partitions(d):
+        for J in enumerate_partitions(d) if alpha is None else enumerate_splits(d):
+            scale, part = 1, J
+            if alpha == 2.0:
+                scale, part = math.prod(len(b) for b in J.outer), merged(J)
             if part.shape not in by_shape:
-                res = norm_J(tens, part, opts)
-                by_shape[part.shape] = (res.value, res.method == "als")
-            yield (d, part) + by_shape[part.shape]
+                if alpha in (None, 2.0):
+                    res = norm_J(tens, part, opts)
+                    by_shape[part.shape] = (res.value, res.method == "als")
+                else:
+                    by_shape[part.shape] = (mixed_norm(tens, part, alpha, opts),
+                                            len(part.inner) + len(part.outer) > 1)
+            norm, flagged = by_shape[part.shape]
+            yield d, J, scale * norm, flagged
 
 
 def _moment_terms(f: Polynomial, dist: ProductDistribution, p: float, L: float,
-                  gamma: float, opts: NormOptions | None) -> list[BoundTerm]:
+                  gamma: float, opts: NormOptions | None,
+                  alpha: float | None = None) -> list[BoundTerm]:
     """The rows L^d p^((gamma-1/2)d + #J/2) |E D^d f|_J of the Sobolev-type
-    moment functional, for p >= 2."""
+    moment functional, for p >= 2.  With `alpha`, J runs over splits and #J/2
+    becomes #inner/2 + #outer/alpha."""
     if p < 2:
         raise ValueError(f"moment order p={p} must be >= 2")
     terms = []
-    for d, part, norm, flagged in _norm_rows(f, dist, opts or NormOptions()):
-        expo = (gamma - 0.5) * d + part.n_blocks / 2.0
-        terms.append(BoundTerm(d, str(part), expo, norm, flagged, L**d * p**expo * norm))
+    for d, J, norm, flagged in _norm_rows(f, dist, opts or NormOptions(), alpha):
+        blocks = J.n_blocks / 2.0 if alpha is None else len(J.inner) / 2.0 + len(J.outer) / alpha
+        expo = (gamma - 0.5) * d + blocks
+        terms.append(BoundTerm(d, str(J), expo, norm, flagged, L**d * p**expo * norm))
     return terms
 
 
@@ -131,8 +153,8 @@ def eta_tail(f: Polynomial, dist: ProductDistribution, t: float, L: float,
         terms.append(BoundTerm(d, str(part), expo, norm, flagged, value))
     if not terms:
         raise ValueError("degenerate polynomial: every derivative norm is zero")
-    eta = min(t.value for t in terms)
-    return BoundReport("min", tuple(terms), {"tail_estimate": 2.0 * math.exp(-eta / c_d)})
+    return BoundReport("min", tuple(terms),
+                       {"tail_estimate": two_sided_tail((t.value for t in terms), c_d)})
 
 
 def sobolev_moment_bound(f: Polynomial, dist: ProductDistribution, p: float,
@@ -169,15 +191,15 @@ def additive_functional_tail(fmoments, fD_sup: float, n: int, L: float, t: float
     if fD_sup > 0:
         top_args.append(t**2 / (L ** (2 * D) * n * fD_sup**2))
         top_args.append(t ** (2.0 / D) / (L**2 * fD_sup ** (2.0 / D)))
-    term1 = 2.0 * math.exp(-min(top_args) / c_d) if top_args else 0.0
+    term1 = two_sided_tail(top_args, c_d)
 
     sq_args = [t**2 / (L ** (2 * d) * s) for d, s in
                ((d, float((rows[d - 1] ** 2).sum())) for d in range(1, D)) if s > 0]
-    term2 = 2.0 * math.exp(-min(sq_args) / c_d) if sq_args else 0.0
+    term2 = two_sided_tail(sq_args, c_d)
 
     max_args = [t ** (2.0 / d) / (L**2 * mx ** (2.0 / d)) for d, mx in
                 ((d, float(np.abs(rows[d - 1]).max())) for d in range(2, D)) if mx > 0]
-    term3 = 2.0 * math.exp(-min(max_args) / c_d) if max_args else 0.0
+    term3 = two_sided_tail(max_args, c_d)
 
     return term1 + term2 + term3
 
@@ -185,30 +207,8 @@ def additive_functional_tail(fmoments, fD_sup: float, n: int, L: float, t: float
 def weibull_moment_bound(f: Polynomial, dist: ProductDistribution, p: float,
                          alpha: float, opts: NormOptions | None = None) -> BoundReport:
     """Split-indexed functional sum_d sum_splits p^(#J/2 + #K/alpha) |E D^d f|_(J|K)."""
-    if p < 2:
-        raise ValueError(f"moment order p={p} must be >= 2")
     if not 1.0 <= alpha <= 2.0:
         raise ValueError(f"alpha={alpha} outside [1, 2]")
     if f.degree > 3:
         raise ValueError(f"degree {f.degree} unsupported: split bounds cover degree <= 3")
-    opts = opts or NormOptions()
-    terms = []
-    for d in range(1, f.degree + 1):
-        tens = expected_derivative_tensor(f, dist, d)
-        by_shape = {}   # one solve per split shape, as in _norm_rows
-        for split in enumerate_splits(d):
-            if alpha == 2.0:
-                # mixed_norm at alpha=2: prod |outer block| * |A|_merged(split)
-                key = merged(split).shape
-                if key not in by_shape:
-                    by_shape[key] = norm_J(tens, merged(split), opts).value
-                norm = math.prod(len(b) for b in split.outer) * by_shape[key]
-            else:
-                if split.shape not in by_shape:
-                    by_shape[split.shape] = mixed_norm(tens, split, alpha, opts)
-                norm = by_shape[split.shape]
-            expo = len(split.inner) / 2.0 + len(split.outer) / alpha
-            exact = (alpha == 2.0 and merged(split).n_blocks <= 2) or \
-                    (len(split.inner) + len(split.outer)) <= 1
-            terms.append(BoundTerm(d, str(split), expo, norm, not exact, p**expo * norm))
-    return BoundReport("sum", tuple(terms))
+    return BoundReport("sum", tuple(_moment_terms(f, dist, p, 1.0, 0.5, opts, alpha)))

@@ -6,23 +6,27 @@ and the modes of `mc` and `graphs`) is a leaf parser that declares exactly the
 options its function reads, so an option a run would not read is an
 unrecognized argument; options match by their full name only.  Only the leaves
 that run Monte Carlo chunks take --workers, a positive integer whose default
-`CONCENTRO_WORKERS` is read once per process, when the parsers are built.  The
-norm solvers' tolerance and sweep cap are the constants `norms.ALS_TOL` and
-`norms.ALS_MAX_SWEEPS`.  A JSON config file (--config) holds values of the
-leaf's options, required ones too, and is read as those options' flags placed
-before the given ones: argparse checks each value as it checks its flag
-(`{"N": 3000.0}` fails as `--N=3000.0` does; null keeps the default), and a
-given flag overrides the config.  A key that names no option of the leaf is an
-error.  Every report embeds the version, the seed, and the full parameter echo
-in '#' comment lines, and is byte-reproducible for a fixed config.  Exit code 2
-signals a parse or validation failure with a one-line diagnostic.
+`CONCENTRO_WORKERS` is read once per process, when the parsers are built.  A
+float option takes any float but NaN (`real`).  The norm solvers' tolerance and
+sweep cap are the constants `norms.ALS_TOL` and `norms.ALS_MAX_SWEEPS`.  A JSON
+config file (--config) holds values of the leaf's options, required ones too,
+and is read as those options' flags placed before the given ones: argparse
+checks each value as it checks its flag (`{"N": 3000.0}` fails as `--N=3000.0`
+does; null keeps the default), and a given flag overrides the config.  A key
+that names no option of the leaf is an error.  Every report embeds the version,
+the seed, and the full parameter echo in '#' comment lines, and is
+byte-reproducible for a fixed config.  A table of records prints under a header
+of the records' own keys (`_table`).  Exit code 2 signals a parse or validation
+failure with a one-line diagnostic.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 
@@ -30,7 +34,6 @@ from . import __version__
 from .bounds import eta_tail, gaussian_moment_bound, sobolev_moment_bound, weibull_moment_bound
 from .graphs import GraphSpec, cycle_norm_bound, er_tail_experiment
 from .montecarlo import (
-    TAIL_COLUMNS,
     MCConfig,
     chaos_moment,
     empirical_moment,
@@ -57,8 +60,12 @@ def _csv(header: str, rows) -> list[str]:
     return [header] + [",".join(_fmt(c) for c in row) for row in rows]
 
 
-def _tail_lines(rows) -> list[str]:
-    return _csv(",".join(TAIL_COLUMNS), ([r[k] for k in TAIL_COLUMNS] for r in rows))
+def _table(records) -> list[str]:
+    """Dict or dataclass records as CSV under a header of their own keys;
+    None prints as `degenerate`."""
+    rows = [r if isinstance(r, dict) else dataclasses.asdict(r) for r in records]
+    return _csv(",".join(rows[0]), (["degenerate" if v is None else v for v in r.values()]
+                                    for r in rows))
 
 
 def _header(args: argparse.Namespace) -> list[str]:
@@ -150,47 +157,36 @@ def _cmd_tail(args) -> list[str]:
 
 def _mc_moments(args) -> list[str]:
     poly, dist = _poly_law(args)
-    ests = empirical_moment(poly, dist, args.p, _mc_config(args), args.workers)
-    return _csv("p,value,stderr,N", [(e.p, e.value, e.stderr, e.N) for e in ests])
+    return _table(empirical_moment(poly, dist, args.p, _mc_config(args), args.workers))
 
 
 def _mc_tail(args) -> list[str]:
     poly, dist = _poly_law(args)
-    est = empirical_tail(poly, dist, args.t, _mc_config(args), args.workers)
-    return _csv("t,probability,wilson_low,wilson_high,N",
-                [(est.t, est.probability, est.wilson_low, est.wilson_high, est.N)])
+    return _table([empirical_tail(poly, dist, args.t, _mc_config(args), args.workers)])
 
 
 def _mc_chaos(args) -> list[str]:
     est = chaos_moment(load_tensor(args.tensor), args.chaos_mode, args.p, _mc_config(args),
                        args.workers)
-    return _csv("mode,p,value,stderr,N", [(args.chaos_mode, est.p, est.value, est.stderr, est.N)])
+    return _table([{"mode": args.chaos_mode, **dataclasses.asdict(est)}])
 
 
 def _mc_sandwich(args) -> list[str]:
     poly, dist = _poly_law(args)
     opts = _norm_opts(args)
     bound_fn = lambda f, d, p: gaussian_moment_bound(f, d, p, opts).total
-    rows = sandwich_check(poly, dist, args.p, _mc_config(args), bound_fn,
-                          window=tuple(args.window), workers=args.workers)
-    return _csv("p,empirical,stderr,bound,ratio,status",
-                [(r["p"], r["empirical"], r["stderr"], r["bound"],
-                  "degenerate" if r["ratio"] is None else r["ratio"], r["status"])
-                 for r in rows])
+    return _table(sandwich_check(poly, dist, args.p, _mc_config(args), bound_fn,
+                                 window=tuple(args.window), workers=args.workers))
 
 
 def _mc_hermite(args) -> list[str]:
-    rows = hermite_tetrahedral_convergence(args.d, args.Nlist, _mc_config(args), args.workers)
-    return _csv("N,mean_sq_error,stderr", [(r["N"], r["mean_sq_error"], r["stderr"]) for r in rows])
+    return _table(hermite_tetrahedral_convergence(args.d, args.Nlist, _mc_config(args),
+                                                  args.workers))
 
 
 def _mc_sobolev(args) -> list[str]:
     poly, dist = _poly_law(args)
-    rows = sobolev_check(dist, poly, args.p, _mc_config(args), args.workers)
-    return _csv("p,lhs,rhs,ratio,status",
-                [(r["p"], r["lhs"], r["rhs"],
-                  "degenerate" if r["ratio"] is None else r["ratio"], r["status"])
-                 for r in rows])
+    return _table(sobolev_check(dist, poly, args.p, _mc_config(args), args.workers))
 
 
 def _graphs_triangles(args) -> list[str]:
@@ -199,7 +195,7 @@ def _graphs_triangles(args) -> list[str]:
                              workers=args.workers)
     return [f"# expected_mean={_fmt(res.expected_mean)}",
             f"# empirical_mean={_fmt(res.mean)} stderr={_fmt(res.mean_stderr)}",
-            *_tail_lines(res.rows)]
+            *_table(res.rows)]
 
 
 def _graphs_cyclebound(args) -> list[str]:
@@ -217,7 +213,7 @@ def _cmd_rmt(args) -> list[str]:
     return [f"# z_mean={_fmt(res.z_mean)} z_stderr={_fmt(res.z_stderr)}",
             f"# sobolev_term={_fmt(res.sobolev_mean)} stderr={_fmt(res.sobolev_stderr)}"
             f" limit={_fmt(res.sobolev_limit)}",
-            *_tail_lines(res.rows)]
+            *_table(res.rows)]
 
 
 def _cmd_hermite(args) -> list[str]:
@@ -246,8 +242,8 @@ def _add_poly_law(p: argparse.ArgumentParser) -> None:
     p.add_argument("--poly", required=True)
     p.add_argument("--law", default="gaussian",
                    choices=["gaussian", "rademacher", "bernoulli", "weibull"])
-    p.add_argument("--pp", type=float, help="bernoulli coordinate probability")
-    p.add_argument("--alpha", type=float, help="weibull exponent")
+    p.add_argument("--pp", type=real, help="bernoulli coordinate probability")
+    p.add_argument("--alpha", type=real, help="weibull exponent")
 
 
 def _add_norm_opts(p: argparse.ArgumentParser, seed: bool = True) -> None:
@@ -262,6 +258,18 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise ValueError(text)
     return value
+
+
+def real(text: str) -> float:
+    """A float that is not NaN, as every float option takes; inf stays, since
+    a bound such as `--window 0.1 inf` is meaningful."""
+    value = float(text)
+    if math.isnan(value):
+        raise ValueError(text)
+    return value
+
+
+real.__name__ = "float"   # argparse's message keeps saying "invalid float value"
 
 
 def _add_workers(p: argparse.ArgumentParser) -> None:
@@ -304,21 +312,21 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     p = leaf(sub, "mixednorm", _cmd_mixednorm, "mixed-constraint norm")
     p.add_argument("--tensor", required=True)
     p.add_argument("--split", required=True)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=real, required=True)
     _add_norm_opts(p)
 
     p = leaf(sub, "bounds", _cmd_bounds, "moment-bound report")
     _add_poly_law(p)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--gamma", type=float, help="Sobolev exponent (gamma form)")
+    p.add_argument("--p", type=real, required=True)
+    p.add_argument("--gamma", type=real, help="Sobolev exponent (gamma form)")
     p.add_argument("--L", help="Sobolev constant for the gamma form")
     _add_norm_opts(p)
 
     p = leaf(sub, "tail", _cmd_tail, "tail-exponent report")
     _add_poly_law(p)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=real, required=True)
     p.add_argument("--L", default="auto")
-    p.add_argument("--CD", type=float, default=1.0)
+    p.add_argument("--CD", type=real, default=1.0)
     _add_norm_opts(p)
 
     modes = sub.add_parser("mc", help="Monte Carlo estimators and checks").add_subparsers(
@@ -331,40 +339,40 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
 
     p = mc("moments", _mc_moments, "moments ||f - Ef||_p")
     _add_poly_law(p)
-    p.add_argument("--p", type=float, nargs="+", default=[2.0])
+    p.add_argument("--p", type=real, nargs="+", default=[2.0])
     p = mc("tail", _mc_tail, "tail P(|f - Ef| >= t) with a Wilson interval")
     _add_poly_law(p)
-    p.add_argument("--t", type=float, default=1.0)
+    p.add_argument("--t", type=real, default=1.0)
     p = mc("chaos", _mc_chaos, "moment of a Gaussian chaos")
     p.add_argument("--tensor", required=True)
     p.add_argument("--chaos-mode", dest="chaos_mode", default="decoupled",
                    choices=["decoupled", "undecoupled"])
-    p.add_argument("--p", type=float, default=2.0)
+    p.add_argument("--p", type=real, default=2.0)
     p = mc("sandwich", _mc_sandwich, "moments against the Gaussian bound")
     _add_poly_law(p)
-    p.add_argument("--p", type=float, nargs="+", default=[2.0])
-    p.add_argument("--window", type=float, nargs=2, default=[0.1, 10.0])
+    p.add_argument("--p", type=real, nargs="+", default=[2.0])
+    p.add_argument("--window", type=real, nargs=2, default=[0.1, 10.0])
     _add_norm_opts(p, seed=False)   # the sampler's --seed seeds the solver too
     p = mc("hermite", _mc_hermite, "Hermite tetrahedral convergence")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--Nlist", type=int, nargs="+", default=[10, 100, 1000])
     p = mc("sobolev", _mc_sobolev, "the Sobolev moment inequality")
     _add_poly_law(p)
-    p.add_argument("--p", type=float, nargs="+", default=[2.0])
+    p.add_argument("--p", type=real, nargs="+", default=[2.0])
 
     modes = sub.add_parser("graphs", help="subgraph counting experiments").add_subparsers(
         dest="mode", required=True)
     p = leaf(modes, "triangles", _graphs_triangles, "Erdős–Rényi triangle-count tails")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--t", type=float, nargs="+")
-    p.add_argument("--C", type=float, default=1.0)
+    p.add_argument("--p", type=real, required=True)
+    p.add_argument("--eps", type=real)
+    p.add_argument("--t", type=real, nargs="+")
+    p.add_argument("--C", type=real, default=1.0)
     _add_chunks(p, N=10_000, batch=1024)
     p = leaf(modes, "cyclebound", _graphs_cyclebound, "norm bound for k-cycle counts")
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=real, required=True)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--partition", default="1")
 
@@ -373,8 +381,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--replicas", type=int, default=1000)
     p.add_argument("--batch", type=int, default=256)
-    p.add_argument("--t", type=float, nargs="+", default=[1.0])
-    p.add_argument("--CL", type=float, default=1.0)
+    p.add_argument("--t", type=real, nargs="+", default=[1.0])
+    p.add_argument("--CL", type=real, default=1.0)
     p.add_argument("--convention", default="paper", choices=["paper", "goe"])
     p.add_argument("--seed", type=int, default=0)
     _add_workers(p)

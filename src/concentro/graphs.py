@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import two_sided_tail
 from .montecarlo import MCConfig, _run_chunks, symmetric_stack, tail_rows
 from .norms import NormOptions, NormResult, norm_J
 from .partitions import SetPartition
@@ -260,7 +261,7 @@ def triangle_tail_bound(n: int, p: float, t: float, c: float = 1.0) -> float:
         t / (L**3 * math.sqrt(n) + L**2 * p * n),
         t ** (2.0 / 3.0) / L**2,
     ]
-    return 2.0 * math.exp(-min(args) / c)
+    return two_sided_tail(args, c)
 
 
 def cycle_tail_bound(k: int, n: int, p: float, t: float, c: float = 1.0) -> float:
@@ -277,7 +278,7 @@ def cycle_tail_bound(k: int, n: int, p: float, t: float, c: float = 1.0) -> floa
                 continue
             args.append(t ** (2.0 / l) / (L ** (2.0 * d / l) * p ** (2.0 * (k - d) / l)
                                           * float(n) ** ((2.0 * k - d - l) / l)))
-    return 2.0 * math.exp(-min(args) / c)
+    return two_sided_tail(args, c)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +364,7 @@ def er_tail_experiment(h: GraphSpec, n: int, p: float, cfg: MCConfig,
         raise ValueError("experiment vertex count capped at 200")
     if not 0 < p < 1:
         raise ValueError("edge probability must be in (0, 1)")
+    two_sided_tail((), c)   # a bad c fails here, before any sampling
     if t_list is None:
         if eps is None:
             raise ValueError("provide t_list or eps")

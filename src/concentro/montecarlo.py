@@ -160,13 +160,9 @@ def wilson_interval(k: int, n: int) -> tuple[float, float]:
     return max(0.0, mid - half), min(1.0, mid + half)
 
 
-TAIL_COLUMNS = ("t", "tail", "wilson_low", "wilson_high", "bound")
-
-
 def tail_rows(values: np.ndarray, t_list, bound=None) -> tuple:
-    """One row per t, keyed by TAIL_COLUMNS: the share of values at least t
-    from their sample mean, its Wilson interval, and bound(t) (None without
-    a bound)."""
+    """One row per t: the share of values at least t from their sample mean,
+    its Wilson interval, and bound(t) (None without a bound)."""
     n = values.size
     dev = np.abs(values - values.mean())
     rows = []

@@ -409,15 +409,15 @@ def polynomial_to_dict(f: Polynomial) -> dict:
 
 
 def polynomial_from_dict(doc: dict) -> Polynomial:
+    terms: dict[TermKey, float] = {}
     try:
         nvars = int(doc["nvars"])
-        raw = doc["terms"]
+        for t in doc["terms"]:
+            key = tuple((int(v), int(p)) for v, p in t["exps"])
+            terms[key] = terms.get(key, 0.0) + float(t["coef"])
     except (KeyError, TypeError) as exc:
-        raise ValueError("polynomial document needs nvars and terms") from exc
-    terms: dict[TermKey, float] = {}
-    for t in raw:
-        key = tuple((int(v), int(p)) for v, p in t["exps"])
-        terms[key] = terms.get(key, 0.0) + float(t["coef"])
+        raise ValueError("polynomial document needs nvars and a list of terms,"
+                         " each with exps and coef") from exc
     return Polynomial(nvars, terms)
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as P
 
+from .bounds import two_sided_tail
 from .montecarlo import MCConfig, _run_chunks, symmetric_stack, tail_rows
 from .poly import Polynomial
 
@@ -148,9 +149,7 @@ def linstat_tail_bound(f: Polynomial, n: int, L: float, t: float,
         args.append(t**2 / (L**2 * (energy + n ** (-2.0 / 3.0) * fpp_sup**2)))
     if fpp_sup > 0:
         args.append(n * t / (L**2 * fpp_sup))
-    if not args:
-        return 0.0
-    return 2.0 * math.exp(-min(args) / c_l)
+    return two_sided_tail(args, c_l)
 
 
 @dataclass(frozen=True)
@@ -176,6 +175,7 @@ def wigner_experiment(f: Polynomial, spec: WignerSpec, cfg: MCConfig,
         raise ValueError("experiment matrix size capped at 200")
     if cfg.N > 10_000:
         raise ValueError("experiment replica count capped at 10000")
+    two_sided_tail((), c_l)   # a bad c_l fails here, before any sampling
     fp = f.partial(1)
     sqrt_n = math.sqrt(spec.n)
 

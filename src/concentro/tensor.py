@@ -202,7 +202,8 @@ def load_tensor(path: str) -> Tensor:
     with open(path) as fh:
         doc = json.load(fh, parse_constant=_reject_nonfinite)
     try:
-        order, dim, values = int(doc["order"]), int(doc["dim"]), doc["values"]
+        order, dim = int(doc["order"]), int(doc["dim"])
+        values = np.asarray(doc["values"], dtype=float)
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"tensor file {path} missing order/dim/values") from exc
+        raise ValueError(f"tensor file {path} needs order, dim and numeric values") from exc
     return Tensor.from_flat(order, dim, values)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from concentro import graphs, rmt
 from concentro.bounds import (
     BoundReport,
     BoundTerm,
@@ -11,8 +12,10 @@ from concentro.bounds import (
     eta_tail,
     gaussian_moment_bound,
     sobolev_moment_bound,
+    two_sided_tail,
     weibull_moment_bound,
 )
+from concentro.montecarlo import MCConfig
 from concentro.norms import NormOptions
 from concentro.poly import Polynomial, ProductDistribution
 
@@ -282,3 +285,35 @@ def test_every_row_equals_its_own_partition_norm(case):
         own = norm_J(tensors[t.d], part, OPTS)
         assert t.flagged == (own.method == "als")
         assert t.norm == pytest.approx(own.value, rel=1e-9 if t.flagged else 1e-12)
+
+
+def test_two_sided_tail():
+    assert two_sided_tail([], 1.0) == 0.0
+    assert two_sided_tail(iter([3.0, 1.0]), 2.0) == 2.0 * math.exp(-0.5)
+    for c in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="tail constant"):
+            two_sided_tail([1.0], c)
+        with pytest.raises(ValueError, match="tail constant"):
+            two_sided_tail([], c)
+
+
+def test_tail_reports_reject_a_constant_that_is_not_positive():
+    dist = ProductDistribution.gaussian(2)
+    with pytest.raises(ValueError, match="tail constant"):
+        eta_tail(X1X2, dist, 1.0, 1.0, c_d=0.0, opts=OPTS)
+    with pytest.raises(ValueError, match="tail constant"):
+        additive_functional_tail([0.5], 1.0, 10, 1.0, 2.0, c_d=-1.0)
+
+
+def test_experiments_reject_the_tail_constant_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking the tail constant")
+
+    monkeypatch.setattr(graphs, "_run_chunks", no_sampling)
+    monkeypatch.setattr(rmt, "_run_chunks", no_sampling)
+    cfg = MCConfig(N=20, seed=0, batch=8)
+    with pytest.raises(ValueError, match="tail constant"):
+        graphs.er_tail_experiment(graphs.GraphSpec.cycle(3), 10, 0.5, cfg, eps=0.5, c=0.0)
+    with pytest.raises(ValueError, match="tail constant"):
+        rmt.wigner_experiment(Polynomial(1, {((1, 2),): 1.0}), rmt.WignerSpec(6), cfg,
+                              t_list=[1.0], c_l=-1.0)

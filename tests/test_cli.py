@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -590,3 +591,127 @@ def test_workers_echo(environ, tmp_path, capsys):
     environ.setenv("CONCENTRO_WORKERS", "2")
     assert dispatch(_TRIANGLES) == 0
     assert "workers=2" in capsys.readouterr().out.splitlines()[1].split()
+
+
+# ---------------------------------------------------------------------------
+# report bodies pinned before the table printer and the split rows were shared
+
+def _poly_file(tmp_path, name, nvars, terms):
+    path = str(tmp_path / f"{name}.json")
+    with open(path, "w") as fh:
+        json.dump(polynomial_to_dict(Polynomial(nvars, terms)), fh)
+    return path
+
+
+def _run_body(argv, capsys):
+    """The output lines after the version and parameter echo."""
+    assert dispatch(argv) == 0
+    return capsys.readouterr().out.splitlines()[2:]
+
+
+def test_mc_table_bodies_pinned(x1x2, tmp_path, capsys):
+    const = _poly_file(tmp_path, "const", 2, {(): 2.0})
+    assert _run_body(["mc", "moments", "--poly", x1x2, "--N", "20000", "--seed", "3",
+                      "--p", "2", "4"], capsys) == [
+        "p,value,stderr,N", "2,0.987149640294,0.00986072441468,20000",
+        "4,1.70896395278,0.0329062050199,20000"]
+    assert _run_body(["mc", "tail", "--poly", x1x2, "--N", "3000", "--seed", "2",
+                      "--t", "1.5"], capsys) == [
+        "t,probability,wilson_low,wilson_high,N",
+        "1.5,0.107666666667,0.0970724257854,0.119264414346,3000"]
+    assert _run_body(["mc", "sandwich", "--poly", x1x2, "--N", "5000", "--seed", "4",
+                      "--p", "2", "3", "--restarts", "8"], capsys) == [
+        "p,empirical,stderr,bound,ratio,status",
+        "2,1.01478626211,0.0209791538505,4,0.253696565528,pass",
+        "3,1.3963694888,0.0391306593992,5.44948974278,0.256238575482,pass"]
+    assert _run_body(["mc", "sandwich", "--poly", const, "--N", "2000", "--seed", "4",
+                      "--restarts", "8"], capsys) == [
+        "p,empirical,stderr,bound,ratio,status", "2,0,0,0,degenerate,degenerate"]
+    assert _run_body(["mc", "sobolev", "--poly", x1x2, "--N", "5000", "--seed", "4",
+                      "--p", "2", "3"], capsys) == [
+        "p,lhs,rhs,ratio,status", "2,1.01478626211,2.01885842394,0.502653504613,pass",
+        "3,1.3963694888,2.72302854511,0.512800165574,pass"]
+    assert _run_body(["mc", "sobolev", "--poly", const, "--N", "2000", "--seed", "4"],
+                     capsys) == ["p,lhs,rhs,ratio,status", "2,0,0,degenerate,degenerate"]
+
+
+def test_rmt_body_pinned(tmp_path, capsys):
+    xsq = _poly_file(tmp_path, "xsq", 1, {((1, 2),): 1.0})
+    assert _run_body(["rmt", "--f", xsq, "--n", "8", "--replicas", "30", "--batch", "16",
+                      "--seed", "1", "--t", "1", "3"], capsys) == [
+        "# z_mean=7.94138568858 z_stderr=0.410341856766",
+        "# sobolev_term=3.97069284429 stderr=0.205170928383 limit=4",
+        "t,tail,wilson_low,wilson_high,bound",
+        "1,0.566666666667,0.391970095454,0.726227625694,1.63746150616",
+        "3,0.233333333333,0.117922392105,0.409286723303,0.330597776443"]
+
+
+@pytest.mark.parametrize("alpha,digest,total", [
+    ("1.5", "513dde771e60fc806664d1f9c319694800896476566c9e0930e1250c7b3ac897",
+     "# total=211.432993855"),
+    ("2", "e2812fd975e52f237f739e92953025f81ab1a1b8eb5c2c264202cda98f567c02",
+     "# total=197.081229814")])
+def test_weibull_report_body_pinned(alpha, digest, total, tmp_path, capsys):
+    # 30 split rows of a cubic: lower-bound rows at both alphas, merged shapes at 2
+    cubic = _poly_file(tmp_path, "cubic", 3, {((1, 1), (2, 1), (3, 1)): 1.0, ((1, 2),): 0.5,
+                                              ((2, 1),): -1.0, ((2, 1), (3, 2)): 0.25})
+    body = _run_body(["bounds", "--poly", cubic, "--law", "weibull", "--alpha", alpha,
+                      "--p", "3", "--restarts", "8"], capsys)
+    assert len(body) == 32 and body[-1] == total
+    assert hashlib.sha256("\n".join(body).encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# bad inputs end in one error line with exit code 2
+
+@pytest.mark.parametrize("argv", [
+    ["tail", "--poly", "<x1x2>", "--t", "1", "--CD", "0"],
+    ["tail", "--poly", "<x1x2>", "--t", "1", "--CD", "-1"],
+    ["graphs", "triangles", "--n", "10", "--p", "0.5", "--N", "20", "--eps", "0.5", "--C", "0"],
+    ["rmt", "--f", "<xsq>", "--n", "6", "--replicas", "20", "--CL", "0"]])
+def test_tail_constant_must_be_positive(argv, x1x2, tmp_path, capsys):
+    files = {"<x1x2>": x1x2, "<xsq>": _poly_file(tmp_path, "xsq", 1, {((1, 2),): 1.0})}
+    assert dispatch([files.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tail constant" in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc", [
+    {"nvars": 2, "terms": [{"coef": 1.0}]},
+    {"nvars": 2, "terms": [[[[1, 1]], 1.0]]},
+    {"nvars": 2, "terms": 5}])
+def test_malformed_polynomial_file_exit_2(doc, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert dispatch(["bounds", "--poly", str(path), "--p", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "polynomial document" in captured.err and captured.err.count("\n") == 1
+
+
+def test_tensor_file_with_non_numeric_values_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"order": 1, "dim": 2, "values": [{"a": 1}, {"a": 2}]}))
+    assert dispatch(["norm", "--tensor", str(path), "--partition", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numeric values" in captured.err and captured.err.count("\n") == 1
+
+
+def test_every_float_option_rejects_nan(capsys):
+    """Every leaf's float options take `cli.real`, which refuses NaN and keeps inf."""
+    assert cli.real("inf") == float("inf") and cli.real("-2.5") == -2.5
+    walked = 0
+    for parser, _ in cli._parsers()[1].values():
+        words = parser.prog.split()[1:]
+        for a in parser._actions:
+            assert a.type is not float, f"{parser.prog} {a.dest}"
+            if a.type is cli.real:
+                flag = a.option_strings[0]
+                count = a.nargs if isinstance(a.nargs, int) else 1
+                assert dispatch(words + [flag] + ["nan"] * count) == 2
+                err = capsys.readouterr().err
+                assert f"argument {flag}: invalid float value: 'nan'" in err, parser.prog
+                walked += 1
+    assert walked == 30

@@ -114,3 +114,18 @@ def test_every_leaf_option_has_an_option_string():
     leaves = cli._parsers()[1]
     assert [f"{parser.prog} {a.dest}" for parser, _ in leaves.values()
             for a in parser._actions if a.dest != "help" and not a.option_strings] == []
+
+
+def test_only_norm_rows_solves_norms_in_bounds():
+    """In `bounds`, `_norm_rows` alone builds derivative tensors and solves
+    norms, so every report row comes from one producer."""
+    solvers = {"norm_J", "mixed_norm", "expected_derivative_tensor"}
+    tree = ast.parse((PACKAGE / "bounds.py").read_text())
+    calls = set()
+    for node in tree.body:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Call):
+                name = getattr(n.func, "id", getattr(n.func, "attr", None))
+                if name in solvers:
+                    calls.add((node.name, name))
+    assert calls == {("_norm_rows", name) for name in solvers}
