@@ -205,10 +205,11 @@ def additive_functional_tail(fmoments, fD_sup: float, n: int, L: float, t: float
 
 
 def weibull_moment_bound(f: Polynomial, dist: ProductDistribution, p: float,
-                         alpha: float, opts: NormOptions | None = None) -> BoundReport:
-    """Split-indexed functional sum_d sum_splits p^(#J/2 + #K/alpha) |E D^d f|_(J|K)."""
-    if not 1.0 <= alpha <= 2.0:
-        raise ValueError(f"alpha={alpha} outside [1, 2]")
+                         opts: NormOptions | None = None) -> BoundReport:
+    """Split-indexed functional sum_d sum_splits p^(#J/2 + #K/alpha) |E D^d f|_(J|K)
+    for the Weibull-alpha law `dist`, which alone gives alpha."""
+    if dist.law != "weibull":
+        raise ValueError(f"the split bound needs a weibull law, got {dist.law!r}")
     if f.degree > 3:
         raise ValueError(f"degree {f.degree} unsupported: split bounds cover degree <= 3")
-    return BoundReport("sum", tuple(_moment_terms(f, dist, p, 1.0, 0.5, opts, alpha)))
+    return BoundReport("sum", tuple(_moment_terms(f, dist, p, 1.0, 0.5, opts, dist.alpha)))

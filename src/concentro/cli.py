@@ -6,11 +6,13 @@ and the modes of `mc` and `graphs`) is a leaf parser that declares exactly the
 options its function reads, so an option a run would not read is an
 unrecognized argument; options match by their full name only.  Only the leaves
 that run Monte Carlo chunks take --workers, a positive integer whose default
-`CONCENTRO_WORKERS` is read once per process, when the parsers are built.  A
-float option takes any float but NaN (`real`).  The norm solvers' tolerance and
-sweep cap are the constants `norms.ALS_TOL` and `norms.ALS_MAX_SWEEPS`.  A JSON
-config file (--config) holds values of the leaf's options, required ones too,
-and is read as those options' flags placed before the given ones: argparse
+`CONCENTRO_WORKERS` is read once per process, when the parsers are built; it
+becomes the run's `MCConfig.workers`, and results are bit-identical for a
+fixed (seed, N, batch) whatever `cfg.workers` is.  A float option takes any
+float but NaN (`real`).  The norm solvers' tolerance and sweep cap are the
+constants `norms.ALS_TOL` and `norms.ALS_MAX_SWEEPS`.  A JSON config file
+(--config) holds values of the leaf's options, required ones too, and is read
+as those options' flags placed before the given ones: argparse
 checks each value as it checks its flag (`{"N": 3000.0}` fails as `--N=3000.0`
 does; null keeps the default), and a given flag overrides the config.  A key
 that names no option of the leaf is an error.  Every report embeds the version,
@@ -108,7 +110,7 @@ def _poly_law(args):
 
 
 def _mc_config(args) -> MCConfig:
-    return MCConfig(N=args.N, seed=args.seed, batch=args.batch)
+    return MCConfig(N=args.N, seed=args.seed, batch=args.batch, workers=args.workers)
 
 
 def _cmd_norm(args) -> list[str]:
@@ -136,9 +138,9 @@ def _cmd_bounds(args) -> list[str]:
     poly, dist = _poly_law(args)
     opts = _norm_opts(args)
     if args.law == "weibull":
-        report = weibull_moment_bound(poly, dist, args.p, args.alpha, opts)
+        report = weibull_moment_bound(poly, dist, args.p, opts)
     elif args.gamma is not None:
-        report = sobolev_moment_bound(poly, dist, args.p, float(args.L), args.gamma, opts)
+        report = sobolev_moment_bound(poly, dist, args.p, args.L, args.gamma, opts)
     else:
         report = gaussian_moment_bound(poly, dist, args.p, opts)
     return _report_lines(report)
@@ -157,17 +159,16 @@ def _cmd_tail(args) -> list[str]:
 
 def _mc_moments(args) -> list[str]:
     poly, dist = _poly_law(args)
-    return _table(empirical_moment(poly, dist, args.p, _mc_config(args), args.workers))
+    return _table(empirical_moment(poly, dist, args.p, _mc_config(args)))
 
 
 def _mc_tail(args) -> list[str]:
     poly, dist = _poly_law(args)
-    return _table([empirical_tail(poly, dist, args.t, _mc_config(args), args.workers)])
+    return _table([empirical_tail(poly, dist, args.t, _mc_config(args))])
 
 
 def _mc_chaos(args) -> list[str]:
-    est = chaos_moment(load_tensor(args.tensor), args.chaos_mode, args.p, _mc_config(args),
-                       args.workers)
+    est = chaos_moment(load_tensor(args.tensor), args.chaos_mode, args.p, _mc_config(args))
     return _table([{"mode": args.chaos_mode, **dataclasses.asdict(est)}])
 
 
@@ -176,23 +177,21 @@ def _mc_sandwich(args) -> list[str]:
     opts = _norm_opts(args)
     bound_fn = lambda f, d, p: gaussian_moment_bound(f, d, p, opts).total
     return _table(sandwich_check(poly, dist, args.p, _mc_config(args), bound_fn,
-                                 window=tuple(args.window), workers=args.workers))
+                                 window=tuple(args.window)))
 
 
 def _mc_hermite(args) -> list[str]:
-    return _table(hermite_tetrahedral_convergence(args.d, args.Nlist, _mc_config(args),
-                                                  args.workers))
+    return _table(hermite_tetrahedral_convergence(args.d, args.Nlist, _mc_config(args)))
 
 
 def _mc_sobolev(args) -> list[str]:
     poly, dist = _poly_law(args)
-    return _table(sobolev_check(dist, poly, args.p, _mc_config(args), args.workers))
+    return _table(sobolev_check(dist, poly, args.p, _mc_config(args)))
 
 
 def _graphs_triangles(args) -> list[str]:
     res = er_tail_experiment(GraphSpec.cycle(3), args.n, args.p, _mc_config(args),
-                             t_list=args.t or None, eps=args.eps, c=args.C,
-                             workers=args.workers)
+                             t_list=args.t or None, eps=args.eps, c=args.C)
     return [f"# expected_mean={_fmt(res.expected_mean)}",
             f"# empirical_mean={_fmt(res.mean)} stderr={_fmt(res.mean_stderr)}",
             *_table(res.rows)]
@@ -207,9 +206,8 @@ def _graphs_cyclebound(args) -> list[str]:
 def _cmd_rmt(args) -> list[str]:
     poly = load_polynomial(args.f)
     spec = WignerSpec(args.n, convention=args.convention)
-    cfg = MCConfig(N=args.replicas, seed=args.seed, batch=args.batch)
-    res = wigner_experiment(poly, spec, cfg, t_list=args.t, c_l=args.CL,
-                            workers=args.workers)
+    cfg = MCConfig(N=args.replicas, seed=args.seed, batch=args.batch, workers=args.workers)
+    res = wigner_experiment(poly, spec, cfg, t_list=args.t, c_l=args.CL)
     return [f"# z_mean={_fmt(res.z_mean)} z_stderr={_fmt(res.z_stderr)}",
             f"# sobolev_term={_fmt(res.sobolev_mean)} stderr={_fmt(res.sobolev_stderr)}"
             f" limit={_fmt(res.sobolev_limit)}",
@@ -319,7 +317,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     _add_poly_law(p)
     p.add_argument("--p", type=real, required=True)
     p.add_argument("--gamma", type=real, help="Sobolev exponent (gamma form)")
-    p.add_argument("--L", help="Sobolev constant for the gamma form")
+    p.add_argument("--L", type=real, help="Sobolev constant for the gamma form")
     _add_norm_opts(p)
 
     p = leaf(sub, "tail", _cmd_tail, "tail-exponent report")

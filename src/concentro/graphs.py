@@ -254,7 +254,7 @@ def _subgauss_coeff(p: float) -> float:
 def triangle_tail_bound(n: int, p: float, t: float, c: float = 1.0) -> float:
     """Three-regime triangle deviation bound with one explicit constant c."""
     if not t > 0:
-        return 2.0
+        return two_sided_tail([0.0], c)
     L = _subgauss_coeff(p)
     args = [
         t**2 / (L**6 * n**3 + L**4 * p**2 * n**3 + L**2 * p**4 * n**4),
@@ -269,7 +269,7 @@ def cycle_tail_bound(k: int, n: int, p: float, t: float, c: float = 1.0) -> floa
     if k < 3:
         raise ValueError("cycles need k >= 3")
     if not t > 0:
-        return 2.0
+        return two_sided_tail([0.0], c)
     L = _subgauss_coeff(p)
     args = [t**2 / (L ** (2 * k) * float(n) ** k)]
     for d in range(1, k + 1):
@@ -346,8 +346,7 @@ class ERResult:
 
 
 def er_tail_experiment(h: GraphSpec, n: int, p: float, cfg: MCConfig,
-                       t_list=None, eps: float | None = None, c: float = 1.0,
-                       workers: int = 1) -> ERResult:
+                       t_list=None, eps: float | None = None, c: float = 1.0) -> ERResult:
     """Empirical deviation tails of the unordered cycle count against the
     proposition-style bound (constant c explicit).
 
@@ -377,7 +376,7 @@ def er_tail_experiment(h: GraphSpec, n: int, p: float, cfg: MCConfig,
             count_cycles_trace(sample_adjacency(n, p, rng, min(block, rows - start)), h.k)
             for start in range(0, rows, block)])
 
-    counts = _run_chunks(job, cfg, workers)
+    counts = _run_chunks(job, cfg)
     if h.k == 3:
         bound = lambda t: triangle_tail_bound(n, p, t, c)
     else:

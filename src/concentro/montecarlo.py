@@ -3,13 +3,13 @@ sandwich-ratio checks that confront every bound functional with simulation.
 
 Randomness is counter-based: chunk c of a run with seed s draws from
 Philox-4x64 keyed with (s, c).  `_run_chunks` calls the job fn(rows, rng) per
-chunk and joins the chunks in chunk order, so results are bit-identical for a
-fixed (seed, N, batch) regardless of worker count.  Every deviation tail comes
-from `tail_rows`, and every stack of symmetric matrices (Erdos-Renyi adjacency,
-Wigner) from `symmetric_stack`.  Moment orders are an argument of the
-estimators that take them (`empirical_moment`, `chaos_moment`,
-`sandwich_check`, `sobolev_check`), not of `MCConfig`, and `_moment_orders`
-alone checks them.
+chunk on `cfg.workers` threads and joins the chunks in chunk order, so results
+are bit-identical for a fixed (seed, N, batch) whatever `cfg.workers` is.
+Every deviation tail comes from `tail_rows`, and every stack of symmetric
+matrices (Erdos-Renyi adjacency, Wigner) from `symmetric_stack`.  Moment orders
+are an argument of the estimators that take them (`empirical_moment`,
+`chaos_moment`, `sandwich_check`, `sobolev_check`), not of `MCConfig`, and
+`_moment_orders` alone checks them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -47,17 +47,20 @@ def _moment_orders(p_list, n_samples: int) -> tuple:
 
 @dataclass(frozen=True)
 class MCConfig:
-    """Replicas, seed and chunk size of a run."""
+    """Replicas, seed, chunk size and chunk threads of a run."""
 
     N: int
     seed: int = 0
     batch: int = 65536
+    workers: int = 1
 
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("N must be >= 1")
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -82,7 +85,7 @@ def chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _run_chunks(fn, cfg: MCConfig, workers: int = 1) -> np.ndarray:
+def _run_chunks(fn, cfg: MCConfig) -> np.ndarray:
     """fn(rows, rng) -> array per chunk; the arrays joined along the last axis,
     in chunk order."""
     sizes = [min(cfg.batch, cfg.N - start) for start in range(0, cfg.N, cfg.batch)]
@@ -90,8 +93,8 @@ def _run_chunks(fn, cfg: MCConfig, workers: int = 1) -> np.ndarray:
     def job(c):
         return fn(sizes[c], chunk_rng(cfg.seed, c))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    if cfg.workers > 1:
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             return np.concatenate(list(pool.map(job, range(len(sizes)))), axis=-1)
     return np.concatenate([job(c) for c in range(len(sizes))], axis=-1)
 
@@ -122,12 +125,11 @@ def symmetric_stack(values: np.ndarray, n: int) -> np.ndarray:
     return values.take(idx, axis=1).reshape(len(values), n, n)
 
 
-def _sample_values(f: Polynomial, dist: ProductDistribution, cfg: MCConfig,
-                   workers: int) -> np.ndarray:
+def _sample_values(f: Polynomial, dist: ProductDistribution, cfg: MCConfig) -> np.ndarray:
     """f(X) on cfg.N draws of the product law."""
     if dist.n != f.nvars:
         raise ValueError(f"distribution over {dist.n} coordinates, polynomial over {f.nvars}")
-    return _run_chunks(lambda rows, rng: f.evaluate_batch(dist.sample(rng, rows)), cfg, workers)
+    return _run_chunks(lambda rows, rng: f.evaluate_batch(dist.sample(rng, rows)), cfg)
 
 
 def _centered_moments(values: np.ndarray, p_list, n: int):
@@ -144,11 +146,11 @@ def _centered_moments(values: np.ndarray, p_list, n: int):
     return out
 
 
-def empirical_moment(f: Polynomial, dist: ProductDistribution, p_list, cfg: MCConfig,
-                     workers: int = 1) -> list[MomentEstimate]:
+def empirical_moment(f: Polynomial, dist: ProductDistribution, p_list,
+                     cfg: MCConfig) -> list[MomentEstimate]:
     """Empirical L^p norms of f(X) - mean, one per p in p_list."""
     p_list = _moment_orders(p_list, cfg.N)
-    return _centered_moments(_sample_values(f, dist, cfg, workers), p_list, cfg.N)
+    return _centered_moments(_sample_values(f, dist, cfg), p_list, cfg.N)
 
 
 def wilson_interval(k: int, n: int) -> tuple[float, float]:
@@ -174,14 +176,14 @@ def tail_rows(values: np.ndarray, t_list, bound=None) -> tuple:
     return tuple(rows)
 
 
-def empirical_tail(f: Polynomial, dist: ProductDistribution, t: float, cfg: MCConfig,
-                   workers: int = 1) -> TailEstimate:
+def empirical_tail(f: Polynomial, dist: ProductDistribution, t: float,
+                   cfg: MCConfig) -> TailEstimate:
     """Fraction of samples with |f(X) - empirical mean| >= t, with Wilson interval."""
     if cfg.N < 1000:
         raise ValueError("tail estimation needs N >= 1000")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    (row,) = tail_rows(_sample_values(f, dist, cfg, workers), [t])
+    (row,) = tail_rows(_sample_values(f, dist, cfg), [t])
     return TailEstimate(row["t"], row["tail"], row["wilson_low"], row["wilson_high"], cfg.N)
 
 
@@ -198,8 +200,7 @@ def _validate_undecoupled(a: Tensor) -> None:
                     f"nonzero entries on the generalized diagonal {{{k + 1},{l + 1}}}")
 
 
-def chaos_moment(a: Tensor, mode: str, p: float, cfg: MCConfig,
-                 workers: int = 1) -> MomentEstimate:
+def chaos_moment(a: Tensor, mode: str, p: float, cfg: MCConfig) -> MomentEstimate:
     """Empirical |Z|_p for Z = <A, G_1 x..x G_d> (decoupled) or the one-vector
     form over distinct indices (undecoupled, validated); each chunk is one
     ``contract_rows`` call on the draws."""
@@ -217,14 +218,14 @@ def chaos_moment(a: Tensor, mode: str, p: float, cfg: MCConfig,
             gs = [rng.standard_normal((rows, m))] * d
         return contract_rows(a.values, gs)
 
-    return _centered_moments(_run_chunks(job, cfg, workers), [p], cfg.N)[0]
+    return _centered_moments(_run_chunks(job, cfg), [p], cfg.N)[0]
 
 
 def sandwich_check(f: Polynomial, dist: ProductDistribution, p_list, cfg: MCConfig,
-                   bound_fn, window: tuple = (0.1, 10.0), workers: int = 1) -> list[dict]:
+                   bound_fn, window: tuple = (0.1, 10.0)) -> list[dict]:
     """Empirical moment / bound ratio per p, judged against the ratio window;
     `bound_fn(f, dist, p)` returns the bound as a number."""
-    estimates = empirical_moment(f, dist, p_list, cfg, workers)
+    estimates = empirical_moment(f, dist, p_list, cfg)
     rows = []
     for est in estimates:
         bound = bound_fn(f, dist, est.p)
@@ -261,8 +262,7 @@ def _elementary_symmetric(draws: np.ndarray, d: int) -> np.ndarray:
     return e.T
 
 
-def hermite_tetrahedral_convergence(d: int, N_list, cfg: MCConfig,
-                                    workers: int = 1) -> list[dict]:
+def hermite_tetrahedral_convergence(d: int, N_list, cfg: MCConfig) -> list[dict]:
     """Mean squared gap between h_d of a normalized sum and its distinct-index
     product approximation, for each inner size N.
 
@@ -279,8 +279,7 @@ def hermite_tetrahedral_convergence(d: int, N_list, cfg: MCConfig,
     fact = float(math.factorial(d))
     out = []
     for big_n in sizes:
-        rows_per_chunk = max(1, cfg.batch // big_n)
-        sub = MCConfig(N=cfg.N, seed=cfg.seed, batch=rows_per_chunk)
+        sub = replace(cfg, batch=max(1, cfg.batch // big_n))
 
         def job(rows, rng, big_n=big_n):
             draws = rng.standard_normal((rows, big_n))
@@ -291,7 +290,7 @@ def hermite_tetrahedral_convergence(d: int, N_list, cfg: MCConfig,
             return np.array([sq.sum(), (sq**2).sum()])
 
         # summed down the chunk axis: a flat sum would go pairwise and move the last digits
-        s2, s4 = _run_chunks(job, sub, workers).reshape(-1, 2).sum(axis=0)
+        s2, s4 = _run_chunks(job, sub).reshape(-1, 2).sum(axis=0)
         mean = s2 / cfg.N
         var = max(s4 / cfg.N - mean**2, 0.0)
         out.append({"N": big_n, "mean_sq_error": float(mean),
@@ -299,8 +298,8 @@ def hermite_tetrahedral_convergence(d: int, N_list, cfg: MCConfig,
     return out
 
 
-def sobolev_check(dist: ProductDistribution, f: Polynomial, p_list, cfg: MCConfig,
-                  workers: int = 1) -> list[dict]:
+def sobolev_check(dist: ProductDistribution, f: Polynomial, p_list,
+                  cfg: MCConfig) -> list[dict]:
     """Ratio |f - Ef|_p / (L p^gamma | |grad f| |_p) per p, empirically."""
     pair = dist.sobolev
     if pair is None:
@@ -320,7 +319,7 @@ def sobolev_check(dist: ProductDistribution, f: Polynomial, p_list, cfg: MCConfi
                 gsq += gpoly.evaluate_batch(xs) ** 2
         return np.stack([vals, np.sqrt(gsq)])
 
-    values, gnorm = _run_chunks(job, cfg, workers)
+    values, gnorm = _run_chunks(job, cfg)
     # a gradient that vanishes on every sample leaves only the rounding of the
     # empirical mean in lhs: no ratio is meaningful
     degenerate = not gnorm.any()

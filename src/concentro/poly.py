@@ -31,6 +31,8 @@ def _normalize_terms(terms) -> dict:
         if len({v for v, _ in pairs}) != len(pairs):
             raise ValueError(f"term {pairs} repeats a variable")
         c = out.get(pairs, 0.0) + float(coef)
+        if not math.isfinite(c):
+            raise ValueError(f"term {pairs} has a coefficient that is not finite")
         if c == 0.0:
             out.pop(pairs, None)
         else:

@@ -140,7 +140,7 @@ def linstat_tail_bound(f: Polynomial, n: int, L: float, t: float,
     if f.nvars != 1:
         raise ValueError("linear statistics take a one-variable polynomial")
     if not t > 0:
-        return 2.0
+        return two_sided_tail([0.0], c_l)
     fp = f.partial(1)
     energy = semicircle_integral(fp * fp)
     fpp_sup = sup_abs_on_interval(f.partial(1).partial(1))
@@ -165,7 +165,7 @@ class WignerResult:
 
 
 def wigner_experiment(f: Polynomial, spec: WignerSpec, cfg: MCConfig,
-                      t_list=(), c_l: float = 1.0, workers: int = 1) -> WignerResult:
+                      t_list=(), c_l: float = 1.0) -> WignerResult:
     """Replicated linear statistics: empirical tails of Z next to the deviation
     bound, and the empirical gradient energy (1/n) sum f'(lambda_i/sqrt(n))^2
     next to its semicircle limit."""
@@ -185,7 +185,7 @@ def wigner_experiment(f: Polynomial, spec: WignerSpec, cfg: MCConfig,
         fp_lam = fp.evaluate_batch(lam).reshape(rows, spec.n)
         return np.stack([f_lam.sum(axis=1), (fp_lam**2).mean(axis=1)])
 
-    z, sob = _run_chunks(job, cfg, workers)
+    z, sob = _run_chunks(job, cfg)
     # Gaussian entries: log-Sobolev constant L = 1
     rows = tail_rows(z, t_list, lambda t: linstat_tail_bound(f, spec.n, 1.0, t, c_l))
     return WignerResult(spec.n, cfg.N, float(z.mean()), float(z.std() / math.sqrt(cfg.N)),

@@ -250,7 +250,7 @@ def test_criterion_09_weibull_consistency():
         f = _random_poly_deg3(rng)
         dist = ProductDistribution.weibull(f.nvars, 2.0)
         p = 4.0
-        total = weibull_moment_bound(f, dist, p, alpha=2.0, opts=opts).total
+        total = weibull_moment_bound(f, dist, p, opts=opts).total
         recombined = 0.0
         for d in range(1, f.degree + 1):
             tens = expected_derivative_tensor(f, dist, d)
@@ -268,7 +268,7 @@ def test_criterion_09_weibull_consistency():
         f = Polynomial(4, {((j + 1, 1),): float(a[j]) for j in range(4)})
         dist = ProductDistribution.weibull(4, 1.0)
         p = float(rng.integers(2, 7))
-        total = weibull_moment_bound(f, dist, p, alpha=1.0, opts=opts).total
+        total = weibull_moment_bound(f, dist, p, opts=opts).total
         expect = math.sqrt(p) * float(np.linalg.norm(a)) + p * float(np.abs(a).max())
         if not math.isclose(total, expect, rel_tol=1e-12):
             ok = False

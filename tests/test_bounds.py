@@ -159,7 +159,7 @@ def test_additive_tail_three_groups():
 
 def test_weibull_bound_linear_alpha_one():
     f = Polynomial(2, {((1, 1),): 3.0, ((2, 1),): 4.0})
-    rep = weibull_moment_bound(f, ProductDistribution.weibull(2, 1.0), p=4.0, alpha=1.0)
+    rep = weibull_moment_bound(f, ProductDistribution.weibull(2, 1.0), p=4.0)
     assert rep.total == pytest.approx(math.sqrt(4.0) * 5.0 + 4.0 * 4.0, rel=1e-10)
     labels = {t.label for t in rep.terms}
     assert labels == {"1||", "||1"}
@@ -176,7 +176,7 @@ def test_weibull_bound_alpha2_matches_merged_recombination():
                        ((1, 1), (2, 1), (3, 1)): rng.standard_normal(),
                        ((3, 2),): rng.standard_normal()})
     p = 4.0
-    rep = weibull_moment_bound(f, dist, p, alpha=2.0, opts=OPTS)
+    rep = weibull_moment_bound(f, dist, p, opts=OPTS)
     expect = 0.0
     for d in range(1, f.degree + 1):
         tens = expected_derivative_tensor(f, dist, d)
@@ -190,11 +190,16 @@ def test_weibull_bound_alpha2_matches_merged_recombination():
 
 def test_weibull_bound_constant_and_caps():
     rep = weibull_moment_bound(Polynomial.constant(2, 5.0),
-                               ProductDistribution.weibull(2, 1.5), 2.0, 1.5)
+                               ProductDistribution.weibull(2, 1.5), 2.0)
     assert rep.total == 0.0
     quartic = Polynomial(1, {((1, 4),): 1.0})
     with pytest.raises(ValueError):
-        weibull_moment_bound(quartic, ProductDistribution.weibull(1, 1.0), 2.0, 1.0)
+        weibull_moment_bound(quartic, ProductDistribution.weibull(1, 1.0), 2.0)
+
+
+def test_weibull_bound_takes_alpha_from_its_law():
+    with pytest.raises(ValueError, match="'gaussian'"):
+        weibull_moment_bound(X1X2, GAUSS2, 2.0, OPTS)
 
 
 def test_report_consistency_guard():
@@ -238,7 +243,7 @@ def test_gaussian_report_solves_once_per_shape(monkeypatch):
 def test_weibull_report_solves_once_per_split_shape(monkeypatch):
     calls = _counting(monkeypatch, "mixed_norm")
     f = Polynomial(2, {((1, 3),): 1.0, ((1, 1), (2, 1)): 0.5, ((2, 1),): -1.0})
-    rep = weibull_moment_bound(f, ProductDistribution.weibull(2, 1.5), 4.0, 1.5, OPTS)
+    rep = weibull_moment_bound(f, ProductDistribution.weibull(2, 1.5), 4.0, OPTS)
     assert len(calls) == 2 + 5 + 10
     assert len(rep.terms) == 2 + 6 + 22
 
@@ -252,7 +257,7 @@ def test_weibull_alpha2_report_solves_once_per_merged_shape(monkeypatch):
     dist = ProductDistribution.weibull(3, 2.0)
     norm_calls = _counting(monkeypatch, "norm_J")
     mixed_calls = _counting(monkeypatch, "mixed_norm")
-    rep = weibull_moment_bound(f, dist, 4.0, 2.0, OPTS)
+    rep = weibull_moment_bound(f, dist, 4.0, OPTS)
     # p(1) + p(2) + p(3) merged shapes, against 17 mixed_norm solves per split shape
     assert len(norm_calls) == 1 + 2 + 3 and not mixed_calls
     assert len({(part.d, part.shape) for part in norm_calls}) == len(norm_calls)
@@ -303,6 +308,18 @@ def test_tail_reports_reject_a_constant_that_is_not_positive():
         eta_tail(X1X2, dist, 1.0, 1.0, c_d=0.0, opts=OPTS)
     with pytest.raises(ValueError, match="tail constant"):
         additive_functional_tail([0.5], 1.0, 10, 1.0, 2.0, c_d=-1.0)
+    # t <= 0 gives the trivial bound 2, but only after the constant is checked
+    square = Polynomial(1, {((1, 2),): 1.0})
+    for t in (0.0, -1.0):
+        with pytest.raises(ValueError, match="tail constant"):
+            graphs.triangle_tail_bound(30, 0.5, t, c=0.0)
+        with pytest.raises(ValueError, match="tail constant"):
+            graphs.cycle_tail_bound(4, 30, 0.5, t, c=-1.0)
+        with pytest.raises(ValueError, match="tail constant"):
+            rmt.linstat_tail_bound(square, 30, 1.0, t, c_l=0.0)
+        assert graphs.triangle_tail_bound(30, 0.5, t, c=1.0) == 2.0
+        assert graphs.cycle_tail_bound(4, 30, 0.5, t, c=3.0) == 2.0
+        assert rmt.linstat_tail_bound(square, 30, 1.0, t, c_l=0.5) == 2.0
 
 
 def test_experiments_reject_the_tail_constant_before_sampling(monkeypatch):

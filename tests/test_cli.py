@@ -699,6 +699,28 @@ def test_tensor_file_with_non_numeric_values_exit_2(tmp_path, capsys):
     assert "numeric values" in captured.err and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+@pytest.mark.parametrize("argv", [["mc", "moments", "--N", "2000", "--poly"],
+                                  ["mc", "tail", "--N", "2000", "--poly"],
+                                  ["rmt", "--n", "6", "--replicas", "20", "--f"]])
+def test_non_finite_polynomial_coefficient_exit_2(argv, token, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"nvars": 1, "terms": [{{"exps": [[1, 1]], "coef": {token}}}]}}')
+    assert dispatch(argv + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not finite" in captured.err and captured.err.count("\n") == 1
+
+
+def test_tensor_file_with_a_non_finite_value_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"order": 1, "dim": 2, "values": [1.0, NaN]}')
+    assert dispatch(["norm", "--tensor", str(path), "--partition", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err and captured.err.count("\n") == 1
+
+
 def test_every_float_option_rejects_nan(capsys):
     """Every leaf's float options take `cli.real`, which refuses NaN and keeps inf."""
     assert cli.real("inf") == float("inf") and cli.real("-2.5") == -2.5
@@ -714,4 +736,4 @@ def test_every_float_option_rejects_nan(capsys):
                 err = capsys.readouterr().err
                 assert f"argument {flag}: invalid float value: 'nan'" in err, parser.prog
                 walked += 1
-    assert walked == 30
+    assert walked == 31

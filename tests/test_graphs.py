@@ -327,9 +327,9 @@ ER_PINNED = {
 
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_er_tail_experiment_pinned(k):
-    cfg = MCConfig(N=2500, seed=77, batch=1024)
     for workers in (1, 2):
-        res = er_tail_experiment(GraphSpec.cycle(k), 60, 0.1, cfg, eps=0.5, workers=workers)
+        cfg = MCConfig(N=2500, seed=77, batch=1024, workers=workers)
+        res = er_tail_experiment(GraphSpec.cycle(k), 60, 0.1, cfg, eps=0.5)
         assert (repr(res.mean), repr(res.mean_stderr), repr(res.rows)) == ER_PINNED[k]
 
 

@@ -129,3 +129,13 @@ def test_only_norm_rows_solves_norms_in_bounds():
                 if name in solvers:
                     calls.add((node.name, name))
     assert calls == {("_norm_rows", name) for name in solvers}
+
+
+def test_no_function_takes_a_worker_count():
+    """The worker count is the `MCConfig` field `workers`, read by
+    `_run_chunks`; no function of the package takes it beside its config."""
+    # an ast.arg is a parameter of a def or a lambda
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.arg) and node.arg == "workers"]
+    assert found == []

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 import concentro.montecarlo as montecarlo
 from concentro.bounds import gaussian_moment_bound
+from concentro.graphs import GraphSpec, er_tail_experiment
 from concentro.montecarlo import (
     MCConfig,
     MomentEstimate,
@@ -25,6 +26,7 @@ from concentro.montecarlo import (
 )
 from concentro.norms import NormOptions
 from concentro.poly import Polynomial, ProductDistribution
+from concentro.rmt import WignerSpec, wigner_experiment
 from concentro.tensor import IndexMask, Tensor, apply_mask, symmetrize
 
 X1 = Polynomial(2, {((1, 1),): 1.0})
@@ -51,6 +53,9 @@ def test_config_guard_lists_max_p():
         empirical_moment(X1X2, GAUSS2, (8.0,), MCConfig(N=1000))
     with pytest.raises(ValueError):
         MCConfig(N=0)
+    for workers in (0, -5):
+        with pytest.raises(ValueError, match="workers"):
+            MCConfig(N=10, workers=workers)
     assert max_admissible_p(1_000_000) > 9.0
     # runs that take no moment are not held to the cap
     assert MCConfig(N=10).N == 10
@@ -83,10 +88,46 @@ def test_empirical_moment_monotone_in_p_on_sample():
 
 
 def test_determinism_across_workers():
-    cfg = MCConfig(N=30_000, seed=12, batch=4096)
-    a = empirical_moment(X1X2, GAUSS2, (2.0, 4.0), cfg, workers=1)
-    b = empirical_moment(X1X2, GAUSS2, (2.0, 4.0), cfg, workers=3)
+    a = empirical_moment(X1X2, GAUSS2, (2.0, 4.0), MCConfig(N=30_000, seed=12, batch=4096))
+    b = empirical_moment(X1X2, GAUSS2, (2.0, 4.0),
+                         MCConfig(N=30_000, seed=12, batch=4096, workers=3))
     assert [(e.value, e.stderr) for e in a] == [(e.value, e.stderr) for e in b]
+
+
+SQUARE = Polynomial(1, {((1, 2),): 1.0})
+OFF_DIAGONAL = Tensor(np.array([[0.0, 1.0], [1.0, 0.0]]))
+ENTRY_POINTS = {
+    "empirical_moment": lambda cfg: empirical_moment(X1X2, GAUSS2, (2.0, 4.0), cfg),
+    "empirical_tail": lambda cfg: empirical_tail(X1X2, GAUSS2, 1.0, cfg),
+    "chaos_decoupled": lambda cfg: chaos_moment(OFF_DIAGONAL, "decoupled", 2.0, cfg),
+    "chaos_undecoupled": lambda cfg: chaos_moment(OFF_DIAGONAL, "undecoupled", 2.0, cfg),
+    "sandwich_check": lambda cfg: sandwich_check(X1X2, GAUSS2, (2.0,), cfg,
+                                                 lambda f, d, p: 1.0),
+    "hermite_tetrahedral_convergence":
+        lambda cfg: hermite_tetrahedral_convergence(2, [3, 50], cfg),
+    "sobolev_check": lambda cfg: sobolev_check(GAUSS2, X1X2, (2.0,), cfg),
+    "er_tail_experiment": lambda cfg: er_tail_experiment(GraphSpec.cycle(3), 12, 0.3, cfg,
+                                                         eps=0.5),
+    "wigner_experiment": lambda cfg: wigner_experiment(SQUARE, WignerSpec(6), cfg,
+                                                       t_list=[1.0]),
+}
+
+
+@pytest.mark.parametrize("run", ENTRY_POINTS.values(), ids=list(ENTRY_POINTS))
+def test_every_entry_point_reads_the_worker_count_from_its_config(run, monkeypatch):
+    pools = []
+
+    class CountingPool(montecarlo.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", CountingPool)
+    serial = run(MCConfig(N=1200, seed=5, batch=256))
+    assert pools == []
+    threaded = run(MCConfig(N=1200, seed=5, batch=256, workers=2))
+    assert pools and set(pools) == {2}
+    assert threaded == serial
 
 
 def test_empirical_tail_examples():

@@ -52,6 +52,12 @@ def test_term_normalization():
         Polynomial(2, {((1, 0),): 1.0})
     with pytest.raises(ValueError):
         Polynomial(1, {((2, 1),): 1.0})
+    for coef in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            Polynomial(1, {((1, 1),): coef})
+    # two finite coefficients of one term whose sum overflows
+    with pytest.raises(ValueError, match="not finite"):
+        Polynomial(2, {((1, 1), (2, 1)): 1e308, ((2, 1), (1, 1)): 1e308})
 
 
 def test_partial_derivatives():
