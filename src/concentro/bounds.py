@@ -107,8 +107,8 @@ def _moment_terms(f: Polynomial, dist: ProductDistribution, p: float, L: float,
     """The rows L^d p^((gamma-1/2)d + #J/2) |E D^d f|_J of the Sobolev-type
     moment functional, for p >= 2.  With `alpha`, J runs over splits and #J/2
     becomes #inner/2 + #outer/alpha."""
-    if p < 2:
-        raise ValueError(f"moment order p={p} must be >= 2")
+    if not 2 <= p < math.inf:
+        raise ValueError(f"moment order p={p} must be finite and >= 2")
     terms = []
     for d, J, norm, flagged in _norm_rows(f, dist, opts or NormOptions(), alpha):
         blocks = J.n_blocks / 2.0 if alpha is None else len(J.inner) / 2.0 + len(J.outer) / alpha
@@ -161,10 +161,10 @@ def sobolev_moment_bound(f: Polynomial, dist: ProductDistribution, p: float,
                          L: float, gamma: float,
                          opts: NormOptions | None = None) -> BoundReport:
     """Moment functional sum_d sum_J L^d p^((gamma-1/2)d + #J/2) |E D^d f|_J."""
-    if gamma < 0.5:
-        raise ValueError(f"gamma={gamma} must be >= 1/2")
-    if not L > 0:
-        raise ValueError("L must be positive")
+    if not 0.5 <= gamma < math.inf:
+        raise ValueError(f"gamma={gamma} must be finite and >= 1/2")
+    if not 0 < L < math.inf:
+        raise ValueError(f"L={L} must be positive and finite")
     return BoundReport("sum", tuple(_moment_terms(f, dist, p, L, gamma, opts)))
 
 

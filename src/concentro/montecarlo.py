@@ -24,7 +24,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .poly import Polynomial, ProductDistribution, hermite
-from .tensor import Tensor, contract_rows
+from .tensor import IndexMask, Tensor, contract_rows
 
 
 def max_admissible_p(n_samples: int) -> float:
@@ -132,17 +132,26 @@ def _sample_values(f: Polynomial, dist: ProductDistribution, cfg: MCConfig) -> n
     return _run_chunks(lambda rows, rng: f.evaluate_batch(dist.sample(rng, rows)), cfg)
 
 
+def _finite(x, p: float):
+    """x when it is finite, else a ValueError naming the moment order p."""
+    if not np.isfinite(x):
+        raise ValueError(f"the p={p:g} moment is not finite: the sample or its powers overflow")
+    return x
+
+
 def _centered_moments(values: np.ndarray, p_list, n: int):
-    center = values.mean()
-    w = np.abs(values - center)
+    """The centered L^p norm of `values` and its standard error per p; an
+    overflow in the sample or its powers is refused (`_finite`)."""
     out = []
-    for p in p_list:
-        wp = w**p
-        mp = wp.mean()
-        value = mp ** (1.0 / p)
-        sd = wp.std()
-        stderr = (value / (p * mp) * sd / math.sqrt(n)) if mp > 0 else 0.0
-        out.append(MomentEstimate(float(p), float(value), float(stderr), n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.abs(values - values.mean())
+        for p in p_list:
+            wp = w**p
+            mp = wp.mean()
+            value = _finite(mp ** (1.0 / p), p)
+            sd = wp.std()
+            stderr = _finite((value / (p * mp) * sd / math.sqrt(n)) if mp > 0 else 0.0, p)
+            out.append(MomentEstimate(float(p), float(value), float(stderr), n))
     return out
 
 
@@ -192,12 +201,9 @@ def _validate_undecoupled(a: Tensor) -> None:
     for perm in itertools.permutations(range(d)):
         if not np.array_equal(vals, vals.transpose(perm)):
             raise ValueError("undecoupled chaos needs a symmetric coefficient tensor")
-    idx = np.indices((a.dim,) * d)
-    for k in range(d - 1):
-        for l in range(k + 1, d):
-            if np.any(vals[idx[k] == idx[l]]):
-                raise ValueError(
-                    f"nonzero entries on the generalized diagonal {{{k + 1},{l + 1}}}")
+    for j, k in itertools.combinations(range(1, d + 1), 2):
+        if np.any(vals[IndexMask.generalized_diagonal((j, k)).boolean(d, a.dim)]):
+            raise ValueError(f"nonzero entries on the generalized diagonal {{{j},{k}}}")
 
 
 def chaos_moment(a: Tensor, mode: str, p: float, cfg: MCConfig) -> MomentEstimate:
@@ -314,9 +320,10 @@ def sobolev_check(dist: ProductDistribution, f: Polynomial, p_list,
         xs = dist.sample(rng, rows)
         vals = f.evaluate_batch(xs)
         gsq = np.zeros(rows)
-        for gpoly in grads:
-            if gpoly.terms:
-                gsq += gpoly.evaluate_batch(xs) ** 2
+        with np.errstate(over="ignore"):   # an overflow is refused at gnorm**p
+            for gpoly in grads:
+                if gpoly.terms:
+                    gsq += gpoly.evaluate_batch(xs) ** 2
         return np.stack([vals, np.sqrt(gsq)])
 
     values, gnorm = _run_chunks(job, cfg)
@@ -326,7 +333,8 @@ def sobolev_check(dist: ProductDistribution, f: Polynomial, p_list,
     rows = []
     for est in _centered_moments(values, p_list, cfg.N):
         p, lhs = est.p, est.value
-        rhs = float(L * p**gamma * np.mean(gnorm**p) ** (1.0 / p))
+        with np.errstate(over="ignore"):
+            rhs = float(L * p**gamma * _finite(np.mean(gnorm**p), p) ** (1.0 / p))
         if degenerate:
             rows.append({"p": p, "lhs": lhs, "rhs": rhs, "ratio": None,
                          "status": "degenerate"})

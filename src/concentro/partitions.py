@@ -24,11 +24,24 @@ def _canonical(blocks) -> tuple[tuple[int, ...], ...]:
     return tuple(cleaned)
 
 
+def _parse_blocks(text: str) -> tuple[tuple[int, ...], ...]:
+    """The blocks of a label such as "1,2|3": blocks split on '|', indices on ','."""
+    blocks = []
+    for part in text.split("|"):
+        part = part.strip()
+        if not part:
+            raise ValueError(f"empty block in partition string {text!r}")
+        blocks.append(tuple(int(tok) for tok in part.split(",")))
+    return tuple(blocks)
+
+
+def _label(blocks) -> str:
+    return "|".join(",".join(str(i) for i in b) for b in blocks)
+
+
 def _check_cover(blocks, universe, what: str) -> None:
     seen: set[int] = set()
     for b in blocks:
-        if len(b) == 0:
-            raise ValueError(f"{what}: empty block")
         for i in b:
             if i in seen:
                 raise ValueError(f"{what}: index {i} appears in two blocks")
@@ -63,14 +76,8 @@ class SetPartition:
     @classmethod
     def parse(cls, text: str, d: int | None = None) -> "SetPartition":
         """Parse "1,2|3" into a partition (1-based indices, blocks split on '|')."""
-        blocks = []
-        for part in text.split("|"):
-            part = part.strip()
-            if not part:
-                raise ValueError(f"empty block in partition string {text!r}")
-            blocks.append(tuple(int(tok) for tok in part.split(",")))
-        order = d if d is not None else max(max(b) for b in blocks)
-        return cls(order, tuple(blocks))
+        blocks = _parse_blocks(text)
+        return cls(d if d is not None else max(max(b) for b in blocks), blocks)
 
     @classmethod
     def singletons(cls, d: int) -> "SetPartition":
@@ -81,7 +88,7 @@ class SetPartition:
         return cls(d, (tuple(range(1, d + 1)),))
 
     def __str__(self) -> str:
-        return "|".join(",".join(str(i) for i in b) for b in self.blocks)
+        return _label(self.blocks)
 
 
 @dataclass(frozen=True)
@@ -113,21 +120,13 @@ class SplitPartition:
         """Parse "1|2||3": inner and outer separated by '||', blocks by '|'."""
         if "||" not in text:
             raise ValueError(f"split string {text!r} must contain '||'")
-        left, right = text.split("||", 1)
-
-        def side(s: str):
-            s = s.strip()
-            if not s:
-                return ()
-            return tuple(tuple(int(tok) for tok in part.split(",")) for part in s.split("|"))
-
-        inner, outer = side(left), side(right)
+        inner, outer = (_parse_blocks(side) if side.strip() else ()
+                        for side in text.split("||", 1))
         order = d if d is not None else max(max(b) for b in inner + outer)
         return cls(order, inner, outer)
 
     def __str__(self) -> str:
-        fmt = lambda side: "|".join(",".join(str(i) for i in b) for b in side)
-        return f"{fmt(self.inner)}||{fmt(self.outer)}"
+        return f"{_label(self.inner)}||{_label(self.outer)}"
 
 
 def _partitions_of(elements: tuple[int, ...]):

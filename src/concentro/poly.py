@@ -2,9 +2,12 @@
 
 Provides evaluation, symbolic differentiation, expected derivative tensors
 built by coordinatewise moment substitution, and the probabilists' Hermite
-polynomials.  Any polynomial expands exactly in the Hermite basis: each
-monomial factors over its coordinates, and each power has the closed form
-x^p = sum_k p!/(2^k k! (p-2k)!) h_{p-2k}(x).
+polynomials.  One routine, `_substitute`, puts a moment, a coordinate's power
+or a semicircle moment in place of each remaining power of every monomial:
+each derivative tensor, point value, expected value and semicircle integral is
+one call of it, order 0 giving f itself.  Any polynomial expands exactly in the
+Hermite basis: each monomial factors over its coordinates, and each power has
+the closed form x^p = sum_k p!/(2^k k! (p-2k)!) h_{p-2k}(x).
 """
 
 from __future__ import annotations
@@ -106,13 +109,7 @@ class Polynomial:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.nvars,):
             raise ValueError(f"point has length {x.size}, expected {self.nvars}")
-        total = 0.0
-        for key, coef in self.terms.items():
-            prod = coef
-            for v, p in key:
-                prod *= x[v - 1] ** p
-            total += prod
-        return total
+        return float(_substitute(self, 0, lambda v, r: x[v - 1] ** r))
 
     def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
         """Evaluate at every row of xs (N, nvars); returns (N,)."""
@@ -259,17 +256,16 @@ class ProductDistribution:
 # ---------------------------------------------------------------------------
 # derivative tensors
 
-def _derivative_tensor(f: Polynomial, d: int, power_value) -> Tensor:
-    """Order-d tensor of d-th partial derivatives with remaining powers folded
-    through `power_value(var, power)` (a moment or a point evaluation)."""
-    if d < 1:
-        raise ValueError("derivative order must be >= 1")
+def _substitute(f: Polynomial, d: int, power_value) -> np.ndarray:
+    """The order-d array of d-th partial derivatives of f, each remaining power
+    x_v^r replaced by `power_value(v, r)` (a moment or a power of a point); at
+    d = 0 the 0-d array of f's substituted value."""
     m = f.nvars
     if m**d > MAX_ENTRIES:
         raise ValueError(f"derivative tensor would have {m**d} entries, cap is {MAX_ENTRIES}")
     out = np.zeros((m,) * d)
     if d > f.degree:
-        return Tensor(out)
+        return out
     for key, coef in f.terms.items():
         vars_ = [v for v, _ in key]
         ks = [p for _, p in key]
@@ -288,14 +284,16 @@ def _derivative_tensor(f: Polynomial, d: int, power_value) -> Tensor:
                 continue
             for pos in set(itertools.permutations(seq)):
                 out[pos] += weight
-    return Tensor(out)
+    return out
 
 
 def expected_derivative_tensor(f: Polynomial, dist: ProductDistribution, d: int) -> Tensor:
     """The symmetric order-d tensor with entries E d^d f / dx_{i_1}..dx_{i_d} (X)."""
     if dist.n != f.nvars:
         raise ValueError(f"distribution over {dist.n} coordinates, polynomial over {f.nvars}")
-    return _derivative_tensor(f, d, lambda v, r: dist.moment(r))
+    if d < 1:
+        raise ValueError("derivative order must be >= 1")
+    return Tensor(_substitute(f, d, lambda v, r: dist.moment(r)))
 
 
 def derivative_tensor_at(f: Polynomial, d: int, x) -> Tensor:
@@ -303,20 +301,16 @@ def derivative_tensor_at(f: Polynomial, d: int, x) -> Tensor:
     x = np.asarray(x, dtype=float)
     if x.shape != (f.nvars,):
         raise ValueError(f"point has length {x.size}, expected {f.nvars}")
-    return _derivative_tensor(f, d, lambda v, r: float(x[v - 1] ** r))
+    if d < 1:
+        raise ValueError("derivative order must be >= 1")
+    return Tensor(_substitute(f, d, lambda v, r: x[v - 1] ** r))
 
 
 def expected_value(f: Polynomial, dist: ProductDistribution) -> float:
     """E f(X) under the product law, by termwise moment substitution."""
     if dist.n != f.nvars:
         raise ValueError(f"distribution over {dist.n} coordinates, polynomial over {f.nvars}")
-    total = 0.0
-    for key, coef in f.terms.items():
-        prod = coef
-        for v, p in key:
-            prod *= dist.moment(p)
-        total += prod
-    return total
+    return float(_substitute(f, 0, lambda v, r: dist.moment(r)))
 
 
 # ---------------------------------------------------------------------------

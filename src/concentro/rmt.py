@@ -14,7 +14,7 @@ from numpy.polynomial import polynomial as P
 
 from .bounds import two_sided_tail
 from .montecarlo import MCConfig, _run_chunks, symmetric_stack, tail_rows
-from .poly import Polynomial
+from .poly import Polynomial, _substitute
 
 MAX_EIG_SIZE = 400
 
@@ -110,12 +110,7 @@ def semicircle_integral(g: Polynomial) -> float:
         raise ValueError("semicircle integral takes a one-variable polynomial")
     if g.degree > 20:
         raise ValueError("semicircle integral supports degree <= 20")
-    total = 0.0
-    for key, coef in g.terms.items():
-        power = key[0][1] if key else 0
-        if power % 2 == 0:
-            total += coef * catalan(power // 2)
-    return total
+    return float(_substitute(g, 0, lambda v, r: 0 if r % 2 else catalan(r // 2)))
 
 
 def sup_abs_on_interval(g: Polynomial, halfwidth: float = 4.0) -> float:

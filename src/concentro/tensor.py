@@ -2,6 +2,9 @@
 
 Storage is row-major with the last index fastest, matching the on-disk JSON
 format, and capped at 4e6 entries.  Tensors are immutable after construction.
+Every index predicate is an `IndexMask`: its pair rule `_equal(j, k)` says
+whether coordinates j and k must be equal, must differ or are free, and
+`boolean` applies it to every pair j < k (`np.indices` is read only here).
 """
 
 from __future__ import annotations
@@ -83,37 +86,33 @@ class IndexMask:
     def off_diagonal(cls) -> "IndexMask":
         return cls("off-diagonal")
 
+    def _equal(self, j: int, k: int) -> bool | None:
+        """The pair rule for coordinates j < k (1-based): True when they must
+        be equal, False when they must differ, None when they are free."""
+        if self.kind == "generalized-diagonal":
+            return True if j in self.subset and k in self.subset else None
+        if self.kind == "level-set":
+            return any(j in b and k in b for b in self.partition.blocks)
+        return False
+
     def boolean(self, order: int, dim: int) -> np.ndarray:
-        """Boolean array over [dim]^order where the predicate holds."""
-        idx = np.indices((dim,) * order)
+        """Boolean array over [dim]^order where the pair rule holds for every
+        coordinate pair j < k."""
         if self.kind == "generalized-diagonal":
             if any(not 1 <= k <= order for k in self.subset):
                 raise ValueError(f"diagonal coordinates {self.subset} outside [1, {order}]")
-            k0 = self.subset[0] - 1
-            keep = np.ones((dim,) * order, dtype=bool)
-            for k in self.subset[1:]:
-                keep &= idx[k0] == idx[k - 1]
-            return keep
-        if self.kind == "level-set":
-            part = self.partition
-            if part is None or part.d != order:
+        elif self.kind == "level-set":
+            if self.partition is None or self.partition.d != order:
                 raise ValueError("level-set mask needs a partition of the tensor order")
-            keep = np.ones((dim,) * order, dtype=bool)
-            for j in range(order - 1):
-                for k in range(j + 1, order):
-                    same_block = any(j + 1 in b and k + 1 in b for b in part.blocks)
-                    if same_block:
-                        keep &= idx[j] == idx[k]
-                    else:
-                        keep &= idx[j] != idx[k]
-            return keep
-        if self.kind == "off-diagonal":
-            keep = np.ones((dim,) * order, dtype=bool)
-            for j in range(order - 1):
-                for k in range(j + 1, order):
-                    keep &= idx[j] != idx[k]
-            return keep
-        raise ValueError(f"unknown mask kind {self.kind!r}")
+        elif self.kind != "off-diagonal":
+            raise ValueError(f"unknown mask kind {self.kind!r}")
+        idx = np.indices((dim,) * order)
+        keep = np.ones((dim,) * order, dtype=bool)
+        for j, k in itertools.combinations(range(order), 2):
+            equal = self._equal(j + 1, k + 1)
+            if equal is not None:
+                keep &= (idx[j] == idx[k]) == equal
+        return keep
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:

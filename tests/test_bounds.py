@@ -334,3 +334,23 @@ def test_experiments_reject_the_tail_constant_before_sampling(monkeypatch):
     with pytest.raises(ValueError, match="tail constant"):
         rmt.wigner_experiment(Polynomial(1, {((1, 2),): 1.0}), rmt.WignerSpec(6), cfg,
                               t_list=[1.0], c_l=-1.0)
+
+
+@pytest.mark.parametrize("report", [
+    lambda p: gaussian_moment_bound(X1X2, GAUSS2, p, OPTS),
+    lambda p: sobolev_moment_bound(X1X2, GAUSS2, p, 1.0, 0.5, OPTS),
+    lambda p: weibull_moment_bound(X1X2, ProductDistribution.weibull(2, 1.5), p, OPTS)],
+    ids=["gaussian", "sobolev", "weibull"])
+@pytest.mark.parametrize("p", [math.inf, math.nan, 1.5])
+def test_moment_reports_need_a_finite_order_of_at_least_two(report, p):
+    # p = inf made a 0 * inf = nan term and a nan total
+    with pytest.raises(ValueError, match=f"p={p} must be finite and >= 2"):
+        report(p)
+
+
+@pytest.mark.parametrize("L, gamma, message", [
+    (math.inf, 0.5, "L=inf"), (math.nan, 0.5, "L=nan"), (0.0, 0.5, "L=0.0"),
+    (1.0, math.inf, "gamma=inf"), (1.0, math.nan, "gamma=nan"), (1.0, 0.4, "gamma=0.4")])
+def test_sobolev_bound_needs_a_finite_L_and_gamma(L, gamma, message):
+    with pytest.raises(ValueError, match=message):
+        sobolev_moment_bound(X1X2, GAUSS2, 4.0, L, gamma, OPTS)

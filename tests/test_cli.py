@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -737,3 +738,26 @@ def test_every_float_option_rejects_nan(capsys):
                 assert f"argument {flag}: invalid float value: 'nan'" in err, parser.prog
                 walked += 1
     assert walked == 31
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--p", "inf"], "p=inf must be finite"),
+    (["--p", "4", "--gamma", "0.5", "--L", "inf"], "L=inf must be positive and finite"),
+    (["--p", "4", "--gamma", "inf", "--L", "1"], "gamma=inf must be finite")])
+def test_moment_report_with_an_infinite_parameter_exit_2(extra, message, x1x2, capsys):
+    assert dispatch(["bounds", "--poly", x1x2] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode", ["moments", "sandwich", "sobolev"])
+def test_mc_moments_that_overflow_exit_2(mode, tmp_path, capsys):
+    # finite coefficients whose sample deviations overflow in their squares
+    path = _poly_file(tmp_path, "big", 2, {((1, 1),): 1e200, ((1, 2), (2, 2)): 1e200})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dispatch(["mc", mode, "--poly", path, "--N", "2000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "p=2 moment is not finite" in captured.err and captured.err.count("\n") == 1

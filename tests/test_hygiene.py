@@ -139,3 +139,14 @@ def test_no_function_takes_a_worker_count():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.arg) and node.arg == "workers"]
     assert found == []
+
+
+def test_only_tensor_builds_index_grids():
+    """Index predicates have one home: `np.indices` appears only in
+    `tensor.py`, where `IndexMask` applies its pair rule (and `symmetrize`
+    picks orbit representatives); elsewhere a predicate is an `IndexMask`."""
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "tensor.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "indices"]
+    assert found == []

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -328,3 +329,33 @@ def test_symmetric_stack_matches_entrywise_fill(n, rows, own_diagonal):
         assert got[r].diagonal().tolist() == diag
     with pytest.raises(ValueError):
         symmetric_stack(values[:, :-1], n + 2)
+
+
+# finite coefficients whose sample deviations overflow in their squares
+BIG = Polynomial(2, {((1, 1),): 1e200, ((1, 2), (2, 2)): 1e200})
+
+
+def test_estimators_refuse_moments_that_overflow():
+    cfg = MCConfig(N=2000, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (lambda: empirical_moment(BIG, GAUSS2, [2.0], cfg),
+                    lambda: sobolev_check(GAUSS2, BIG, [2.0], cfg),
+                    lambda: chaos_moment(Tensor(np.full((2, 2), 1e200)), "decoupled", 2.0, cfg),
+                    lambda: montecarlo._centered_moments(np.array([0.0, np.inf]), [2.0], 2)):
+            with pytest.raises(ValueError, match="p=2 moment is not finite"):
+                run()
+        # at 1e60 the squares of the p = 2 powers fit and those of the p = 4 powers do not
+        with pytest.raises(ValueError, match="p=4 moment is not finite"):
+            empirical_moment(Polynomial(1, {((1, 1),): 1e60}), ProductDistribution.gaussian(1),
+                             [2.0, 4.0], cfg)
+
+
+def test_sobolev_check_refuses_a_gradient_moment_that_overflows(monkeypatch):
+    # modest values of f, a gradient norm whose square overflows
+    values = np.stack([np.arange(2000.0), np.full(2000, 1e200)])
+    monkeypatch.setattr(montecarlo, "_run_chunks", lambda fn, cfg: values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="p=2 moment is not finite"):
+            sobolev_check(GAUSS2, X1X2, [2.0], MCConfig(N=2000))

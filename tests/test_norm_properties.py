@@ -3,6 +3,7 @@
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -135,3 +136,17 @@ def test_exact_norms_agree_across_a_shape(case):
             by_shape.setdefault(part.shape, []).append(norm_J(a, part).value)
     for values in by_shape.values():
         assert max(values) - min(values) <= 1e-12 * max(values)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_generalized_diagonal_mask_keeps_only_the_diagonal(m):
+    # A = J - (m/2) I at 1|2: |A| = m/2, its diagonal (1 - m/2) I has norm
+    # m/2 - 1, and the complement J - I has norm m - 1 > m/2, so a mask that
+    # kept the complement would break the factor-1 bound of test_masking_factors
+    a = Tensor(np.ones((m, m)) - m / 2 * np.eye(m))
+    part = SetPartition.parse("1|2")
+    full = norm_J(a, part).value
+    masked = norm_J(apply_mask(a, IndexMask.generalized_diagonal((1, 2))), part).value
+    assert full == pytest.approx(m / 2, rel=1e-12)
+    assert masked == pytest.approx(m / 2 - 1, rel=1e-12)
+    assert masked <= full

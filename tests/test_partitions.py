@@ -125,6 +125,19 @@ def test_split_string_round_trip():
         SplitPartition.parse("1|2|3")
 
 
+def test_partition_and_split_labels_share_one_grammar():
+    # each side of a split parses and prints as a partition label does
+    for text in ("1,2|3", " 1 , 3 | 2 "):
+        part = SetPartition.parse(text)
+        split = SplitPartition.parse(f"{text}||4")
+        assert split.inner == part.blocks and str(split) == f"{part}||4"
+    for bad in ("1||2|", "|1||2"):
+        with pytest.raises(ValueError, match="empty block"):
+            SplitPartition.parse(bad)
+    with pytest.raises(ValueError, match="empty block"):
+        SetPartition.parse("1||2")
+
+
 def test_refines_and_merged():
     fine = SetPartition.parse("1|2|3")
     coarse = SetPartition.parse("1,3|2")
