@@ -106,7 +106,7 @@ def _report_lines(report) -> list[str]:
 def _poly_law(args):
     """The polynomial and the law of its variables."""
     poly = load_polynomial(args.poly)
-    return poly, ProductDistribution(args.law, poly.nvars, p=args.pp, alpha=args.alpha)
+    return poly, ProductDistribution(args.law, p=args.pp, alpha=args.alpha)
 
 
 def _mc_config(args) -> MCConfig:
@@ -198,9 +198,9 @@ def _graphs_triangles(args) -> list[str]:
 
 
 def _graphs_cyclebound(args) -> list[str]:
-    part = SetPartition.parse(args.partition, d=args.d)
-    value = cycle_norm_bound(GraphSpec.cycle(args.k), args.d, part, args.n, args.p)
-    return _csv("k,n,p,d,partition,bound", [(args.k, args.n, args.p, args.d, part, value)])
+    part = SetPartition.parse(args.partition)
+    value = cycle_norm_bound(GraphSpec.cycle(args.k), part, args.n, args.p)
+    return _csv("k,n,p,d,partition,bound", [(args.k, args.n, args.p, part.d, part, value)])
 
 
 def _cmd_rmt(args) -> list[str]:
@@ -371,8 +371,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=real, required=True)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--partition", default="1")
+    p.add_argument("--partition", default="1", help="its order is the derivative order d")
 
     p = leaf(sub, "rmt", _cmd_rmt, "Wigner linear-statistics experiment")
     p.add_argument("--f", required=True, help="one-variable polynomial JSON")

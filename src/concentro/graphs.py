@@ -183,20 +183,19 @@ def _block_exponents(e_seq, part: SetPartition) -> tuple[float, int]:
     return half_isolated, _singly_covered(groups)
 
 
-def indicator_norm_bound(h: GraphSpec, e_seq, part: SetPartition, n: int) -> float:
+def indicator_norm_bound(e_seq, part: SetPartition, n: int) -> float:
     """Combinatorial cap on the pattern-indicator tensor norm: powers of 2 from
     isolated edges and sqrt(n) per singly covered vertex."""
     half_isolated, singly = _block_exponents(e_seq, part)
     return 2.0 ** (half_isolated - _isolated_edge_count(list(e_seq))) * float(n) ** (0.5 * singly)
 
 
-def subgraph_norm_bound(h: GraphSpec, d: int, part: SetPartition, n: int, p: float) -> float:
-    """Edge-enumeration upper bound on |E D^d f|_J for the ordered-copy
-    polynomial of any pattern without isolated vertices."""
-    if not 1 <= d <= h.n_edges:
+def subgraph_norm_bound(h: GraphSpec, part: SetPartition, n: int, p: float) -> float:
+    """Edge-enumeration upper bound on |E D^d f|_J, d = part.d, for the
+    ordered-copy polynomial of any pattern without isolated vertices."""
+    d = part.d
+    if d > h.n_edges:
         raise ValueError(f"derivative order {d} outside [1, {h.n_edges}]")
-    if part.d != d:
-        raise ValueError("partition order must equal the derivative order")
     total = 0.0
     for e_seq in itertools.permutations(h.edges, d):
         v0 = {v for e in e_seq for v in e}
@@ -205,16 +204,16 @@ def subgraph_norm_bound(h: GraphSpec, d: int, part: SetPartition, n: int, p: flo
     return p ** (h.n_edges - d) * total
 
 
-def cycle_norm_bound(h: GraphSpec, d: int, part: SetPartition, n: int, p: float) -> float:
-    """Norm bound for cycle counting polynomials, exact at the top order d = k
-    with one block: D^k X_(C_k) is aut(C_k) = 2k on each of the k! (n)_k / 2k
-    edge k-tuples forming a k-cycle, so its norm is sqrt(2k * k! * (n)_k)."""
+def cycle_norm_bound(h: GraphSpec, part: SetPartition, n: int, p: float) -> float:
+    """Norm bound for cycle counting polynomials at order d = part.d, exact at
+    d = k with one block: D^k X_(C_k) is aut(C_k) = 2k on each of the
+    k! (n)_k / 2k edge k-tuples forming a k-cycle, so its norm is sqrt(2k * k! * (n)_k)."""
     if h.kind != "cycle":
         raise ValueError("cycle_norm_bound supports cycle patterns only"
                          " (subgraph_norm_bound covers other patterns)")
-    if d == h.k and part.n_blocks == 1:
+    if part.d == h.k and part.n_blocks == 1:
         return math.sqrt(2 * h.k * math.factorial(h.k) * math.perm(n, h.k))
-    return subgraph_norm_bound(h, d, part, n, p)
+    return subgraph_norm_bound(h, part, n, p)
 
 
 def indicator_norm_check(h: GraphSpec, e_seq, part: SetPartition, n: int,
@@ -241,7 +240,7 @@ def indicator_norm_check(h: GraphSpec, e_seq, part: SetPartition, n: int,
         pos = tuple(eidx.index((vmap[u], vmap[v])) - 1 for u, v in e_seq)
         vals[pos] = 1.0
     lhs = norm_J(Tensor(vals), part, opts or NormOptions())
-    return lhs, indicator_norm_bound(h, e_seq, part, n)
+    return lhs, indicator_norm_bound(e_seq, part, n)
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +334,6 @@ def expected_cycle_count(k: int, n: int, p: float) -> float:
 
 @dataclass(frozen=True)
 class ERResult:
-    k: int
-    n: int
-    p: float
-    N: int
     expected_mean: float
     mean: float
     mean_stderr: float
@@ -381,6 +376,5 @@ def er_tail_experiment(h: GraphSpec, n: int, p: float, cfg: MCConfig,
         bound = lambda t: triangle_tail_bound(n, p, t, c)
     else:
         bound = lambda t: cycle_tail_bound(h.k, n, p, t, c)
-    return ERResult(h.k, n, p, cfg.N, expected_cycle_count(h.k, n, p),
-                    float(counts.mean()), float(counts.std() / math.sqrt(cfg.N)),
-                    tail_rows(counts, t_list, bound))
+    return ERResult(expected_cycle_count(h.k, n, p), float(counts.mean()),
+                    float(counts.std() / math.sqrt(cfg.N)), tail_rows(counts, t_list, bound))

@@ -127,9 +127,7 @@ def symmetric_stack(values: np.ndarray, n: int) -> np.ndarray:
 
 def _sample_values(f: Polynomial, dist: ProductDistribution, cfg: MCConfig) -> np.ndarray:
     """f(X) on cfg.N draws of the product law."""
-    if dist.n != f.nvars:
-        raise ValueError(f"distribution over {dist.n} coordinates, polynomial over {f.nvars}")
-    return _run_chunks(lambda rows, rng: f.evaluate_batch(dist.sample(rng, rows)), cfg)
+    return _run_chunks(lambda rows, rng: f.evaluate_batch(dist.sample(rng, rows, f.nvars)), cfg)
 
 
 def _finite(x, p: float):
@@ -139,9 +137,10 @@ def _finite(x, p: float):
     return x
 
 
-def _centered_moments(values: np.ndarray, p_list, n: int):
+def _centered_moments(values: np.ndarray, p_list):
     """The centered L^p norm of `values` and its standard error per p; an
     overflow in the sample or its powers is refused (`_finite`)."""
+    n = values.size
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.abs(values - values.mean())
@@ -159,7 +158,7 @@ def empirical_moment(f: Polynomial, dist: ProductDistribution, p_list,
                      cfg: MCConfig) -> list[MomentEstimate]:
     """Empirical L^p norms of f(X) - mean, one per p in p_list."""
     p_list = _moment_orders(p_list, cfg.N)
-    return _centered_moments(_sample_values(f, dist, cfg), p_list, cfg.N)
+    return _centered_moments(_sample_values(f, dist, cfg), p_list)
 
 
 def wilson_interval(k: int, n: int) -> tuple[float, float]:
@@ -172,10 +171,14 @@ def wilson_interval(k: int, n: int) -> tuple[float, float]:
 
 
 def tail_rows(values: np.ndarray, t_list, bound=None) -> tuple:
-    """One row per t: the share of values at least t from their sample mean,
-    its Wilson interval, and bound(t) (None without a bound)."""
+    """One row per t: the share of values at least t from their sample mean
+    (refused when not finite), its Wilson interval, and bound(t) (None without a bound)."""
     n = values.size
-    dev = np.abs(values - values.mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = values.mean()
+        if not np.isfinite(mean):
+            raise ValueError("the sample mean is not finite: the sample or its sum overflows")
+        dev = np.abs(values - mean)
     rows = []
     for t in t_list:
         hits = int((dev >= t).sum())
@@ -224,7 +227,7 @@ def chaos_moment(a: Tensor, mode: str, p: float, cfg: MCConfig) -> MomentEstimat
             gs = [rng.standard_normal((rows, m))] * d
         return contract_rows(a.values, gs)
 
-    return _centered_moments(_run_chunks(job, cfg), [p], cfg.N)[0]
+    return _centered_moments(_run_chunks(job, cfg), [p])[0]
 
 
 def sandwich_check(f: Polynomial, dist: ProductDistribution, p_list, cfg: MCConfig,
@@ -311,13 +314,11 @@ def sobolev_check(dist: ProductDistribution, f: Polynomial, p_list,
     if pair is None:
         raise ValueError(f"law {dist.law!r} has no known Sobolev (L, gamma) pair")
     L, gamma = pair
-    if dist.n != f.nvars:
-        raise ValueError(f"distribution over {dist.n} coordinates, polynomial over {f.nvars}")
     p_list = _moment_orders(p_list, cfg.N)
     grads = f.gradient()
 
     def job(rows, rng):
-        xs = dist.sample(rng, rows)
+        xs = dist.sample(rng, rows, f.nvars)
         vals = f.evaluate_batch(xs)
         gsq = np.zeros(rows)
         with np.errstate(over="ignore"):   # an overflow is refused at gnorm**p
@@ -331,7 +332,7 @@ def sobolev_check(dist: ProductDistribution, f: Polynomial, p_list,
     # empirical mean in lhs: no ratio is meaningful
     degenerate = not gnorm.any()
     rows = []
-    for est in _centered_moments(values, p_list, cfg.N):
+    for est in _centered_moments(values, p_list):
         p, lhs = est.p, est.value
         with np.errstate(over="ignore"):
             rhs = float(L * p**gamma * _finite(np.mean(gnorm**p), p) ** (1.0 / p))

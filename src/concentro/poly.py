@@ -150,10 +150,10 @@ _LAWS = ("gaussian", "rademacher", "bernoulli", "weibull", "custom")
 
 @dataclass(frozen=True)
 class ProductDistribution:
-    """Coordinatewise i.i.d. law: moments, sampler, and tail parameters."""
+    """The law of one coordinate, with its moments, sampler and tail parameters:
+    X = (X_1, .., X_n) has i.i.d. coordinates of it, n being f's variable count."""
 
     law: str
-    n: int
     p: float | None = None
     alpha: float | None = None
     moments_table: tuple | None = None
@@ -161,8 +161,6 @@ class ProductDistribution:
     def __post_init__(self):
         if self.law not in _LAWS:
             raise ValueError(f"unknown law {self.law!r}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
         if self.law == "bernoulli" and not (self.p is not None and 0 < self.p <= 1):
             raise ValueError("bernoulli law needs p in (0, 1]")
         if self.law == "weibull" and not (self.alpha is not None and 1 <= self.alpha <= 2):
@@ -175,24 +173,24 @@ class ProductDistribution:
             raise ValueError("custom law needs a moments table")
 
     @classmethod
-    def gaussian(cls, n: int) -> "ProductDistribution":
-        return cls("gaussian", n)
+    def gaussian(cls) -> "ProductDistribution":
+        return cls("gaussian")
 
     @classmethod
-    def rademacher(cls, n: int) -> "ProductDistribution":
-        return cls("rademacher", n)
+    def rademacher(cls) -> "ProductDistribution":
+        return cls("rademacher")
 
     @classmethod
-    def bernoulli(cls, n: int, p: float) -> "ProductDistribution":
-        return cls("bernoulli", n, p=p)
+    def bernoulli(cls, p: float) -> "ProductDistribution":
+        return cls("bernoulli", p=p)
 
     @classmethod
-    def weibull(cls, n: int, alpha: float) -> "ProductDistribution":
-        return cls("weibull", n, alpha=alpha)
+    def weibull(cls, alpha: float) -> "ProductDistribution":
+        return cls("weibull", alpha=alpha)
 
     @classmethod
-    def custom(cls, n: int, moments) -> "ProductDistribution":
-        return cls("custom", n, moments_table=tuple(float(m) for m in moments))
+    def custom(cls, moments) -> "ProductDistribution":
+        return cls("custom", moments_table=tuple(float(m) for m in moments))
 
     def moment(self, k: int) -> float:
         """E X^k for one coordinate."""
@@ -237,8 +235,9 @@ class ProductDistribution:
             return (1.0, 0.5)
         return None
 
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        shape = (self.n,) if size is None else (size, self.n)
+    def sample(self, rng: np.random.Generator, size: int, n: int) -> np.ndarray:
+        """`size` draws of X = (X_1, .., X_n), as a (size, n) array."""
+        shape = (size, n)
         if self.law == "gaussian":
             return rng.standard_normal(shape)
         if self.law == "rademacher":
@@ -289,8 +288,6 @@ def _substitute(f: Polynomial, d: int, power_value) -> np.ndarray:
 
 def expected_derivative_tensor(f: Polynomial, dist: ProductDistribution, d: int) -> Tensor:
     """The symmetric order-d tensor with entries E d^d f / dx_{i_1}..dx_{i_d} (X)."""
-    if dist.n != f.nvars:
-        raise ValueError(f"distribution over {dist.n} coordinates, polynomial over {f.nvars}")
     if d < 1:
         raise ValueError("derivative order must be >= 1")
     return Tensor(_substitute(f, d, lambda v, r: dist.moment(r)))
@@ -308,8 +305,6 @@ def derivative_tensor_at(f: Polynomial, d: int, x) -> Tensor:
 
 def expected_value(f: Polynomial, dist: ProductDistribution) -> float:
     """E f(X) under the product law, by termwise moment substitution."""
-    if dist.n != f.nvars:
-        raise ValueError(f"distribution over {dist.n} coordinates, polynomial over {f.nvars}")
     return float(_substitute(f, 0, lambda v, r: dist.moment(r)))
 
 
@@ -321,7 +316,6 @@ MAX_HERMITE_DEGREE = 12
 
 @dataclass(frozen=True)
 class HermiteCoeffs:
-    degree: int
     coeffs: tuple  # exact integers, ascending powers
 
     def to_polynomial(self, nvars: int = 1, var: int = 1) -> Polynomial:
@@ -336,15 +330,13 @@ def hermite(k: int) -> HermiteCoeffs:
     """h_k by the recurrence h_{k+1}(x) = x h_k(x) - k h_{k-1}(x)."""
     if not 0 <= k <= MAX_HERMITE_DEGREE:
         raise ValueError(f"hermite degree {k} outside [0, {MAX_HERMITE_DEGREE}]")
-    prev, cur = [1], [0, 1]
-    if k == 0:
-        return HermiteCoeffs(0, (1,))
-    for deg in range(1, k):
+    prev, cur = [], [1]   # h_(-1) = 0, h_0 = 1
+    for deg in range(k):
         nxt = [0] + cur  # x * h_deg
         for i, c in enumerate(prev):
             nxt[i] -= deg * c
         prev, cur = cur, nxt
-    return HermiteCoeffs(k, tuple(cur))
+    return HermiteCoeffs(tuple(cur))
 
 
 MAX_EXPANSION_DEGREE = 6

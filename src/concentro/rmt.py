@@ -128,6 +128,21 @@ def sup_abs_on_interval(g: Polynomial, halfwidth: float = 4.0) -> float:
     return float(np.abs(g.evaluate_batch(xs[:, None])).max())
 
 
+def _fprime_energy(f: Polynomial) -> float:
+    """The semicircle energy of f', the integral of f'(x)^2, refused when it overflows."""
+    try:
+        fp = f.partial(1)
+        sq = fp * fp
+    except ValueError:   # a coefficient of f' or f'^2 is not finite
+        energy = math.inf
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            energy = semicircle_integral(sq)
+    if not math.isfinite(energy):
+        raise ValueError("the semicircle energy of f' (the integral of f'(x)^2) is not finite")
+    return energy
+
+
 def linstat_tail_bound(f: Polynomial, n: int, L: float, t: float,
                        c_l: float = 1.0) -> float:
     """Deviation bound for Z: sub-Gaussian term driven by the semicircle energy
@@ -136,8 +151,7 @@ def linstat_tail_bound(f: Polynomial, n: int, L: float, t: float,
         raise ValueError("linear statistics take a one-variable polynomial")
     if not t > 0:
         return two_sided_tail([0.0], c_l)
-    fp = f.partial(1)
-    energy = semicircle_integral(fp * fp)
+    energy = _fprime_energy(f)
     fpp_sup = sup_abs_on_interval(f.partial(1).partial(1))
     args = []
     if energy > 0 or fpp_sup > 0:
@@ -149,8 +163,6 @@ def linstat_tail_bound(f: Polynomial, n: int, L: float, t: float,
 
 @dataclass(frozen=True)
 class WignerResult:
-    n: int
-    replicas: int
     z_mean: float
     z_stderr: float
     sobolev_mean: float
@@ -171,6 +183,7 @@ def wigner_experiment(f: Polynomial, spec: WignerSpec, cfg: MCConfig,
     if cfg.N > 10_000:
         raise ValueError("experiment replica count capped at 10000")
     two_sided_tail((), c_l)   # a bad c_l fails here, before any sampling
+    energy = _fprime_energy(f)   # so does an energy that overflows
     fp = f.partial(1)
     sqrt_n = math.sqrt(spec.n)
 
@@ -183,7 +196,6 @@ def wigner_experiment(f: Polynomial, spec: WignerSpec, cfg: MCConfig,
     z, sob = _run_chunks(job, cfg)
     # Gaussian entries: log-Sobolev constant L = 1
     rows = tail_rows(z, t_list, lambda t: linstat_tail_bound(f, spec.n, 1.0, t, c_l))
-    return WignerResult(spec.n, cfg.N, float(z.mean()), float(z.std() / math.sqrt(cfg.N)),
-                        float(sob.mean()), float(sob.std() / math.sqrt(cfg.N)),
-                        semicircle_integral(fp * fp), rows)
+    return WignerResult(float(z.mean()), float(z.std() / math.sqrt(cfg.N)),
+                        float(sob.mean()), float(sob.std() / math.sqrt(cfg.N)), energy, rows)
 

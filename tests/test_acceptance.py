@@ -128,7 +128,7 @@ def test_criterion_04_triangle_closed_forms():
         y_poly = counting_polynomial(triangle, n) * (1.0 / triangle.aut_size)
         d3 = None
         for p in (0.1, 0.5, 0.9):
-            dist = ProductDistribution.bernoulli(y_poly.nvars, p)
+            dist = ProductDistribution.bernoulli(p)
             expect = triangle_norms_exact(n, p)
             d1 = norm_J(expected_derivative_tensor(y_poly, dist, 1),
                         SetPartition.full(1)).value
@@ -168,7 +168,7 @@ def test_criterion_05_gaussian_sandwich():
     ok = True
     detail = []
     for idx, (name, f) in enumerate(polys):
-        dist = ProductDistribution.gaussian(f.nvars)
+        dist = ProductDistribution.gaussian()
         cfg = MCConfig(N=1_000_000, seed=500 + idx)
         rows = sandwich_check(f, dist, (2.0, 4.0, 6.0), cfg, bound_fn, window=(0.1, 10.0))
         for r in rows:
@@ -213,7 +213,7 @@ def test_criterion_07_hermite_tetrahedral_convergence():
 
 
 def test_criterion_08_hermite_moment_identities():
-    dist = ProductDistribution.gaussian(1)
+    dist = ProductDistribution.gaussian()
     ok = True
     for k in range(6):
         f = hermite(k).to_polynomial()
@@ -248,7 +248,7 @@ def test_criterion_09_weibull_consistency():
     for i in range(50):
         rng = np.random.default_rng(900 + i)
         f = _random_poly_deg3(rng)
-        dist = ProductDistribution.weibull(f.nvars, 2.0)
+        dist = ProductDistribution.weibull(2.0)
         p = 4.0
         total = weibull_moment_bound(f, dist, p, opts=opts).total
         recombined = 0.0
@@ -266,7 +266,7 @@ def test_criterion_09_weibull_consistency():
         rng = np.random.default_rng(950 + i)
         a = rng.standard_normal(4)
         f = Polynomial(4, {((j + 1, 1),): float(a[j]) for j in range(4)})
-        dist = ProductDistribution.weibull(4, 1.0)
+        dist = ProductDistribution.weibull(1.0)
         p = float(rng.integers(2, 7))
         total = weibull_moment_bound(f, dist, p, opts=opts).total
         expect = math.sqrt(p) * float(np.linalg.norm(a)) + p * float(np.abs(a).max())
@@ -307,8 +307,8 @@ def test_criterion_10_rmt_pipeline():
         dev_a = abs(a.sobolev_mean - 4.0)
         dev_b = abs(b.sobolev_mean - 4.0)
         mono_ok = mono_ok and dev_b <= dev_a + 3 * (a.sobolev_stderr + b.sobolev_stderr)
-    detail = "; ".join(f"n={r.n}: {r.sobolev_mean:.4f}+-{r.sobolev_stderr:.4f}"
-                       for r in results)
+    detail = "; ".join(f"n={n}: {r.sobolev_mean:.4f}+-{r.sobolev_stderr:.4f}"
+                       for n, r in zip(reps, results))
     _verdict(10, "random-matrix pipeline", hw_ok and trace_ok and mono_ok, f" ({detail})")
 
 

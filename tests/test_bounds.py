@@ -20,12 +20,12 @@ from concentro.norms import NormOptions
 from concentro.poly import Polynomial, ProductDistribution
 
 X1X2 = Polynomial(2, {((1, 1), (2, 1)): 1.0})
-GAUSS2 = ProductDistribution.gaussian(2)
+GAUSS = ProductDistribution.gaussian()
 OPTS = NormOptions(restarts=16, seed=0)
 
 
 def test_gaussian_bound_hand_example():
-    rep = gaussian_moment_bound(X1X2, GAUSS2, 2.0, OPTS)
+    rep = gaussian_moment_bound(X1X2, GAUSS, 2.0, OPTS)
     # E D^2 f has ones at (1,2) and (2,1): HS norm sqrt(2), operator norm 1
     nonzero = {t.label: t for t in rep.terms if t.value != 0}
     assert nonzero["1,2"].value == pytest.approx(2.0, rel=1e-12)
@@ -35,11 +35,11 @@ def test_gaussian_bound_hand_example():
 
 def test_gaussian_bound_chaos_total_hand_example():
     # chaos_total divides each order-d term by d!; total keeps the raw terms
-    rep = gaussian_moment_bound(X1X2, GAUSS2, 2.0, OPTS)
+    rep = gaussian_moment_bound(X1X2, GAUSS, 2.0, OPTS)
     assert rep.meta["chaos_total"] == pytest.approx(2.0, rel=1e-12)
     assert rep.total == pytest.approx(4.0, rel=1e-12)
     x1x2x3 = Polynomial(3, {((1, 1), (2, 1), (3, 1)): 1.0})
-    rep = gaussian_moment_bound(x1x2x3, ProductDistribution.gaussian(3), 2.0, OPTS)
+    rep = gaussian_moment_bound(x1x2x3, ProductDistribution.gaussian(), 2.0, OPTS)
     # E D^3 f = sum over permutations of e1 x e2 x e3: HS sqrt(6), three
     # one-vs-two matricizations of norm sqrt(2), injective norm 2/sqrt(3)
     expect = (math.sqrt(12) + 6 * math.sqrt(2) + 2**1.5 * 2 / math.sqrt(3)) / 6
@@ -51,30 +51,30 @@ def test_gaussian_bound_linear_and_constant():
     a = (3.0, 4.0)
     f = Polynomial(2, {((1, 1),): a[0], ((2, 1),): a[1]})
     for p in (2.0, 4.0, 9.0):
-        rep = gaussian_moment_bound(f, GAUSS2, p, OPTS)
+        rep = gaussian_moment_bound(f, GAUSS, p, OPTS)
         assert rep.total == pytest.approx(math.sqrt(p) * 5.0, rel=1e-12)
-    rep = gaussian_moment_bound(Polynomial.constant(2, 7.0), GAUSS2, 2.0)
+    rep = gaussian_moment_bound(Polynomial.constant(2, 7.0), GAUSS, 2.0)
     assert rep.terms == () and rep.total == 0.0
 
 
 def test_gaussian_bound_validations_and_monotonicity():
     with pytest.raises(ValueError):
-        gaussian_moment_bound(X1X2, GAUSS2, 1.5)
-    totals = [gaussian_moment_bound(X1X2, GAUSS2, p, OPTS).total for p in (2, 3, 4, 6)]
+        gaussian_moment_bound(X1X2, GAUSS, 1.5)
+    totals = [gaussian_moment_bound(X1X2, GAUSS, p, OPTS).total for p in (2, 3, 4, 6)]
     assert all(b >= a for a, b in zip(totals, totals[1:]))
 
 
 def test_gaussian_bound_relabeling_invariance():
     f = Polynomial(3, {((1, 2), (2, 1)): 1.0, ((3, 1),): 2.0})
     g = Polynomial(3, {((2, 2), (3, 1)): 1.0, ((1, 1),): 2.0})  # relabeled 1->2,2->3,3->1
-    dist = ProductDistribution.gaussian(3)
+    dist = ProductDistribution.gaussian()
     for p in (2.0, 4.0):
         assert gaussian_moment_bound(f, dist, p, OPTS).total == pytest.approx(
             gaussian_moment_bound(g, dist, p, OPTS).total, rel=1e-8)
 
 
 def test_eta_tail_hand_example():
-    rep = eta_tail(X1X2, GAUSS2, t=8.0, L=1.0, opts=OPTS)
+    rep = eta_tail(X1X2, GAUSS, t=8.0, L=1.0, opts=OPTS)
     assert rep.kind == "min"
     vals = {t.label: t.value for t in rep.terms}
     assert vals["1,2"] == pytest.approx((8 / math.sqrt(2)) ** 2, rel=1e-12)
@@ -86,7 +86,7 @@ def test_eta_tail_hand_example():
 def test_eta_tail_linear_single_partition():
     f = Polynomial(2, {((1, 1),): 3.0, ((2, 1),): 4.0})
     for t, L in [(2.0, 1.0), (5.0, 0.5)]:
-        rep = eta_tail(f, GAUSS2, t, L, opts=OPTS)
+        rep = eta_tail(f, GAUSS, t, L, opts=OPTS)
         assert len(rep.terms) == 1
         assert rep.total == pytest.approx((t / (L * 5.0)) ** 2, rel=1e-12)
 
@@ -94,37 +94,37 @@ def test_eta_tail_linear_single_partition():
 def test_eta_tail_scaling_invariance():
     # eta_{cf}(ct) = eta_f(t): every term is homogeneous of degree zero
     for c in (0.5, 3.0):
-        base = eta_tail(X1X2, GAUSS2, 2.0, 1.0, opts=OPTS).total
-        scaled = eta_tail(c * X1X2, GAUSS2, c * 2.0, 1.0, opts=OPTS).total
+        base = eta_tail(X1X2, GAUSS, 2.0, 1.0, opts=OPTS).total
+        scaled = eta_tail(c * X1X2, GAUSS, c * 2.0, 1.0, opts=OPTS).total
         assert scaled == pytest.approx(base, rel=1e-10)
 
 
 def test_eta_tail_monotone_in_t_and_L():
-    totals_t = [eta_tail(X1X2, GAUSS2, t, 1.0, opts=OPTS).total for t in (1, 2, 4, 8)]
+    totals_t = [eta_tail(X1X2, GAUSS, t, 1.0, opts=OPTS).total for t in (1, 2, 4, 8)]
     assert all(b >= a for a, b in zip(totals_t, totals_t[1:]))
-    totals_L = [eta_tail(X1X2, GAUSS2, 4.0, L, opts=OPTS).total for L in (0.5, 1.0, 2.0)]
+    totals_L = [eta_tail(X1X2, GAUSS, 4.0, L, opts=OPTS).total for L in (0.5, 1.0, 2.0)]
     assert all(b <= a for a, b in zip(totals_L, totals_L[1:]))
 
 
 def test_eta_tail_degenerate():
     with pytest.raises(ValueError):
-        eta_tail(Polynomial.constant(2, 1.0), GAUSS2, 1.0, 1.0)
+        eta_tail(Polynomial.constant(2, 1.0), GAUSS, 1.0, 1.0)
     with pytest.raises(ValueError):
-        eta_tail(X1X2, GAUSS2, 0.0, 1.0)
+        eta_tail(X1X2, GAUSS, 0.0, 1.0)
 
 
 def test_sobolev_bound_reduces_to_gaussian_at_half():
     for p in (2.0, 4.0):
-        a = sobolev_moment_bound(X1X2, GAUSS2, p, L=1.0, gamma=0.5, opts=OPTS).total
-        b = gaussian_moment_bound(X1X2, GAUSS2, p, OPTS).total
+        a = sobolev_moment_bound(X1X2, GAUSS, p, L=1.0, gamma=0.5, opts=OPTS).total
+        b = gaussian_moment_bound(X1X2, GAUSS, p, OPTS).total
         assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_sobolev_bound_hand_example():
-    rep = sobolev_moment_bound(X1X2, GAUSS2, p=4.0, L=1.0, gamma=1.0, opts=OPTS)
+    rep = sobolev_moment_bound(X1X2, GAUSS, p=4.0, L=1.0, gamma=1.0, opts=OPTS)
     assert rep.total == pytest.approx(4.0**1.5 * math.sqrt(2) + 16.0, rel=1e-12)
     with pytest.raises(ValueError):
-        sobolev_moment_bound(X1X2, GAUSS2, 4.0, 1.0, gamma=0.4)
+        sobolev_moment_bound(X1X2, GAUSS, 4.0, 1.0, gamma=0.4)
 
 
 def test_additive_tail_shapes():
@@ -159,7 +159,7 @@ def test_additive_tail_three_groups():
 
 def test_weibull_bound_linear_alpha_one():
     f = Polynomial(2, {((1, 1),): 3.0, ((2, 1),): 4.0})
-    rep = weibull_moment_bound(f, ProductDistribution.weibull(2, 1.0), p=4.0)
+    rep = weibull_moment_bound(f, ProductDistribution.weibull(1.0), p=4.0)
     assert rep.total == pytest.approx(math.sqrt(4.0) * 5.0 + 4.0 * 4.0, rel=1e-10)
     labels = {t.label for t in rep.terms}
     assert labels == {"1||", "||1"}
@@ -171,7 +171,7 @@ def test_weibull_bound_alpha2_matches_merged_recombination():
     from concentro.poly import expected_derivative_tensor
 
     rng = np.random.default_rng(9)
-    dist = ProductDistribution.weibull(3, 2.0)
+    dist = ProductDistribution.weibull(2.0)
     f = Polynomial(3, {((1, 1), (2, 1)): rng.standard_normal(),
                        ((1, 1), (2, 1), (3, 1)): rng.standard_normal(),
                        ((3, 2),): rng.standard_normal()})
@@ -190,16 +190,16 @@ def test_weibull_bound_alpha2_matches_merged_recombination():
 
 def test_weibull_bound_constant_and_caps():
     rep = weibull_moment_bound(Polynomial.constant(2, 5.0),
-                               ProductDistribution.weibull(2, 1.5), 2.0)
+                               ProductDistribution.weibull(1.5), 2.0)
     assert rep.total == 0.0
     quartic = Polynomial(1, {((1, 4),): 1.0})
     with pytest.raises(ValueError):
-        weibull_moment_bound(quartic, ProductDistribution.weibull(1, 1.0), 2.0)
+        weibull_moment_bound(quartic, ProductDistribution.weibull(1.0), 2.0)
 
 
 def test_weibull_bound_takes_alpha_from_its_law():
     with pytest.raises(ValueError, match="'gaussian'"):
-        weibull_moment_bound(X1X2, GAUSS2, 2.0, OPTS)
+        weibull_moment_bound(X1X2, GAUSS, 2.0, OPTS)
 
 
 def test_report_consistency_guard():
@@ -233,7 +233,7 @@ def _counting(monkeypatch, name):
 def test_gaussian_report_solves_once_per_shape(monkeypatch):
     calls = _counting(monkeypatch, "norm_J")
     f = Polynomial(2, {((1, 5),): 1.0, ((1, 2), (2, 3)): -0.5, ((2, 1),): 2.0})
-    rep = gaussian_moment_bound(f, GAUSS2, 2.0, OPTS)
+    rep = gaussian_moment_bound(f, GAUSS, 2.0, OPTS)
     # sum of p(d) for d <= 5 solves, against sum of Bell(d) = 75 rows
     assert len(calls) == 1 + 2 + 3 + 5 + 7
     assert len(rep.terms) == 1 + 2 + 5 + 15 + 52
@@ -243,7 +243,7 @@ def test_gaussian_report_solves_once_per_shape(monkeypatch):
 def test_weibull_report_solves_once_per_split_shape(monkeypatch):
     calls = _counting(monkeypatch, "mixed_norm")
     f = Polynomial(2, {((1, 3),): 1.0, ((1, 1), (2, 1)): 0.5, ((2, 1),): -1.0})
-    rep = weibull_moment_bound(f, ProductDistribution.weibull(2, 1.5), 4.0, OPTS)
+    rep = weibull_moment_bound(f, ProductDistribution.weibull(1.5), 4.0, OPTS)
     assert len(calls) == 2 + 5 + 10
     assert len(rep.terms) == 2 + 6 + 22
 
@@ -254,7 +254,7 @@ def test_weibull_alpha2_report_solves_once_per_merged_shape(monkeypatch):
     from concentro.poly import expected_derivative_tensor
 
     f = Polynomial(3, {((1, 1), (2, 1), (3, 1)): 1.0, ((1, 2),): 0.5, ((2, 1),): 1.0})
-    dist = ProductDistribution.weibull(3, 2.0)
+    dist = ProductDistribution.weibull(2.0)
     norm_calls = _counting(monkeypatch, "norm_J")
     mixed_calls = _counting(monkeypatch, "mixed_norm")
     rep = weibull_moment_bound(f, dist, 4.0, OPTS)
@@ -278,11 +278,11 @@ def test_every_row_equals_its_own_partition_norm(case):
     if case == "degree-4":
         f = Polynomial(3, {((1, 2), (2, 2)): 1.3, ((1, 1), (2, 1), (3, 2)): -0.7,
                            ((3, 4),): 0.4, ((2, 3),): 2.0, ((1, 1), (3, 1)): 0.5})
-        dist = ProductDistribution.gaussian(3)
+        dist = ProductDistribution.gaussian()
     else:
         h = GraphSpec.cycle(4)
         f = counting_polynomial(h, 6) * (1.0 / h.aut_size)
-        dist = ProductDistribution.bernoulli(f.nvars, 0.3)
+        dist = ProductDistribution.bernoulli(0.3)
     rep = gaussian_moment_bound(f, dist, 2.0, OPTS)
     tensors = {d: expected_derivative_tensor(f, dist, d) for d in range(1, f.degree + 1)}
     for t in rep.terms:
@@ -303,7 +303,7 @@ def test_two_sided_tail():
 
 
 def test_tail_reports_reject_a_constant_that_is_not_positive():
-    dist = ProductDistribution.gaussian(2)
+    dist = ProductDistribution.gaussian()
     with pytest.raises(ValueError, match="tail constant"):
         eta_tail(X1X2, dist, 1.0, 1.0, c_d=0.0, opts=OPTS)
     with pytest.raises(ValueError, match="tail constant"):
@@ -337,9 +337,9 @@ def test_experiments_reject_the_tail_constant_before_sampling(monkeypatch):
 
 
 @pytest.mark.parametrize("report", [
-    lambda p: gaussian_moment_bound(X1X2, GAUSS2, p, OPTS),
-    lambda p: sobolev_moment_bound(X1X2, GAUSS2, p, 1.0, 0.5, OPTS),
-    lambda p: weibull_moment_bound(X1X2, ProductDistribution.weibull(2, 1.5), p, OPTS)],
+    lambda p: gaussian_moment_bound(X1X2, GAUSS, p, OPTS),
+    lambda p: sobolev_moment_bound(X1X2, GAUSS, p, 1.0, 0.5, OPTS),
+    lambda p: weibull_moment_bound(X1X2, ProductDistribution.weibull(1.5), p, OPTS)],
     ids=["gaussian", "sobolev", "weibull"])
 @pytest.mark.parametrize("p", [math.inf, math.nan, 1.5])
 def test_moment_reports_need_a_finite_order_of_at_least_two(report, p):
@@ -353,4 +353,4 @@ def test_moment_reports_need_a_finite_order_of_at_least_two(report, p):
     (1.0, math.inf, "gamma=inf"), (1.0, math.nan, "gamma=nan"), (1.0, 0.4, "gamma=0.4")])
 def test_sobolev_bound_needs_a_finite_L_and_gamma(L, gamma, message):
     with pytest.raises(ValueError, match=message):
-        sobolev_moment_bound(X1X2, GAUSS2, 4.0, L, gamma, OPTS)
+        sobolev_moment_bound(X1X2, GAUSS, 4.0, L, gamma, OPTS)

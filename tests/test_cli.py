@@ -201,7 +201,7 @@ def test_mc_chaos_and_hermite(id2, capsys):
 
 def test_graphs_cyclebound(capsys):
     assert dispatch(["graphs", "cyclebound", "--k", "4", "--n", "9", "--p", "0.2",
-                     "--d", "4", "--partition", "1,2,3,4"]) == 0
+                     "--partition", "1,2,3,4"]) == 0
     out = capsys.readouterr().out
     # sqrt(2k * k! * (n)_k) = sqrt(8 * 24 * 3024), the exact top-order norm
     assert out.splitlines()[-1].endswith(",761.976377587")
@@ -368,8 +368,7 @@ _EVERY_LEAF = [
                          "--seed": 4, "--workers": 1}),
     (["graphs", "triangles"], {"--n": 8, "--p": 0.5, "--eps": 0.5, "--t": [3, 5], "--C": 2,
                                "--N": 40, "--batch": 16, "--seed": 4, "--workers": 2}),
-    (["graphs", "cyclebound"], {"--k": 4, "--n": 9, "--p": 0.2, "--d": 2,
-                                "--partition": "1|2"}),
+    (["graphs", "cyclebound"], {"--k": 4, "--n": 9, "--p": 0.2, "--partition": "1|2"}),
     (["rmt"], {"--f": "<xsq>", "--n": 6, "--replicas": 20, "--batch": 8, "--t": [1, 2],
                "--CL": 2, "--convention": "goe", "--seed": 4, "--workers": 1}),
     (["hermite"], {"--k": 4, "--poly": None})]
@@ -761,3 +760,19 @@ def test_mc_moments_that_overflow_exit_2(mode, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "p=2 moment is not finite" in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,terms,message", [
+    # finite values of 1e306 x^4 whose sum overflows
+    (["mc", "tail", "--t", "1", "--N", "2000", "--poly"], {((1, 4),): 1e306},
+     "sample mean is not finite"),
+    (["rmt", "--n", "6", "--replicas", "20", "--t", "1", "--f"], {((1, 2),): 1e200},
+     "semicircle energy of f'")])
+def test_a_sample_or_energy_that_overflows_exit_2(argv, terms, message, tmp_path, capsys):
+    path = _poly_file(tmp_path, "big", 1, terms)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dispatch(argv + [path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and captured.err.count("\n") == 1

@@ -88,7 +88,7 @@ def test_triangle_second_derivative_is_p_times_shared_vertex_indicator():
     n, p = 4, 0.3
     h = GraphSpec.clique(3)
     y_poly = counting_polynomial(h, n) * (1.0 / h.aut_size)
-    dist = ProductDistribution.bernoulli(y_poly.nvars, p)
+    dist = ProductDistribution.bernoulli(p)
     d2 = expected_derivative_tensor(y_poly, dist, 2).values
     eidx = EdgeIndex(n)
     for i in range(1, eidx.count + 1):
@@ -102,7 +102,7 @@ def test_triangle_closed_forms_match_derivative_tensors():
     n, p = 5, 0.5
     h = GraphSpec.clique(3)
     y_poly = counting_polynomial(h, n) * (1.0 / h.aut_size)
-    dist = ProductDistribution.bernoulli(y_poly.nvars, p)
+    dist = ProductDistribution.bernoulli(p)
     expect = triangle_norms_exact(n, p)
     d1 = expected_derivative_tensor(y_poly, dist, 1)
     assert norm_J(d1, SetPartition.full(1)).value == pytest.approx(expect.d1, rel=1e-12)
@@ -122,19 +122,19 @@ def test_triangle_closed_forms_match_derivative_tensors():
 def test_cycle_norm_bound_cases():
     h = GraphSpec.cycle(3)
     # top order: the exact norm sqrt(2k * k! * (n)_k) of the constant tensor D^k X
-    assert cycle_norm_bound(h, 3, SetPartition.full(3), 10, 0.5) == \
+    assert cycle_norm_bound(h, SetPartition.full(3), 10, 0.5) == \
         pytest.approx(math.sqrt(6 * 6 * 720), rel=1e-12)
     # order 2, singleton blocks: six ordered edge pairs, each contributing 2n
     n, p = 20, 0.3
-    got = cycle_norm_bound(h, 2, SetPartition.parse("1|2"), n, p)
+    got = cycle_norm_bound(h, SetPartition.parse("1|2"), n, p)
     assert got == pytest.approx(12.0 * p * n, rel=1e-12)
     # order 1: three edges, isolated-edge weight sqrt(2), two singly covered vertices
-    got = cycle_norm_bound(h, 1, SetPartition.full(1), n, p)
+    got = cycle_norm_bound(h, SetPartition.full(1), n, p)
     assert got == pytest.approx(3.0 * math.sqrt(2.0) * p**2 * n**2, rel=1e-12)
     with pytest.raises(ValueError):
-        cycle_norm_bound(GraphSpec.clique(4), 2, SetPartition.parse("1|2"), 10, 0.5)
+        cycle_norm_bound(GraphSpec.clique(4), SetPartition.parse("1|2"), 10, 0.5)
     k4 = GraphSpec.cycle(4)
-    assert cycle_norm_bound(k4, 4, SetPartition.full(4), 9, 0.2) == \
+    assert cycle_norm_bound(k4, SetPartition.full(4), 9, 0.2) == \
         pytest.approx(math.sqrt(8 * 24 * 3024), rel=1e-12)
 
 
@@ -145,15 +145,15 @@ def test_cycle_norm_bound_dominates_actual_norms():
     for k in (3, 4):
         h = GraphSpec.cycle(k)
         f = counting_polynomial(h, n)
-        dist = ProductDistribution.bernoulli(f.nvars, p)
+        dist = ProductDistribution.bernoulli(p)
         for d in range(1, k + 1):
             tens = expected_derivative_tensor(f, dist, d)
             for part in enumerate_partitions(d):
                 true_norm = norm_J(tens, part, OPTS).value
-                bound = cycle_norm_bound(h, d, part, n, p)
+                bound = cycle_norm_bound(h, part, n, p)
                 assert true_norm <= bound * (1 + 1e-9), (k, d, str(part))
         top = norm_J(tens, SetPartition.full(k)).value
-        assert top == pytest.approx(cycle_norm_bound(h, k, SetPartition.full(k), n, p),
+        assert top == pytest.approx(cycle_norm_bound(h, SetPartition.full(k), n, p),
                                     rel=1e-12)
 
 
@@ -172,9 +172,9 @@ def test_subgraph_norm_bound_caps_k4_norms(p):
     worst = 0.0
     for n, d, parts in _k4_cases():
         f = counting_polynomial(h, n)
-        tens = expected_derivative_tensor(f, ProductDistribution.bernoulli(f.nvars, p), d)
+        tens = expected_derivative_tensor(f, ProductDistribution.bernoulli(p), d)
         for part in parts:
-            ratio = norm_J(tens, part, OPTS).value / subgraph_norm_bound(h, d, part, n, p)
+            ratio = norm_J(tens, part, OPTS).value / subgraph_norm_bound(h, part, n, p)
             assert ratio <= 1 + 1e-9, (n, d, str(part))
             worst = max(worst, ratio)
     assert worst > 0.0
@@ -364,5 +364,4 @@ def test_er_tail_experiment_four_cycles():
     ([(1, 2), (3, 4)], "1,2", 0.5 * 81),
 ])
 def test_indicator_norm_bound_cases(e_seq, label, expect):
-    h = GraphSpec.cycle(4)
-    assert indicator_norm_bound(h, e_seq, SetPartition.parse(label), 9) == expect
+    assert indicator_norm_bound(e_seq, SetPartition.parse(label), 9) == expect

@@ -1,6 +1,6 @@
-"""Source hygiene: every module-level import and private definition of the
-package is used, and every option a subcommand declares is read and has an
-option string."""
+"""Source hygiene: every module-level import, private definition and function
+parameter of the package is used, and every option a subcommand declares is
+read and has an option string."""
 
 import ast
 import pathlib
@@ -150,3 +150,25 @@ def test_only_tensor_builds_index_grids():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute) and node.attr == "indices"]
     assert found == []
+
+
+def test_every_parameter_is_read():
+    """Every parameter of every def in the package is read in its body, so no
+    argument goes unused or restates another input.  A method's self or cls
+    is exempt, and so are lambdas, whose parameters the caller fixes (the
+    `power_value(v, r)` callbacks of `poly._substitute`)."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            a = fn.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            if id(fn) in methods:
+                params = params[1:]
+            reads = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.stem}.{fn.name} {p.arg}" for p in params if p.arg not in reads]
+    assert unread == []

@@ -26,32 +26,31 @@ from concentro.montecarlo import (
     wilson_interval,
 )
 from concentro.norms import NormOptions
-from concentro.poly import Polynomial, ProductDistribution
+from concentro.poly import Polynomial, ProductDistribution, expected_derivative_tensor
 from concentro.rmt import WignerSpec, wigner_experiment
 from concentro.tensor import IndexMask, Tensor, apply_mask, symmetrize
 
 X1 = Polynomial(2, {((1, 1),): 1.0})
 X1X2 = Polynomial(2, {((1, 1), (2, 1)): 1.0})
-GAUSS2 = ProductDistribution.gaussian(2)
+GAUSS = ProductDistribution.gaussian()
 
 
 def test_sampler_statistics():
     rng = chunk_rng(11, 0)
-    draws = ProductDistribution.gaussian(1).sample(rng, 1_000_000)[:, 0]
+    draws = ProductDistribution.gaussian().sample(rng, 1_000_000, 1)[:, 0]
     assert abs(draws.mean()) < 4e-3  # 4 sigma CLT band
     rng = chunk_rng(11, 1)
-    rade = ProductDistribution.rademacher(1).sample(rng, 10_000)[:, 0]
+    rade = ProductDistribution.rademacher().sample(rng, 10_000, 1)[:, 0]
     assert set(np.unique(rade)) == {-1.0, 1.0}
     rng = chunk_rng(11, 2)
-    weib = ProductDistribution.weibull(1, 1.0).sample(rng, 1_000_000)[:, 0]
+    weib = ProductDistribution.weibull(1.0).sample(rng, 1_000_000, 1)[:, 0]
     assert (np.abs(weib) > 2.0).mean() == pytest.approx(math.exp(-2.0), abs=2e-3)
-    vec = GAUSS2.sample(chunk_rng(11, 3))
-    assert vec.shape == (2,)
+    assert GAUSS.sample(chunk_rng(11, 3), 5, 2).shape == (5, 2)
 
 
 def test_config_guard_lists_max_p():
     with pytest.raises(ValueError, match="ln\\(N\\)/1.5"):
-        empirical_moment(X1X2, GAUSS2, (8.0,), MCConfig(N=1000))
+        empirical_moment(X1X2, GAUSS, (8.0,), MCConfig(N=1000))
     with pytest.raises(ValueError):
         MCConfig(N=0)
     for workers in (0, -5):
@@ -61,36 +60,36 @@ def test_config_guard_lists_max_p():
     # runs that take no moment are not held to the cap
     assert MCConfig(N=10).N == 10
     with pytest.raises(ValueError, match="ln\\(N\\)/1.5"):
-        empirical_moment(X1X2, GAUSS2, (2.0,), MCConfig(N=10))
+        empirical_moment(X1X2, GAUSS, (2.0,), MCConfig(N=10))
     with pytest.raises(ValueError, match="at least one order"):
-        empirical_moment(X1X2, GAUSS2, (), MCConfig(N=100))
+        empirical_moment(X1X2, GAUSS, (), MCConfig(N=100))
     # the same check guards every estimator that takes orders
     with pytest.raises(ValueError, match="ln\\(N\\)/1.5"):
         chaos_moment(Tensor(np.eye(2)), "decoupled", 8.0, MCConfig(N=1000))
     with pytest.raises(ValueError, match="ln\\(N\\)/1.5"):
-        sobolev_check(GAUSS2, X1X2, (8.0,), MCConfig(N=1000))
+        sobolev_check(GAUSS, X1X2, (8.0,), MCConfig(N=1000))
     with pytest.raises(ValueError, match="at least one order"):
-        sobolev_check(GAUSS2, X1X2, (), MCConfig(N=1000))
+        sobolev_check(GAUSS, X1X2, (), MCConfig(N=1000))
 
 
 def test_empirical_moment_gaussian_examples():
     cfg = MCConfig(N=200_000, seed=7)
-    est2, est4 = empirical_moment(X1, GAUSS2, (2.0, 4.0), cfg)
+    est2, est4 = empirical_moment(X1, GAUSS, (2.0, 4.0), cfg)
     assert est2.value == pytest.approx(1.0, abs=3 * est2.stderr)
     assert est4.value == pytest.approx(3.0**0.25, abs=3 * est4.stderr)
-    est = empirical_moment(X1X2, GAUSS2, (2.0,), MCConfig(N=200_000, seed=8))[0]
+    est = empirical_moment(X1X2, GAUSS, (2.0,), MCConfig(N=200_000, seed=8))[0]
     assert est.value == pytest.approx(1.0, abs=3 * est.stderr)
 
 
 def test_empirical_moment_monotone_in_p_on_sample():
-    ests = empirical_moment(X1X2, GAUSS2, (2.0, 3.0, 4.0, 6.0), MCConfig(N=50_000, seed=9))
+    ests = empirical_moment(X1X2, GAUSS, (2.0, 3.0, 4.0, 6.0), MCConfig(N=50_000, seed=9))
     vals = [e.value for e in ests]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 def test_determinism_across_workers():
-    a = empirical_moment(X1X2, GAUSS2, (2.0, 4.0), MCConfig(N=30_000, seed=12, batch=4096))
-    b = empirical_moment(X1X2, GAUSS2, (2.0, 4.0),
+    a = empirical_moment(X1X2, GAUSS, (2.0, 4.0), MCConfig(N=30_000, seed=12, batch=4096))
+    b = empirical_moment(X1X2, GAUSS, (2.0, 4.0),
                          MCConfig(N=30_000, seed=12, batch=4096, workers=3))
     assert [(e.value, e.stderr) for e in a] == [(e.value, e.stderr) for e in b]
 
@@ -98,15 +97,15 @@ def test_determinism_across_workers():
 SQUARE = Polynomial(1, {((1, 2),): 1.0})
 OFF_DIAGONAL = Tensor(np.array([[0.0, 1.0], [1.0, 0.0]]))
 ENTRY_POINTS = {
-    "empirical_moment": lambda cfg: empirical_moment(X1X2, GAUSS2, (2.0, 4.0), cfg),
-    "empirical_tail": lambda cfg: empirical_tail(X1X2, GAUSS2, 1.0, cfg),
+    "empirical_moment": lambda cfg: empirical_moment(X1X2, GAUSS, (2.0, 4.0), cfg),
+    "empirical_tail": lambda cfg: empirical_tail(X1X2, GAUSS, 1.0, cfg),
     "chaos_decoupled": lambda cfg: chaos_moment(OFF_DIAGONAL, "decoupled", 2.0, cfg),
     "chaos_undecoupled": lambda cfg: chaos_moment(OFF_DIAGONAL, "undecoupled", 2.0, cfg),
-    "sandwich_check": lambda cfg: sandwich_check(X1X2, GAUSS2, (2.0,), cfg,
+    "sandwich_check": lambda cfg: sandwich_check(X1X2, GAUSS, (2.0,), cfg,
                                                  lambda f, d, p: 1.0),
     "hermite_tetrahedral_convergence":
         lambda cfg: hermite_tetrahedral_convergence(2, [3, 50], cfg),
-    "sobolev_check": lambda cfg: sobolev_check(GAUSS2, X1X2, (2.0,), cfg),
+    "sobolev_check": lambda cfg: sobolev_check(GAUSS, X1X2, (2.0,), cfg),
     "er_tail_experiment": lambda cfg: er_tail_experiment(GraphSpec.cycle(3), 12, 0.3, cfg,
                                                          eps=0.5),
     "wigner_experiment": lambda cfg: wigner_experiment(SQUARE, WignerSpec(6), cfg,
@@ -133,16 +132,16 @@ def test_every_entry_point_reads_the_worker_count_from_its_config(run, monkeypat
 
 def test_empirical_tail_examples():
     cfg = MCConfig(N=100_000, seed=13)
-    t0 = empirical_tail(X1, GAUSS2, 0.0, cfg)
+    t0 = empirical_tail(X1, GAUSS, 0.0, cfg)
     assert t0.probability == 1.0
-    huge = empirical_tail(X1, GAUSS2, 50.0, cfg)
+    huge = empirical_tail(X1, GAUSS, 50.0, cfg)
     assert huge.probability == 0.0
     assert huge.wilson_high == pytest.approx(1.96**2 / cfg.N, rel=0.1)
-    at2 = empirical_tail(X1, GAUSS2, 2.0, cfg)
+    at2 = empirical_tail(X1, GAUSS, 2.0, cfg)
     exact = math.erfc(2.0 / math.sqrt(2.0))
     assert at2.wilson_low <= exact <= at2.wilson_high
     with pytest.raises(ValueError):
-        empirical_tail(X1, GAUSS2, 1.0, MCConfig(N=500))
+        empirical_tail(X1, GAUSS, 1.0, MCConfig(N=500))
 
 
 def test_wilson_interval_basics():
@@ -183,7 +182,7 @@ def test_chaos_validation():
 
 def test_sandwich_linear_ratio_is_inverse_sqrt2():
     f = Polynomial(3, {((1, 1),): 1.0, ((2, 1),): 2.0, ((3, 1),): -2.0})
-    dist = ProductDistribution.gaussian(3)
+    dist = ProductDistribution.gaussian()
     cfg = MCConfig(N=200_000, seed=17)
     opts = NormOptions(restarts=8, seed=0)
     rows = sandwich_check(f, dist, [2.0], cfg,
@@ -196,7 +195,7 @@ def test_sandwich_linear_ratio_is_inverse_sqrt2():
 
 def test_sandwich_degenerate_constant():
     f = Polynomial.constant(2, 3.0)
-    rows = sandwich_check(f, GAUSS2, [2.0], MCConfig(N=5000, seed=18),
+    rows = sandwich_check(f, GAUSS, [2.0], MCConfig(N=5000, seed=18),
                           lambda g, d, p: gaussian_moment_bound(g, d, p).total)
     assert rows[0]["status"] == "degenerate"
 
@@ -279,7 +278,7 @@ def test_chaos_values_match_einsum_reference(monkeypatch, mode, d):
     seen = []
     centered = montecarlo._centered_moments
     monkeypatch.setattr(montecarlo, "_centered_moments",
-                        lambda values, p_list, n: seen.append(values) or centered(values, p_list, n))
+                        lambda values, p_list: seen.append(values) or centered(values, p_list))
     cfg = MCConfig(N=2500, seed=31, batch=1000)
     chaos_moment(a, mode, 2.0, cfg)
     ref = _chaos_reference(a, mode, cfg)
@@ -295,17 +294,17 @@ def test_hermite_convergence_rejects_large_degree():
 def test_sobolev_check_examples():
     cfg = MCConfig(N=100_000, seed=21)
     f_lin = Polynomial(2, {((1, 1),): 2.0, ((2, 1),): 1.0})
-    rows = sobolev_check(GAUSS2, f_lin, [2.0, 4.0], cfg)
+    rows = sobolev_check(GAUSS, f_lin, [2.0, 4.0], cfg)
     for r in rows:
         assert r["ratio"] <= 1.0
     f_sq = Polynomial(1, {((1, 2),): 1.0})
-    rows = sobolev_check(ProductDistribution.gaussian(1), f_sq, [2.0], cfg)
+    rows = sobolev_check(ProductDistribution.gaussian(), f_sq, [2.0], cfg)
     assert rows[0]["ratio"] == pytest.approx(0.5, abs=0.02)
     for c in (1.0, 0.3, 7.7):
-        rows = sobolev_check(GAUSS2, Polynomial.constant(2, c), [2.0], cfg)
+        rows = sobolev_check(GAUSS, Polynomial.constant(2, c), [2.0], cfg)
         assert rows[0]["status"] == "degenerate" and rows[0]["ratio"] is None
     with pytest.raises(ValueError, match="Sobolev"):
-        sobolev_check(ProductDistribution.bernoulli(2, 0.5), f_lin, [2.0], cfg)
+        sobolev_check(ProductDistribution.bernoulli(0.5), f_lin, [2.0], cfg)
 
 
 @pytest.mark.parametrize("size", [0, -3])
@@ -339,15 +338,15 @@ def test_estimators_refuse_moments_that_overflow():
     cfg = MCConfig(N=2000, seed=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for run in (lambda: empirical_moment(BIG, GAUSS2, [2.0], cfg),
-                    lambda: sobolev_check(GAUSS2, BIG, [2.0], cfg),
+        for run in (lambda: empirical_moment(BIG, GAUSS, [2.0], cfg),
+                    lambda: sobolev_check(GAUSS, BIG, [2.0], cfg),
                     lambda: chaos_moment(Tensor(np.full((2, 2), 1e200)), "decoupled", 2.0, cfg),
-                    lambda: montecarlo._centered_moments(np.array([0.0, np.inf]), [2.0], 2)):
+                    lambda: montecarlo._centered_moments(np.array([0.0, np.inf]), [2.0])):
             with pytest.raises(ValueError, match="p=2 moment is not finite"):
                 run()
         # at 1e60 the squares of the p = 2 powers fit and those of the p = 4 powers do not
         with pytest.raises(ValueError, match="p=4 moment is not finite"):
-            empirical_moment(Polynomial(1, {((1, 1),): 1e60}), ProductDistribution.gaussian(1),
+            empirical_moment(Polynomial(1, {((1, 1),): 1e60}), ProductDistribution.gaussian(),
                              [2.0, 4.0], cfg)
 
 
@@ -358,4 +357,30 @@ def test_sobolev_check_refuses_a_gradient_moment_that_overflows(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="p=2 moment is not finite"):
-            sobolev_check(GAUSS2, X1X2, [2.0], MCConfig(N=2000))
+            sobolev_check(GAUSS, X1X2, [2.0], MCConfig(N=2000))
+
+
+def test_one_law_serves_polynomials_in_any_number_of_variables():
+    # the law is that of one coordinate; n is the polynomial's variable count
+    cfg = MCConfig(N=20_000, seed=50)
+    for n in (1, 3, 15):
+        f = Polynomial(n, {((i, 1),): 1.0 for i in range(1, n + 1)})
+        assert np.array_equal(expected_derivative_tensor(f, GAUSS, 1).values, np.ones(n))
+        (est,) = empirical_moment(f, GAUSS, [2.0], cfg)
+        assert est.value == pytest.approx(math.sqrt(n), abs=4 * est.stderr)
+        (row,) = sobolev_check(GAUSS, f, [2.0], cfg)
+        assert row["lhs"] == est.value   # the same (N, n) draws
+        assert row["rhs"] == pytest.approx(math.sqrt(2.0 * n), rel=1e-12)
+
+
+def test_tail_rows_refuse_a_sample_mean_that_is_not_finite():
+    big = np.finfo(float).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for values in (np.full(4, 1e308), np.array([1.0, np.inf, -np.inf]),
+                       np.array([np.nan, 1.0])):
+            with pytest.raises(ValueError, match="sample mean is not finite"):
+                montecarlo.tail_rows(values, [1.0])
+        # a finite mean, -big/3, with an infinite deviation of the first value
+        (row,) = montecarlo.tail_rows(np.array([big, -big, -big]), [1.0])
+    assert row["tail"] == 1.0

@@ -110,15 +110,13 @@ def sparse_polynomial(draw):
     return Polynomial(nvars, terms)
 
 
-LAWS = [lambda n: ProductDistribution.gaussian(n),
-        lambda n: ProductDistribution.bernoulli(n, 0.3),
-        lambda n: ProductDistribution.weibull(n, 1.5)]
+LAWS = [ProductDistribution.gaussian(), ProductDistribution.bernoulli(0.3),
+        ProductDistribution.weibull(1.5)]
 
 
 @PROPERTY_SETTINGS
 @given(sparse_polynomial(), st.sampled_from(LAWS))
-def test_expected_derivative_tensor_is_exactly_symmetric(f, law):
-    dist = law(f.nvars)
+def test_expected_derivative_tensor_is_exactly_symmetric(f, dist):
     for d in range(1, f.degree + 1):
         tens = expected_derivative_tensor(f, dist, d).values
         for perm in itertools.permutations(range(d)):

@@ -70,22 +70,22 @@ def test_partial_derivatives():
 
 
 def test_expected_derivative_examples():
-    gauss2 = ProductDistribution.gaussian(2)
+    gauss = ProductDistribution.gaussian()
     f = Polynomial(2, {((1, 1),): 3.0, ((2, 2),): 1.0})
-    d1 = expected_derivative_tensor(f, gauss2, 1)
+    d1 = expected_derivative_tensor(f, gauss, 1)
     assert np.array_equal(d1.values, np.array([3.0, 0.0]))
-    d2 = expected_derivative_tensor(Polynomial(2, {((2, 2),): 1.0}), gauss2, 2)
+    d2 = expected_derivative_tensor(Polynomial(2, {((2, 2),): 1.0}), gauss, 2)
     expect = np.zeros((2, 2))
     expect[1, 1] = 2.0
     assert np.array_equal(d2.values, expect)
     # beyond the degree: zero tensor, not an error
-    d3 = expected_derivative_tensor(f, gauss2, 3)
+    d3 = expected_derivative_tensor(f, gauss, 3)
     assert not np.any(d3.values)
 
 
 def test_expected_derivative_symmetry_and_linearity():
     rng = np.random.default_rng(1)
-    dist = ProductDistribution.gaussian(3)
+    dist = ProductDistribution.gaussian()
     f = Polynomial(3, {((1, 2), (2, 1)): 1.5, ((2, 1), (3, 2)): -0.5, ((1, 1),): 2.0})
     g = Polynomial(3, {((1, 1), (2, 1), (3, 1)): 1.0, ((3, 4),): 0.25})
     for d in (1, 2, 3):
@@ -111,7 +111,7 @@ def test_tetrahedral_top_derivative_is_factorial_times_coefficients():
     for combo in itertools.combinations(range(n), D):
         terms[tuple((v + 1, 1) for v in combo)] = a[combo] * math.factorial(D)
     f = Polynomial(n, terms)
-    for dist in (ProductDistribution.gaussian(n), ProductDistribution.rademacher(n)):
+    for dist in (ProductDistribution.gaussian(), ProductDistribution.rademacher()):
         top = expected_derivative_tensor(f, dist, D).values
         assert np.allclose(top, math.factorial(D) * a, atol=1e-12)
         # lower-order expected derivatives vanish under centered laws
@@ -143,37 +143,37 @@ def test_finite_difference_cross_check():
 
 
 def test_moments_by_law():
-    g = ProductDistribution.gaussian(1)
+    g = ProductDistribution.gaussian()
     assert [g.moment(k) for k in range(7)] == [1, 0, 1, 0, 3, 0, 15]
-    r = ProductDistribution.rademacher(1)
+    r = ProductDistribution.rademacher()
     assert [r.moment(k) for k in range(5)] == [1, 0, 1, 0, 1]
-    b = ProductDistribution.bernoulli(1, 0.3)
+    b = ProductDistribution.bernoulli(0.3)
     assert [b.moment(k) for k in range(4)] == [1.0, 0.3, 0.3, 0.3]
-    w = ProductDistribution.weibull(1, 1.0)
+    w = ProductDistribution.weibull(1.0)
     assert w.moment(2) == pytest.approx(math.gamma(3.0))
-    w2 = ProductDistribution.weibull(1, 2.0)
+    w2 = ProductDistribution.weibull(2.0)
     assert w2.moment(2) == pytest.approx(1.0)
     assert w2.moment(3) == 0.0
-    c = ProductDistribution.custom(1, [1.0, 0.5, 2.0])
+    c = ProductDistribution.custom([1.0, 0.5, 2.0])
     assert c.moment(2) == 2.0
     with pytest.raises(ValueError):
         c.moment(3)
 
 
 def test_psi2_and_sobolev_defaults():
-    assert ProductDistribution.gaussian(2).psi2 == pytest.approx(math.sqrt(8 / 3))
-    assert ProductDistribution.bernoulli(2, 0.5).psi2 == pytest.approx(
+    assert ProductDistribution.gaussian().psi2 == pytest.approx(math.sqrt(8 / 3))
+    assert ProductDistribution.bernoulli(0.5).psi2 == pytest.approx(
         math.sqrt(2) / math.sqrt(math.log(4.0)))
-    assert ProductDistribution.gaussian(2).sobolev == (1.0, 0.5)
-    assert ProductDistribution.bernoulli(2, 0.5).sobolev is None
-    assert ProductDistribution.weibull(2, 1.5).psi2 is None
+    assert ProductDistribution.gaussian().sobolev == (1.0, 0.5)
+    assert ProductDistribution.bernoulli(0.5).sobolev is None
+    assert ProductDistribution.weibull(1.5).psi2 is None
 
 
 def test_expected_value():
-    dist = ProductDistribution.gaussian(2)
+    dist = ProductDistribution.gaussian()
     f = Polynomial(2, {((1, 2),): 1.0, ((2, 1),): 5.0, (): 2.0})
     assert expected_value(f, dist) == pytest.approx(3.0)
-    b = ProductDistribution.bernoulli(2, 0.25)
+    b = ProductDistribution.bernoulli(0.25)
     assert expected_value(X1X2, b) == pytest.approx(0.0625)
 
 
@@ -196,7 +196,7 @@ def test_hermite_coefficients():
 
 def test_hermite_derivative_moment_identity_small():
     # E h_k^(l)(g) = k! when l = k and 0 otherwise, through the symbolic pipeline
-    dist = ProductDistribution.gaussian(1)
+    dist = ProductDistribution.gaussian()
     for k in range(0, 4):
         f = hermite(k).to_polynomial()
         assert expected_value(f, dist) == pytest.approx(1.0 if k == 0 else 0.0, abs=0)
@@ -279,22 +279,22 @@ def test_json_round_trip(tmp_path):
 
 
 def test_distribution_config_round_trip():
-    d = ProductDistribution("bernoulli", 15, p=0.5)
-    assert d.law == "bernoulli" and d.n == 15 and d.p == 0.5
+    d = ProductDistribution("bernoulli", p=0.5)
+    assert d.law == "bernoulli" and d.p == 0.5
     with pytest.raises(ValueError):
-        ProductDistribution("cauchy", 3)
+        ProductDistribution("cauchy")
     with pytest.raises(ValueError):
-        ProductDistribution.bernoulli(2, 0.0)
+        ProductDistribution.bernoulli(0.0)
     with pytest.raises(ValueError):
-        ProductDistribution.weibull(2, 3.0)
+        ProductDistribution.weibull(3.0)
 
 
 def test_distribution_config_without_law_parameter_is_a_value_error():
     with pytest.raises(ValueError, match="bernoulli"):
-        ProductDistribution("bernoulli", 3)
+        ProductDistribution("bernoulli")
     with pytest.raises(ValueError, match="weibull"):
-        ProductDistribution("weibull", 3)
-    assert ProductDistribution("custom", 2, moments_table=(1.0, 0.0, 1.0)).moment(2) == 1.0
+        ProductDistribution("weibull")
+    assert ProductDistribution("custom", moments_table=(1.0, 0.0, 1.0)).moment(2) == 1.0
 
 
 @pytest.mark.parametrize("law,kwargs,name", [("gaussian", {"alpha": 1.5}, "alpha"),
@@ -302,4 +302,4 @@ def test_distribution_config_without_law_parameter_is_a_value_error():
                                              ("weibull", {"alpha": 1.5, "p": 0.3}, "p")])
 def test_law_parameter_of_another_law_is_rejected(law, kwargs, name):
     with pytest.raises(ValueError, match=f"{law} law takes no {name}"):
-        ProductDistribution(law, 2, **kwargs)
+        ProductDistribution(law, **kwargs)

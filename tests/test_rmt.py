@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -175,4 +176,17 @@ def test_wigner_experiment_caps():
     with pytest.raises(ValueError, match="one-variable polynomial"):
         wigner_experiment(Polynomial(2, {((1, 1), (2, 1)): 1.0}), WignerSpec(10),
                           MCConfig(N=10, seed=0))
-    assert wigner_experiment(X_SQ, WignerSpec(10), MCConfig(N=10, seed=0)).replicas == 10
+    assert wigner_experiment(X_SQ, WignerSpec(10), MCConfig(N=10, seed=0)).sobolev_limit == 4.0
+
+
+@pytest.mark.parametrize("coef,power", [(1e200, 2), (1e308, 2), (1e153, 6)])
+def test_an_f_prime_energy_that_overflows_is_refused(coef, power):
+    # a coefficient of f'^2 overflows, or one of f' itself, or the integral of
+    # the finite coefficients of f'^2 (3.6e307 * Catalan(5))
+    f = Polynomial(1, {((1, power),): coef})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="semicircle energy of f' .* is not finite"):
+            linstat_tail_bound(f, 6, 1.0, 1.0)
+        with pytest.raises(ValueError, match="semicircle energy of f' .* is not finite"):
+            wigner_experiment(f, WignerSpec(6), MCConfig(N=20), t_list=[1.0])
