@@ -39,9 +39,9 @@ from .graphs import (
     EdgeIndex,
     GraphSpec,
     counting_polynomial,
-    cycle_norm_bound,
     er_tail_experiment,
     indicator_norm_check,
+    subgraph_norm_bound,
     triangle_norms_exact,
 )
 from .rmt import (

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .norms import NormOptions, mixed_norm, norm_J
-from .partitions import enumerate_partitions, enumerate_splits, merged
+from .partitions import MAX_SPLIT_ORDER, enumerate_partitions, enumerate_splits, merged
 from .poly import Polynomial, ProductDistribution, expected_derivative_tensor
 
 
@@ -210,6 +210,7 @@ def weibull_moment_bound(f: Polynomial, dist: ProductDistribution, p: float,
     for the Weibull-alpha law `dist`, which alone gives alpha."""
     if dist.law != "weibull":
         raise ValueError(f"the split bound needs a weibull law, got {dist.law!r}")
-    if f.degree > 3:
-        raise ValueError(f"degree {f.degree} unsupported: split bounds cover degree <= 3")
+    if f.degree > MAX_SPLIT_ORDER:
+        raise ValueError(f"degree {f.degree} unsupported:"
+                         f" split bounds cover degree <= {MAX_SPLIT_ORDER}")
     return BoundReport("sum", tuple(_moment_terms(f, dist, p, 1.0, 0.5, opts, dist.alpha)))

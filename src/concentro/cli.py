@@ -34,7 +34,7 @@ import sys
 
 from . import __version__
 from .bounds import eta_tail, gaussian_moment_bound, sobolev_moment_bound, weibull_moment_bound
-from .graphs import GraphSpec, cycle_norm_bound, er_tail_experiment
+from .graphs import GraphSpec, er_tail_experiment, subgraph_norm_bound
 from .montecarlo import (
     MCConfig,
     chaos_moment,
@@ -199,7 +199,7 @@ def _graphs_triangles(args) -> list[str]:
 
 def _graphs_cyclebound(args) -> list[str]:
     part = SetPartition.parse(args.partition)
-    value = cycle_norm_bound(GraphSpec.cycle(args.k), part, args.n, args.p)
+    value = subgraph_norm_bound(GraphSpec.cycle(args.k), part, args.n, args.p)
     return _csv("k,n,p,d,partition,bound", [(args.k, args.n, args.p, part.d, part, value)])
 
 

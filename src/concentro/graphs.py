@@ -1,6 +1,8 @@
 """Subgraph counting over Erdos-Renyi graphs: counting polynomials in edge
-variables, closed-form triangle derivative norms, combinatorial norm bounds
-for cycles, and the tail experiment comparing simulation to the bounds.
+variables, closed-form triangle derivative norms, one combinatorial norm bound
+for every pattern, and the cycle tail experiment against the bounds.  A pattern
+graph is its edge set: its automorphism count, and whether it is a cycle, are
+computed from its edges.
 
 The experiment samples and counts each Monte Carlo chunk in blocks of
 max(1, _ER_BLOCK_BYTES // (8 n^2)) graphs, so that a block's adjacency stack
@@ -20,43 +22,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import two_sided_tail
-from .montecarlo import MCConfig, _run_chunks, symmetric_stack, tail_rows
+from .montecarlo import MCConfig, _mean_stderr, _run_chunks, symmetric_stack, tail_rows
 from .norms import NormOptions, NormResult, norm_J
 from .partitions import SetPartition
 from .poly import Polynomial
 from .tensor import MAX_ENTRIES, Tensor
 
 _ER_BLOCK_BYTES = 1 << 20
+MAX_TRACE_CYCLE = 5   # the longest cycle `count_cycles_trace` counts
 
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Small pattern graph on vertices [k] with unordered edges."""
+    """Small pattern graph on vertices [k]; equality compares the sorted edges."""
 
     k: int
     edges: tuple
-    kind: str = "general"
 
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("pattern graph needs at least two vertices")
-        seen = set()
-        covered = set()
-        cleaned = []
-        for e in self.edges:
-            u, v = sorted(int(x) for x in e)
+        edges = sorted(tuple(sorted(int(x) for x in e)) for e in self.edges)
+        for i, (u, v) in enumerate(edges):
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (1 <= u <= self.k and 1 <= v <= self.k):
                 raise ValueError(f"edge ({u},{v}) outside vertex range [1,{self.k}]")
-            if (u, v) in seen:
+            if (u, v) in edges[:i]:
                 raise ValueError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
-            covered.update((u, v))
-            cleaned.append((u, v))
-        if covered != set(range(1, self.k + 1)):
+        if {v for e in edges for v in e} != set(range(1, self.k + 1)):
             raise ValueError("pattern graph has isolated vertices")
-        object.__setattr__(self, "edges", tuple(sorted(cleaned)))
+        object.__setattr__(self, "edges", tuple(edges))
 
     @property
     def n_edges(self) -> int:
@@ -66,23 +62,35 @@ class GraphSpec:
     def cycle(cls, k: int) -> "GraphSpec":
         if k < 3:
             raise ValueError("cycles need k >= 3")
-        edges = [(i, i + 1) for i in range(1, k)] + [(1, k)]
-        return cls(k, tuple(edges), kind="cycle")
+        return cls(k, tuple((i, i % k + 1) for i in range(1, k + 1)))
 
     @classmethod
     def clique(cls, k: int) -> "GraphSpec":
         if k < 2:
             raise ValueError("cliques need k >= 2")
-        return cls(k, tuple(itertools.combinations(range(1, k + 1), 2)), kind="clique")
+        return cls(k, tuple(itertools.combinations(range(1, k + 1), 2)))
 
     @property
     def aut_size(self) -> int:
-        """Automorphism count; hardcoded for cycles and cliques."""
-        if self.kind == "clique":
-            return math.factorial(self.k)
-        if self.kind == "cycle":
-            return 2 * self.k
-        raise ValueError("automorphism count available for cycles and cliques only")
+        """The number of vertex permutations that map the edge set onto itself,
+        counted by extending partial maps vertex by vertex (next the vertex with
+        the most placed neighbours), keeping an image only if it matches the
+        vertex's adjacency to every placed vertex: not k! permutations."""
+        adj = {v: {u for e in self.edges if v in e for u in e if u != v}
+               for v in range(1, self.k + 1)}
+        order = []
+        while len(order) < self.k:
+            order.append(max((v for v in adj if v not in order),
+                             key=lambda v: len(adj[v].intersection(order))))
+
+        def extend(image):
+            if len(image) == self.k:
+                return 1
+            v = order[len(image)]
+            return sum(extend(image + [w]) for w in adj if w not in image
+                       and all((u in adj[v]) == (x in adj[w]) for u, x in zip(order, image)))
+
+        return extend([])
 
 
 class EdgeIndex:
@@ -192,28 +200,20 @@ def indicator_norm_bound(e_seq, part: SetPartition, n: int) -> float:
 
 def subgraph_norm_bound(h: GraphSpec, part: SetPartition, n: int, p: float) -> float:
     """Edge-enumeration upper bound on |E D^d f|_J, d = part.d, for the
-    ordered-copy polynomial of any pattern without isolated vertices."""
+    ordered-copy polynomial X_H of any pattern without isolated vertices; at
+    d = e = #edges with one block the norm itself: D^e X_H is aut(H) on each of
+    the e! (n)_k / aut(H) edge e-tuples forming a copy, so sqrt(aut(H) e! (n)_k)."""
     d = part.d
     if d > h.n_edges:
         raise ValueError(f"derivative order {d} outside [1, {h.n_edges}]")
+    if d == h.n_edges and part.n_blocks == 1:
+        return math.sqrt(h.aut_size * math.factorial(d) * math.perm(n, h.k))
     total = 0.0
     for e_seq in itertools.permutations(h.edges, d):
         v0 = {v for e in e_seq for v in e}
         half_isolated, singly = _block_exponents(e_seq, part)
         total += 2.0**half_isolated * float(n) ** (h.k - len(v0) + 0.5 * singly)
     return p ** (h.n_edges - d) * total
-
-
-def cycle_norm_bound(h: GraphSpec, part: SetPartition, n: int, p: float) -> float:
-    """Norm bound for cycle counting polynomials at order d = part.d, exact at
-    d = k with one block: D^k X_(C_k) is aut(C_k) = 2k on each of the
-    k! (n)_k / 2k edge k-tuples forming a k-cycle, so its norm is sqrt(2k * k! * (n)_k)."""
-    if h.kind != "cycle":
-        raise ValueError("cycle_norm_bound supports cycle patterns only"
-                         " (subgraph_norm_bound covers other patterns)")
-    if part.d == h.k and part.n_blocks == 1:
-        return math.sqrt(2 * h.k * math.factorial(h.k) * math.perm(n, h.k))
-    return subgraph_norm_bound(h, part, n, p)
 
 
 def indicator_norm_check(h: GraphSpec, e_seq, part: SetPartition, n: int,
@@ -298,8 +298,8 @@ def count_cycles_trace(a: np.ndarray, k: int) -> np.ndarray:
     k = 3 and 4 take one matrix product (tr A^3 is the entrywise sum of
     A^2 * A), k = 5 two.  Every product entry and every sum is an integer far
     below 2**53, so the counts are exact whatever the order of summation."""
-    if not 3 <= k <= 5:
-        raise ValueError("trace-based counting covers cycle lengths 3..5 only")
+    if not 3 <= k <= MAX_TRACE_CYCLE:
+        raise ValueError(f"trace-based counting covers cycle lengths 3..{MAX_TRACE_CYCLE} only")
     if a.ndim == 2:
         a = a[None]
     a2 = np.matmul(a, a)
@@ -349,10 +349,10 @@ def er_tail_experiment(h: GraphSpec, n: int, p: float, cfg: MCConfig,
     max(1, _ER_BLOCK_BYTES // (8 n^2)) graphs (36 at n = 60, 3 at n = 200), so
     memory does not grow with the batch; the result is the same for every
     block size (see the module docstring)."""
-    if h.kind != "cycle":
-        raise ValueError("the tail experiment supports cycle patterns")
-    if h.k > 5:
-        raise ValueError("cycle length > 5: exact counting unavailable,"
+    if h != GraphSpec.cycle(h.k):
+        raise ValueError("the tail experiment supports the cycle patterns GraphSpec.cycle(k)")
+    if h.k > MAX_TRACE_CYCLE:
+        raise ValueError(f"cycle length > {MAX_TRACE_CYCLE}: exact counting unavailable,"
                          " only expectation checks are possible")
     if n > 200:
         raise ValueError("experiment vertex count capped at 200")
@@ -376,5 +376,5 @@ def er_tail_experiment(h: GraphSpec, n: int, p: float, cfg: MCConfig,
         bound = lambda t: triangle_tail_bound(n, p, t, c)
     else:
         bound = lambda t: cycle_tail_bound(h.k, n, p, t, c)
-    return ERResult(expected_cycle_count(h.k, n, p), float(counts.mean()),
-                    float(counts.std() / math.sqrt(cfg.N)), tail_rows(counts, t_list, bound))
+    return ERResult(expected_cycle_count(h.k, n, p), *_mean_stderr(counts, "the counts"),
+                    tail_rows(counts, t_list, bound))

@@ -5,7 +5,8 @@ Randomness is counter-based: chunk c of a run with seed s draws from
 Philox-4x64 keyed with (s, c).  `_run_chunks` calls the job fn(rows, rng) per
 chunk on `cfg.workers` threads and joins the chunks in chunk order, so results
 are bit-identical for a fixed (seed, N, batch) whatever `cfg.workers` is.
-Every deviation tail comes from `tail_rows`, and every stack of symmetric
+Every deviation tail comes from `tail_rows`, every replicate mean with its
+standard error from `_mean_stderr`, and every stack of symmetric
 matrices (Erdos-Renyi adjacency, Wigner) from `symmetric_stack`.  Moment orders
 are an argument of the estimators that take them (`empirical_moment`,
 `chaos_moment`, `sandwich_check`, `sobolev_check`), not of `MCConfig`, and
@@ -152,6 +153,17 @@ def _centered_moments(values: np.ndarray, p_list):
             stderr = _finite((value / (p * mp) * sd / math.sqrt(n)) if mp > 0 else 0.0, p)
             out.append(MomentEstimate(float(p), float(value), float(stderr), n))
     return out
+
+
+def _mean_stderr(values: np.ndarray, name: str) -> tuple[float, float]:
+    """The sample mean of `values` and its standard error std / sqrt(size);
+    a mean or standard error that overflows is refused."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, stderr = values.mean(), values.std() / math.sqrt(values.size)
+    if not (np.isfinite(mean) and np.isfinite(stderr)):
+        raise ValueError(f"the mean of {name} or its standard error is not finite:"
+                         " the sample overflows")
+    return float(mean), float(stderr)
 
 
 def empirical_moment(f: Polynomial, dist: ProductDistribution, p_list,

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blas import single_threaded
-from .partitions import SetPartition, SplitPartition, merged
+from .partitions import MAX_SPLIT_ORDER, SetPartition, SplitPartition, merged
 from .tensor import Tensor
 
 BRUTEFORCE_DIM_CAP = 64
@@ -319,8 +319,8 @@ def mixed_norm(a: Tensor, split: SplitPartition, alpha: float,
     d, m = a.order, a.dim
     if split.d != d:
         raise ValueError(f"split of [{split.d}] does not match tensor order {d}")
-    if d > 3:
-        raise ValueError("mixed norms are supported for order <= 3 only")
+    if d > MAX_SPLIT_ORDER:
+        raise ValueError(f"mixed norms are supported for order <= {MAX_SPLIT_ORDER} only")
     if not 1.0 <= alpha <= 2.0:
         raise ValueError(f"alpha={alpha} outside [1, 2]")
     if not np.any(a.values):

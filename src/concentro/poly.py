@@ -112,19 +112,21 @@ class Polynomial:
         return float(_substitute(self, 0, lambda v, r: x[v - 1] ** r))
 
     def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Evaluate at every row of xs (N, nvars); returns (N,)."""
+        """Evaluate at every row of xs (N, nvars); returns (N,).  A value that
+        overflows is inf or nan, without a warning: the callers refuse it."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.nvars:
             raise ValueError(f"batch must have shape (N, {self.nvars})")
         cols = np.ascontiguousarray(xs.T)
         total = np.zeros(xs.shape[0])
         prod = np.empty(xs.shape[0])
-        for key, coef in self.terms.items():
-            prod.fill(coef)
-            for v, p in key:
-                col = cols[v - 1]
-                prod *= col if p == 1 else col**p
-            total += prod
+        with np.errstate(over="ignore", invalid="ignore"):
+            for key, coef in self.terms.items():
+                prod.fill(coef)
+                for v, p in key:
+                    col = cols[v - 1]
+                    prod *= col if p == 1 else col**p
+                total += prod
         return total
 
     def partial(self, var: int) -> "Polynomial":

@@ -13,7 +13,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .bounds import two_sided_tail
-from .montecarlo import MCConfig, _run_chunks, symmetric_stack, tail_rows
+from .montecarlo import MCConfig, _mean_stderr, _run_chunks, symmetric_stack, tail_rows
 from .poly import Polynomial, _substitute
 
 MAX_EIG_SIZE = 400
@@ -95,7 +95,10 @@ def linear_statistic(f: Polynomial, matrix) -> LinStatResult:
     if np.ndim(matrix) != 2:
         raise ValueError("linear statistics take one matrix")
     eigs = eigenvalues_symmetric(matrix)
-    z = float(f.evaluate_batch(eigs[:, None] / math.sqrt(eigs.size)).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = float(f.evaluate_batch(eigs[:, None] / math.sqrt(eigs.size)).sum())
+    if not math.isfinite(z):
+        raise ValueError("the linear statistic is not finite: f overflows at the eigenvalues")
     return LinStatResult(z, eigs)
 
 
@@ -191,11 +194,13 @@ def wigner_experiment(f: Polynomial, spec: WignerSpec, cfg: MCConfig,
         lam = eigenvalues_symmetric(spec.sample(rng, rows)).reshape(-1, 1) / sqrt_n
         f_lam = f.evaluate_batch(lam).reshape(rows, spec.n)
         fp_lam = fp.evaluate_batch(lam).reshape(rows, spec.n)
-        return np.stack([f_lam.sum(axis=1), (fp_lam**2).mean(axis=1)])
+        with np.errstate(over="ignore", invalid="ignore"):   # refused by _mean_stderr
+            return np.stack([f_lam.sum(axis=1), (fp_lam**2).mean(axis=1)])
 
     z, sob = _run_chunks(job, cfg)
+    z_mean, z_stderr = _mean_stderr(z, "Z")
+    sob_mean, sob_stderr = _mean_stderr(sob, "the gradient energy")
     # Gaussian entries: log-Sobolev constant L = 1
     rows = tail_rows(z, t_list, lambda t: linstat_tail_bound(f, spec.n, 1.0, t, c_l))
-    return WignerResult(float(z.mean()), float(z.std() / math.sqrt(cfg.N)),
-                        float(sob.mean()), float(sob.std() / math.sqrt(cfg.N)), energy, rows)
+    return WignerResult(z_mean, z_stderr, sob_mean, sob_stderr, energy, rows)
 

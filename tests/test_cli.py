@@ -767,7 +767,15 @@ def test_mc_moments_that_overflow_exit_2(mode, tmp_path, capsys):
     (["mc", "tail", "--t", "1", "--N", "2000", "--poly"], {((1, 4),): 1e306},
      "sample mean is not finite"),
     (["rmt", "--n", "6", "--replicas", "20", "--t", "1", "--f"], {((1, 2),): 1e200},
-     "semicircle energy of f'")])
+     "semicircle energy of f'"),
+    # 1e307 x1^4 overflows in the evaluator's products
+    (["mc", "moments", "--N", "2000", "--poly"], {((1, 4),): 1e307}, "p=2 moment is not finite"),
+    (["mc", "tail", "--t", "1", "--N", "2000", "--poly"], {((1, 4),): 1e307},
+     "sample mean is not finite"),
+    (["mc", "sobolev", "--N", "2000", "--poly"], {((1, 4),): 1e307}, "p=2 moment is not finite"),
+    # f' = 1e154 x: a finite semicircle energy, but f'^2 overflows on the sample
+    (["rmt", "--n", "6", "--replicas", "20", "--t", "1", "--f"], {((1, 2),): 5e153},
+     "standard error is not finite")])
 def test_a_sample_or_energy_that_overflows_exit_2(argv, terms, message, tmp_path, capsys):
     path = _poly_file(tmp_path, "big", 1, terms)
     with warnings.catch_warnings():

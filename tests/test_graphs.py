@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,6 @@ from concentro.graphs import (
     count_cycles_embedding,
     count_cycles_trace,
     counting_polynomial,
-    cycle_norm_bound,
     cycle_tail_bound,
     er_tail_experiment,
     expected_cycle_count,
@@ -46,8 +46,7 @@ def test_graph_spec_validation():
     assert GraphSpec.clique(4).aut_size == 24
     assert GraphSpec.clique(2).aut_size == 2
     assert GraphSpec.cycle(3).aut_size == GraphSpec.clique(3).aut_size == 6
-    with pytest.raises(ValueError):
-        GraphSpec(3, ((1, 2), (2, 3), (1, 3))).aut_size  # kind unknown
+    assert GraphSpec(3, ((1, 2), (2, 3), (1, 3))).aut_size == 6
     assert GraphSpec(3, ((1, 2), (2, 3), (1, 3))).n_edges == 3
 
 
@@ -122,19 +121,17 @@ def test_triangle_closed_forms_match_derivative_tensors():
 def test_cycle_norm_bound_cases():
     h = GraphSpec.cycle(3)
     # top order: the exact norm sqrt(2k * k! * (n)_k) of the constant tensor D^k X
-    assert cycle_norm_bound(h, SetPartition.full(3), 10, 0.5) == \
+    assert subgraph_norm_bound(h, SetPartition.full(3), 10, 0.5) == \
         pytest.approx(math.sqrt(6 * 6 * 720), rel=1e-12)
     # order 2, singleton blocks: six ordered edge pairs, each contributing 2n
     n, p = 20, 0.3
-    got = cycle_norm_bound(h, SetPartition.parse("1|2"), n, p)
+    got = subgraph_norm_bound(h, SetPartition.parse("1|2"), n, p)
     assert got == pytest.approx(12.0 * p * n, rel=1e-12)
     # order 1: three edges, isolated-edge weight sqrt(2), two singly covered vertices
-    got = cycle_norm_bound(h, SetPartition.full(1), n, p)
+    got = subgraph_norm_bound(h, SetPartition.full(1), n, p)
     assert got == pytest.approx(3.0 * math.sqrt(2.0) * p**2 * n**2, rel=1e-12)
-    with pytest.raises(ValueError):
-        cycle_norm_bound(GraphSpec.clique(4), SetPartition.parse("1|2"), 10, 0.5)
     k4 = GraphSpec.cycle(4)
-    assert cycle_norm_bound(k4, SetPartition.full(4), 9, 0.2) == \
+    assert subgraph_norm_bound(k4, SetPartition.full(4), 9, 0.2) == \
         pytest.approx(math.sqrt(8 * 24 * 3024), rel=1e-12)
 
 
@@ -150,11 +147,68 @@ def test_cycle_norm_bound_dominates_actual_norms():
             tens = expected_derivative_tensor(f, dist, d)
             for part in enumerate_partitions(d):
                 true_norm = norm_J(tens, part, OPTS).value
-                bound = cycle_norm_bound(h, part, n, p)
+                bound = subgraph_norm_bound(h, part, n, p)
                 assert true_norm <= bound * (1 + 1e-9), (k, d, str(part))
         top = norm_J(tens, SetPartition.full(k)).value
-        assert top == pytest.approx(cycle_norm_bound(h, SetPartition.full(k), n, p),
+        assert top == pytest.approx(subgraph_norm_bound(h, SetPartition.full(k), n, p),
                                     rel=1e-12)
+
+
+PAW = GraphSpec(4, ((1, 2), (2, 3), (1, 3), (3, 4)))   # a triangle with a pendant edge
+
+
+def test_a_pattern_is_its_edge_set():
+    triangle = GraphSpec(3, ((2, 3), (1, 3), (2, 1)))
+    assert triangle == GraphSpec.cycle(3) == GraphSpec.clique(3)
+    assert hash(triangle) == hash(GraphSpec.clique(3))
+    assert GraphSpec(4, ((1, 2), (2, 3), (3, 4), (4, 1))) == GraphSpec.cycle(4)
+    assert GraphSpec(4, ((1, 3), (3, 2), (2, 4), (4, 1))) != GraphSpec.cycle(4)
+    assert PAW != GraphSpec.cycle(4)
+
+
+def _brute_aut_size(h):
+    edges = set(h.edges)
+    return sum({tuple(sorted((perm[u - 1], perm[v - 1]))) for u, v in h.edges} == edges
+               for perm in itertools.permutations(range(1, h.k + 1)))
+
+
+def test_aut_size_is_computed_from_the_edges():
+    assert PAW.aut_size == 2
+    relabelled_c4 = GraphSpec(4, ((1, 3), (3, 2), (2, 4), (4, 1)))
+    assert relabelled_c4.aut_size == 8
+    assert GraphSpec(4, ((1, 2), (3, 4), (1, 3))).aut_size == 2   # the path 2-1-3-4
+    assert GraphSpec(4, ((1, 2), (3, 4))).aut_size == 8           # two disjoint edges
+    assert GraphSpec(4, ((1, 2), (1, 3), (1, 4))).aut_size == 6   # the star
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        k = int(rng.integers(2, 7))
+        pairs = list(itertools.combinations(range(1, k + 1), 2))
+        edges = tuple(e for e in pairs if rng.random() < 0.5)
+        if {v for e in edges for v in e} == set(range(1, k + 1)):
+            h = GraphSpec(k, edges)
+            assert h.aut_size == _brute_aut_size(h), h
+
+
+def test_aut_size_of_a_long_cycle_does_not_enumerate_permutations():
+    # C_12 relabelled by i -> 5(i - 1) mod 12 + 1; its 12! permutations take minutes
+    relabel = lambda i: 5 * (i - 1) % 12 + 1
+    c12 = GraphSpec(12, tuple((relabel(u), relabel(v)) for u, v in GraphSpec.cycle(12).edges))
+    start = time.perf_counter()
+    assert c12.aut_size == GraphSpec.cycle(12).aut_size == 24
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("h,n,expect", [(GraphSpec.clique(4), 4, 643.98757752),
+                                        (PAW, 5, 75.8946638)])
+def test_subgraph_norm_bound_is_the_norm_at_the_top_order(h, n, expect):
+    # D^e X_H is aut(H) on each edge e-tuple forming a copy: norm sqrt(aut * e! * (n)_k)
+    e = h.n_edges
+    tens = expected_derivative_tensor(counting_polynomial(h, n),
+                                      ProductDistribution.bernoulli(0.3), e)
+    top = SetPartition.full(e)
+    assert subgraph_norm_bound(h, top, n, 0.3) == pytest.approx(norm_J(tens, top).value,
+                                                                rel=1e-12)
+    assert subgraph_norm_bound(h, top, n, 0.3) == pytest.approx(expect, rel=1e-9)
 
 
 def _k4_cases():
@@ -308,6 +362,22 @@ def test_er_tail_experiment_triangles():
         er_tail_experiment(GraphSpec.clique(4), 20, 0.5, cfg, eps=0.5)
     with pytest.raises(ValueError):
         er_tail_experiment(GraphSpec.cycle(6), 20, 0.5, cfg, eps=0.5)
+
+
+def test_er_tail_experiment_judges_its_pattern_by_its_edges(monkeypatch):
+    import concentro.graphs as graphs
+
+    cfg = MCConfig(N=200, seed=3, batch=64)
+    c4_from_edges = GraphSpec(4, ((1, 2), (2, 3), (3, 4), (4, 1)))
+    assert er_tail_experiment(c4_from_edges, 12, 0.3, cfg, eps=0.5) == \
+        er_tail_experiment(GraphSpec.cycle(4), 12, 0.3, cfg, eps=0.5)
+
+    def no_sampling(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(graphs, "_run_chunks", no_sampling)
+    with pytest.raises(ValueError, match="cycle patterns"):
+        er_tail_experiment(PAW, 20, 0.5, cfg, eps=0.5)
 
 
 # printed by the whole-chunk sampler and counter this replaced; each chunk of

@@ -384,3 +384,15 @@ def test_tail_rows_refuse_a_sample_mean_that_is_not_finite():
         # a finite mean, -big/3, with an infinite deviation of the first value
         (row,) = montecarlo.tail_rows(np.array([big, -big, -big]), [1.0])
     assert row["tail"] == 1.0
+
+
+def test_mean_stderr_refuses_a_mean_or_stderr_that_is_not_finite():
+    values = np.array([1.0, 2.0, 4.0])
+    assert montecarlo._mean_stderr(values, "x") == (values.mean(),
+                                                    values.std() / math.sqrt(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the sum overflows; the mean is finite, the squared deviations overflow
+        for values in (np.full(4, 1e308), np.array([1e200, -1e200]), np.array([np.nan])):
+            with pytest.raises(ValueError, match="mean of x or its standard error"):
+                montecarlo._mean_stderr(values, "x")

@@ -190,3 +190,16 @@ def test_an_f_prime_energy_that_overflows_is_refused(coef, power):
             linstat_tail_bound(f, 6, 1.0, 1.0)
         with pytest.raises(ValueError, match="semicircle energy of f' .* is not finite"):
             wigner_experiment(f, WignerSpec(6), MCConfig(N=20), t_list=[1.0])
+
+
+def test_a_sample_that_overflows_is_refused():
+    # f' = 1e154 x has a finite semicircle energy (1e308), but f'^2 and the
+    # spread of Z overflow on the sample, whose eigenvalues reach past +-2
+    f = Polynomial(1, {((1, 2),): 5e153})
+    x4 = Polynomial(1, {((1, 4),): 1e307})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="standard error is not finite"):
+            wigner_experiment(f, WignerSpec(6), MCConfig(N=20), t_list=[1.0])
+        with pytest.raises(ValueError, match="linear statistic is not finite"):
+            linear_statistic(x4, np.diag([1.0, 4.0, 9.0]))
