@@ -9,8 +9,9 @@ that run Monte Carlo chunks take --workers, a positive integer whose default
 `CONCENTRO_WORKERS` is read once per process, when the parsers are built; it
 becomes the run's `MCConfig.workers`, and results are bit-identical for a
 fixed (seed, N, batch) whatever `cfg.workers` is.  A float option takes any
-float but NaN (`real`).  The norm solvers' tolerance and sweep cap are the
-constants `norms.ALS_TOL` and `norms.ALS_MAX_SWEEPS`.  A JSON config file
+float but NaN (`real`), and `tail --L` that or `auto`.  The norm solvers'
+tolerance and sweep cap are the constants `norms.ALS_TOL` and
+`norms.ALS_MAX_SWEEPS`.  A JSON config file
 (--config) holds values of the leaf's options, required ones too, and is read
 as those options' flags placed before the given ones: argparse
 checks each value as it checks its flag (`{"N": 3000.0}` fails as `--N=3000.0`
@@ -153,7 +154,7 @@ def _cmd_tail(args) -> list[str]:
         if L is None:
             raise ValueError(f"law {args.law!r} has no psi2 bound; give --L explicitly")
     else:
-        L = float(args.L)
+        L = args.L
     return _report_lines(eta_tail(poly, dist, args.t, L, c_d=args.CD, opts=_norm_opts(args)))
 
 
@@ -270,6 +271,14 @@ def real(text: str) -> float:
 real.__name__ = "float"   # argparse's message keeps saying "invalid float value"
 
 
+def real_or_auto(text: str):
+    """`auto`, or a float that is not NaN (`real`), as `tail --L` takes."""
+    return text if text == "auto" else real(text)
+
+
+real_or_auto.__name__ = "float or 'auto'"
+
+
 def _add_workers(p: argparse.ArgumentParser) -> None:
     # a string default goes through the type too, so a bad environment value
     # is a parse error
@@ -323,7 +332,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     p = leaf(sub, "tail", _cmd_tail, "tail-exponent report")
     _add_poly_law(p)
     p.add_argument("--t", type=real, required=True)
-    p.add_argument("--L", default="auto")
+    p.add_argument("--L", type=real_or_auto, default="auto")
     p.add_argument("--CD", type=real, default=1.0)
     _add_norm_opts(p)
 

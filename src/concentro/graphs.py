@@ -23,10 +23,8 @@ import numpy as np
 
 from .bounds import two_sided_tail
 from .montecarlo import MCConfig, _mean_stderr, _run_chunks, symmetric_stack, tail_rows
-from .norms import NormOptions, NormResult, norm_J
 from .partitions import SetPartition
 from .poly import Polynomial
-from .tensor import MAX_ENTRIES, Tensor
 
 _ER_BLOCK_BYTES = 1 << 20
 MAX_TRACE_CYCLE = 5   # the longest cycle `count_cycles_trace` counts
@@ -73,9 +71,11 @@ class GraphSpec:
     @property
     def aut_size(self) -> int:
         """The number of vertex permutations that map the edge set onto itself,
-        counted by extending partial maps vertex by vertex (next the vertex with
-        the most placed neighbours), keeping an image only if it matches the
-        vertex's adjacency to every placed vertex: not k! permutations."""
+        as the product of orbit sizes along a stabiliser chain: in a vertex
+        order (next the vertex with the most placed neighbours), level i counts
+        the images of order[i] under the automorphisms fixing order[:i].  An
+        image counts when backtracking, which keeps an image only if it matches
+        the vertex's adjacency to every placed vertex, completes one such map."""
         adj = {v: {u for e in self.edges if v in e for u in e if u != v}
                for v in range(1, self.k + 1)}
         order = []
@@ -83,14 +83,17 @@ class GraphSpec:
             order.append(max((v for v in adj if v not in order),
                              key=lambda v: len(adj[v].intersection(order))))
 
-        def extend(image):
-            if len(image) == self.k:
-                return 1
+        def fits(image, w):
             v = order[len(image)]
-            return sum(extend(image + [w]) for w in adj if w not in image
-                       and all((u in adj[v]) == (x in adj[w]) for u, x in zip(order, image)))
+            return w not in image and all((u in adj[v]) == (x in adj[w])
+                                          for u, x in zip(order, image))
 
-        return extend([])
+        def extends(image):
+            return len(image) == self.k or any(extends(image + [w]) for w in adj
+                                               if fits(image, w))
+
+        return math.prod(sum(extends(order[:i] + [w]) for w in adj if fits(order[:i], w))
+                         for i in range(self.k))
 
 
 class EdgeIndex:
@@ -108,14 +111,10 @@ class EdgeIndex:
             raise ValueError(f"pair ({u},{v}) outside [1,{self.n}]")
         return (u - 1) * self.n - u * (u + 1) // 2 + v
 
-    def pair(self, idx: int) -> tuple[int, int]:
-        if not 1 <= idx <= self.count:
-            raise ValueError(f"edge index {idx} outside [1,{self.count}]")
-        u = 1
-        while (u - 1) * self.n - u * (u + 1) // 2 + self.n < idx:
-            u += 1
-        v = idx - ((u - 1) * self.n - u * (u + 1) // 2)
-        return (u, v)
+
+def _check_vertex_count(h: GraphSpec, n: int) -> None:
+    if n < h.k:
+        raise ValueError(f"ambient vertex count {n} below pattern size {h.k}")
 
 
 def counting_polynomial(h: GraphSpec, n: int) -> Polynomial:
@@ -124,8 +123,7 @@ def counting_polynomial(h: GraphSpec, n: int) -> Polynomial:
     The unordered count is X_H / aut_size; evaluation at the all-ones point
     gives the falling factorial n(n-1)..(n-k+1).
     """
-    if n < h.k:
-        raise ValueError(f"ambient vertex count {n} below pattern size {h.k}")
+    _check_vertex_count(h, n)
     eidx = EdgeIndex(n)
     terms: dict = {}
     for image in itertools.permutations(range(1, n + 1), h.k):
@@ -191,56 +189,33 @@ def _block_exponents(e_seq, part: SetPartition) -> tuple[float, int]:
     return half_isolated, _singly_covered(groups)
 
 
-def indicator_norm_bound(e_seq, part: SetPartition, n: int) -> float:
-    """Combinatorial cap on the pattern-indicator tensor norm: powers of 2 from
-    isolated edges and sqrt(n) per singly covered vertex."""
-    half_isolated, singly = _block_exponents(e_seq, part)
-    return 2.0 ** (half_isolated - _isolated_edge_count(list(e_seq))) * float(n) ** (0.5 * singly)
-
-
 def subgraph_norm_bound(h: GraphSpec, part: SetPartition, n: int, p: float) -> float:
     """Edge-enumeration upper bound on |E D^d f|_J, d = part.d, for the
     ordered-copy polynomial X_H of any pattern without isolated vertices; at
     d = e = #edges with one block the norm itself: D^e X_H is aut(H) on each of
-    the e! (n)_k / aut(H) edge e-tuples forming a copy, so sqrt(aut(H) e! (n)_k)."""
+    the e! (n)_k / aut(H) edge e-tuples forming a copy, so sqrt(aut(H) e! (n)_k).
+    A bound whose arithmetic leaves the float range is refused."""
     d = part.d
     if d > h.n_edges:
         raise ValueError(f"derivative order {d} outside [1, {h.n_edges}]")
-    if d == h.n_edges and part.n_blocks == 1:
-        return math.sqrt(h.aut_size * math.factorial(d) * math.perm(n, h.k))
-    total = 0.0
-    for e_seq in itertools.permutations(h.edges, d):
-        v0 = {v for e in e_seq for v in e}
-        half_isolated, singly = _block_exponents(e_seq, part)
-        total += 2.0**half_isolated * float(n) ** (h.k - len(v0) + 0.5 * singly)
-    return p ** (h.n_edges - d) * total
-
-
-def indicator_norm_check(h: GraphSpec, e_seq, part: SetPartition, n: int,
-                         opts: NormOptions | None = None) -> tuple[NormResult, float]:
-    """Norm of the indicator tensor of edge tuples matching e_seq, next to its
-    combinatorial cap; callers assert lhs <= cap * (1 + tol)."""
-    e_seq = [tuple(sorted(e)) for e in e_seq]
-    if len(set(e_seq)) != len(e_seq):
-        raise ValueError("edge sequence must consist of distinct edges")
-    for e in e_seq:
-        if e not in h.edges:
-            raise ValueError(f"edge {e} not in the pattern graph")
-    d = len(e_seq)
-    if part.d != d:
-        raise ValueError("partition order must equal the edge sequence length")
-    eidx = EdgeIndex(n)
-    if eidx.count**d > MAX_ENTRIES:
-        raise ValueError(f"indicator tensor would have {eidx.count**d} entries,"
-                         f" cap is {MAX_ENTRIES}")
-    verts = sorted({v for e in e_seq for v in e})
-    vals = np.zeros((eidx.count,) * d)
-    for image in itertools.permutations(range(1, n + 1), len(verts)):
-        vmap = dict(zip(verts, image))
-        pos = tuple(eidx.index((vmap[u], vmap[v])) - 1 for u, v in e_seq)
-        vals[pos] = 1.0
-    lhs = norm_J(Tensor(vals), part, opts or NormOptions())
-    return lhs, indicator_norm_bound(e_seq, part, n)
+    _check_vertex_count(h, n)
+    if not 0 < p <= 1:
+        raise ValueError("edge probability p must be in (0, 1]")
+    try:
+        if d == h.n_edges and part.n_blocks == 1:
+            value = math.sqrt(h.aut_size * math.factorial(d) * math.perm(n, h.k))
+        else:
+            total = 0.0
+            for e_seq in itertools.permutations(h.edges, d):
+                v0 = {v for e in e_seq for v in e}
+                half_isolated, singly = _block_exponents(e_seq, part)
+                total += 2.0**half_isolated * float(n) ** (h.k - len(v0) + 0.5 * singly)
+            value = p ** (h.n_edges - d) * total
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"the norm bound overflows a float at k = {h.k}, n = {n}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -316,18 +291,6 @@ def count_cycles_trace(a: np.ndarray, k: int) -> np.ndarray:
     return (tr5 - 5.0 * diag3.sum(axis=1) - 5.0 * ((deg - 2.0) * diag3).sum(axis=1)) / 10.0
 
 
-def count_cycles_embedding(adj: np.ndarray, k: int) -> int:
-    """Direct embedding enumeration oracle: n!/(n-k)! vertex sequences, so
-    small n only."""
-    n = adj.shape[0]
-    cyc = GraphSpec.cycle(k)
-    hits = 0
-    for image in itertools.permutations(range(n), k):
-        if all(adj[image[u - 1], image[v - 1]] for u, v in cyc.edges):
-            hits += 1
-    return hits // (2 * k)
-
-
 def expected_cycle_count(k: int, n: int, p: float) -> float:
     return math.perm(n, k) * p**k / (2 * k)
 
@@ -349,11 +312,15 @@ def er_tail_experiment(h: GraphSpec, n: int, p: float, cfg: MCConfig,
     max(1, _ER_BLOCK_BYTES // (8 n^2)) graphs (36 at n = 60, 3 at n = 200), so
     memory does not grow with the batch; the result is the same for every
     block size (see the module docstring)."""
-    if h != GraphSpec.cycle(h.k):
-        raise ValueError("the tail experiment supports the cycle patterns GraphSpec.cycle(k)")
+    # a 2-regular pattern is a union of cycles, and one cycle exactly when its
+    # automorphisms are the 2k rotations and reflections of C_k
+    degrees = collections.Counter(v for e in h.edges for v in e)
+    if set(degrees.values()) != {2} or h.aut_size != 2 * h.k:
+        raise ValueError("the tail experiment supports the cycle patterns C_k, in any labelling")
     if h.k > MAX_TRACE_CYCLE:
         raise ValueError(f"cycle length > {MAX_TRACE_CYCLE}: exact counting unavailable,"
                          " only expectation checks are possible")
+    _check_vertex_count(h, n)
     if n > 200:
         raise ValueError("experiment vertex count capped at 200")
     if not 0 < p < 1:

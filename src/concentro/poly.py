@@ -1,13 +1,14 @@
 """Sparse multivariate polynomials over product measures.
 
-Provides evaluation, symbolic differentiation, expected derivative tensors
-built by coordinatewise moment substitution, and the probabilists' Hermite
-polynomials.  One routine, `_substitute`, puts a moment, a coordinate's power
-or a semicircle moment in place of each remaining power of every monomial:
-each derivative tensor, point value, expected value and semicircle integral is
-one call of it, order 0 giving f itself.  Any polynomial expands exactly in the
-Hermite basis: each monomial factors over its coordinates, and each power has
-the closed form x^p = sum_k p!/(2^k k! (p-2k)!) h_{p-2k}(x).
+Provides evaluation at a batch of points, symbolic differentiation, expected
+derivative tensors built by coordinatewise moment substitution, and the
+probabilists' Hermite polynomials.  One routine, `_substitute`, puts a moment,
+a coordinate's power or a semicircle moment in place of each remaining power
+of every monomial: each derivative tensor, expected value and semicircle
+integral is one call of it, order 0 giving the substituted value of f.  Any
+polynomial expands exactly in the Hermite basis: each monomial factors over its
+coordinates, and each power has the closed form
+x^p = sum_k p!/(2^k k! (p-2k)!) h_{p-2k}(x).
 """
 
 from __future__ import annotations
@@ -104,12 +105,6 @@ class Polynomial:
         return Polynomial(self.nvars, out)
 
     __rmul__ = __mul__
-
-    def evaluate(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.nvars,):
-            raise ValueError(f"point has length {x.size}, expected {self.nvars}")
-        return float(_substitute(self, 0, lambda v, r: x[v - 1] ** r))
 
     def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
         """Evaluate at every row of xs (N, nvars); returns (N,).  A value that
@@ -358,7 +353,8 @@ def hermite_expansion(f: Polynomial) -> dict:
     coordinate by coordinate through the closed form for x^p, and the
     products of the coordinate coefficients are summed as fractions, so every
     a_d is the float nearest its exact value.  With dyadic coefficients,
-    hermite_combination reproduces f exactly.
+    multiplying the Hermite polynomials back out (the test oracle
+    `hermite_combination` in tests/oracles.py) reproduces f exactly.
     """
     n = f.nvars
     if f.degree > MAX_EXPANSION_DEGREE:
@@ -375,18 +371,6 @@ def hermite_expansion(f: Polynomial) -> dict:
             c = Fraction(coef) * math.prod(m for _, m in factors)
             out[degrees] = out.get(degrees, Fraction(0)) + c
     return {k: float(v) for k, v in out.items() if v != 0}
-
-
-def hermite_combination(coeffs: dict, nvars: int) -> Polynomial:
-    """Inverse of hermite_expansion: rebuild the polynomial from a_d coefficients,
-    multiplying out the Hermite polynomials of the recurrence."""
-    total = Polynomial.zero(nvars)
-    for degrees, a in coeffs.items():
-        term = Polynomial.constant(nvars, a)
-        for i, deg in enumerate(degrees):
-            term = term * hermite(deg).to_polynomial(nvars, i + 1)
-        total = total + term
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from .montecarlo import MCConfig, _mean_stderr, _run_chunks, symmetric_stack, ta
 from .poly import Polynomial, _substitute
 
 MAX_EIG_SIZE = 400
+SUP_HALFWIDTH = 4.0   # sup |f''| is taken on [-4, 4], the semicircle support (-2, 2) doubled
 
 
 def eigenvalues_symmetric(m) -> np.ndarray:
@@ -116,9 +117,9 @@ def semicircle_integral(g: Polynomial) -> float:
     return float(_substitute(g, 0, lambda v, r: 0 if r % 2 else catalan(r // 2)))
 
 
-def sup_abs_on_interval(g: Polynomial, halfwidth: float = 4.0) -> float:
-    """sup |g| on [-halfwidth, halfwidth] for a one-variable polynomial: the
-    largest |g| over the endpoints and the critical points, the roots of g'.
+def sup_abs_on_interval(g: Polynomial) -> float:
+    """sup |g| on [-SUP_HALFWIDTH, SUP_HALFWIDTH] for a one-variable polynomial:
+    the largest |g| over the endpoints and the critical points, the roots of g'.
 
     Every root contributes its real part, clipped to the interval: a point of
     the interval never exceeds the sup, so no tolerance on the imaginary part
@@ -126,8 +127,8 @@ def sup_abs_on_interval(g: Polynomial, halfwidth: float = 4.0) -> float:
     coeffs = np.zeros(g.degree + 1)
     for key, coef in g.terms.items():
         coeffs[key[0][1] if key else 0] = coef
-    crit = np.clip(P.polyroots(P.polyder(coeffs)).real, -halfwidth, halfwidth)
-    xs = np.concatenate([[-halfwidth, halfwidth], crit])
+    crit = np.clip(P.polyroots(P.polyder(coeffs)).real, -SUP_HALFWIDTH, SUP_HALFWIDTH)
+    xs = np.concatenate([[-SUP_HALFWIDTH, SUP_HALFWIDTH], crit])
     return float(np.abs(g.evaluate_batch(xs[:, None])).max())
 
 

@@ -455,6 +455,41 @@ def test_bounds_rejects_options_it_would_ignore(x1x2, extra, message, capsys):
     assert message in captured.err and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["graphs", "cyclebound", "--k", "3", "--n", "10", "--p", "-1", "--partition", "1,2"],
+     "edge probability p must be in (0, 1]"),
+    (["graphs", "cyclebound", "--k", "3", "--n", "10", "--p", "1.5", "--partition", "1,2"],
+     "edge probability p must be in (0, 1]"),
+    (["graphs", "cyclebound", "--k", "3", "--n", "-5", "--p", "0.5"],
+     "ambient vertex count -5 below pattern size 3"),
+    (["graphs", "cyclebound", "--k", "300", "--n", "30", "--p", "0.5"],
+     "ambient vertex count 30 below pattern size 300"),
+    # n^(k - 1) = 300^299 at d = 1
+    (["graphs", "cyclebound", "--k", "300", "--n", "300", "--p", "0.5"],
+     "the norm bound overflows a float at k = 300, n = 300"),
+    (["graphs", "triangles", "--n", "2", "--p", "0.5", "--eps", "0.5"],
+     "ambient vertex count 2 below pattern size 3"),
+    (["tail", "--poly", "x1x2", "--t", "1", "--L", "abc"],
+     "argument --L: invalid float or 'auto' value: 'abc'"),
+    (["tail", "--poly", "x1x2", "--t", "1", "--L", "nan"],
+     "argument --L: invalid float or 'auto' value: 'nan'")])
+def test_out_of_range_graph_and_tail_input_exit_2(x1x2, argv, message, capsys):
+    assert dispatch([x1x2 if a == "x1x2" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and captured.err.count("\n") == 1
+
+
+def test_tail_L_is_auto_or_a_float(x1x2, capsys):
+    base = ["tail", "--poly", x1x2, "--law", "rademacher", "--t", "2"]
+    echo = lambda argv: (dispatch(argv), capsys.readouterr().out.splitlines()[1].split())
+    code, auto = echo(base)
+    assert code == 0 and "L=auto" in auto
+    # an explicit number echoes as a float, as every float option does
+    code, given = echo(base + ["--L", "2"])
+    assert code == 0 and "L=2.0" in given
+
+
 # (what the case shows, argv, argparse's message)
 _UNREAD = [
     ("mc tail does not read --p, --window, --restarts",

@@ -12,14 +12,11 @@ from concentro.graphs import (
     ERResult,
     EdgeIndex,
     GraphSpec,
-    count_cycles_embedding,
     count_cycles_trace,
     counting_polynomial,
     cycle_tail_bound,
     er_tail_experiment,
     expected_cycle_count,
-    indicator_norm_bound,
-    indicator_norm_check,
     sample_adjacency,
     subgraph_norm_bound,
     triangle_norms_exact,
@@ -29,6 +26,7 @@ from concentro.montecarlo import MCConfig, chunk_rng
 from concentro.norms import NormOptions, norm_J
 from concentro.partitions import SetPartition, enumerate_partitions
 from concentro.poly import ProductDistribution, expected_derivative_tensor
+from oracles import count_cycles_embedding, edge_pair, indicator_norm_bound, indicator_norm_check
 
 OPTS = NormOptions(restarts=16, seed=0)
 
@@ -56,7 +54,7 @@ def test_edge_index_round_trip():
         seen = set()
         for u, v in itertools.combinations(range(1, n + 1), 2):
             i = eidx.index((u, v))
-            assert eidx.pair(i) == (u, v)
+            assert edge_pair(eidx, i) == (u, v)
             seen.add(i)
         assert seen == set(range(1, eidx.count + 1))
     assert EdgeIndex(5).index((3, 1)) == EdgeIndex(5).index((1, 3))
@@ -80,7 +78,7 @@ def test_counting_polynomial_at_ones_is_falling_factorial(h, n):
     expect = 1.0
     for j in range(h.k):
         expect *= n - j
-    assert f.evaluate(np.ones(f.nvars)) == pytest.approx(expect, rel=1e-12)
+    assert f.evaluate_batch(np.ones((1, f.nvars)))[0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_triangle_second_derivative_is_p_times_shared_vertex_indicator():
@@ -92,7 +90,7 @@ def test_triangle_second_derivative_is_p_times_shared_vertex_indicator():
     eidx = EdgeIndex(n)
     for i in range(1, eidx.count + 1):
         for j in range(1, eidx.count + 1):
-            shared = len(set(eidx.pair(i)) & set(eidx.pair(j)))
+            shared = len(set(edge_pair(eidx, i)) & set(edge_pair(eidx, j)))
             expect = p if shared == 1 else 0.0
             assert d2[i - 1, j - 1] == pytest.approx(expect, abs=1e-12)
 
@@ -133,6 +131,23 @@ def test_cycle_norm_bound_cases():
     k4 = GraphSpec.cycle(4)
     assert subgraph_norm_bound(k4, SetPartition.full(4), 9, 0.2) == \
         pytest.approx(math.sqrt(8 * 24 * 3024), rel=1e-12)
+
+
+@pytest.mark.parametrize("h,part,n,p,message", [
+    (GraphSpec.cycle(3), SetPartition.parse("1,2"), 10, -1.0, r"p must be in \(0, 1\]"),
+    (GraphSpec.cycle(3), SetPartition.parse("1,2"), 10, 1.5, r"p must be in \(0, 1\]"),
+    (GraphSpec.cycle(3), SetPartition.parse("1,2"), 10, math.nan, r"p must be in \(0, 1\]"),
+    (GraphSpec.cycle(3), SetPartition.parse("1,2"), -5, 0.5,
+     "ambient vertex count -5 below pattern size 3"),
+    (GraphSpec.cycle(300), SetPartition.full(1), 30, 0.5,
+     "ambient vertex count 30 below pattern size 300"),
+    # the edge sum: n^(k - 1) = 300^299 at d = 1
+    (GraphSpec.cycle(300), SetPartition.full(1), 300, 0.5, "overflows a float at k = 300"),
+    # the top order: 190! alone exceeds the float range
+    (GraphSpec.clique(20), SetPartition.full(190), 20, 0.5, "overflows a float at k = 20")])
+def test_subgraph_norm_bound_refuses_bad_input(h, part, n, p, message):
+    with pytest.raises(ValueError, match=message):
+        subgraph_norm_bound(h, part, n, p)
 
 
 def test_cycle_norm_bound_dominates_actual_norms():
@@ -198,6 +213,13 @@ def test_aut_size_of_a_long_cycle_does_not_enumerate_permutations():
     assert time.perf_counter() - start < 0.5
 
 
+def test_aut_size_of_a_clique_does_not_visit_every_automorphism():
+    # a stabiliser chain multiplies orbit sizes; visiting all 10! maps takes a minute
+    start = time.perf_counter()
+    assert GraphSpec.clique(10).aut_size == math.factorial(10)
+    assert time.perf_counter() - start < 0.5
+
+
 @pytest.mark.parametrize("h,n,expect", [(GraphSpec.clique(4), 4, 643.98757752),
                                         (PAW, 5, 75.8946638)])
 def test_subgraph_norm_bound_is_the_norm_at_the_top_order(h, n, expect):
@@ -240,7 +262,7 @@ def test_edge_index_is_a_bijection(n):
     eidx = EdgeIndex(n)
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     assert sorted(eidx.index(e) for e in pairs) == list(range(1, n * (n - 1) // 2 + 1))
-    assert all(eidx.pair(eidx.index(e)) == e for e in pairs)
+    assert all(edge_pair(eidx, eidx.index(e)) == e for e in pairs)
 
 
 def test_indicator_norm_check_single_edge():
@@ -329,7 +351,7 @@ def test_polynomial_count_equals_trace_count():
     iu = np.triu_indices(n, 1)
     for a in adjs:
         edge_vec = a[iu]
-        via_poly = y_poly.evaluate(edge_vec)
+        via_poly = y_poly.evaluate_batch(edge_vec[None])[0]
         via_trace = count_cycles_trace(a, 3)[0]
         assert via_poly == via_trace  # exact integer equality
 
@@ -371,6 +393,10 @@ def test_er_tail_experiment_judges_its_pattern_by_its_edges(monkeypatch):
     c4_from_edges = GraphSpec(4, ((1, 2), (2, 3), (3, 4), (4, 1)))
     assert er_tail_experiment(c4_from_edges, 12, 0.3, cfg, eps=0.5) == \
         er_tail_experiment(GraphSpec.cycle(4), 12, 0.3, cfg, eps=0.5)
+    # any labelling of C_4 counts the same 4-cycles
+    relabelled_c4 = GraphSpec(4, ((1, 3), (3, 2), (2, 4), (4, 1)))
+    assert er_tail_experiment(relabelled_c4, 12, 0.3, cfg, eps=0.5) == \
+        er_tail_experiment(GraphSpec.cycle(4), 12, 0.3, cfg, eps=0.5)
 
     def no_sampling(*args):
         raise AssertionError("sampled")
@@ -378,6 +404,12 @@ def test_er_tail_experiment_judges_its_pattern_by_its_edges(monkeypatch):
     monkeypatch.setattr(graphs, "_run_chunks", no_sampling)
     with pytest.raises(ValueError, match="cycle patterns"):
         er_tail_experiment(PAW, 20, 0.5, cfg, eps=0.5)
+    # 2-regular, but two components
+    two_triangles = GraphSpec(6, ((1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)))
+    with pytest.raises(ValueError, match="cycle patterns"):
+        er_tail_experiment(two_triangles, 20, 0.5, cfg, eps=0.5)
+    with pytest.raises(ValueError, match="ambient vertex count 2 below pattern size 3"):
+        er_tail_experiment(GraphSpec.cycle(3), 2, 0.5, cfg, eps=0.5)
 
 
 # printed by the whole-chunk sampler and counter this replaced; each chunk of

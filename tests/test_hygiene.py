@@ -1,6 +1,6 @@
-"""Source hygiene: every module-level import, private definition and function
-parameter of the package is used, and every option a subcommand declares is
-read and has an option string."""
+"""Source hygiene: every module-level import, function parameter and
+definition the package does not export is used, and every option a subcommand
+declares is read and has an option string."""
 
 import ast
 import pathlib
@@ -38,22 +38,40 @@ def test_every_module_level_import_is_used():
     assert [u for path in modules for u in _unused_imports(path)] == []
 
 
-def test_every_private_module_level_definition_is_read():
-    """A module-level function or class whose name starts with `_` is read, as
-    a name or an attribute, somewhere in the package outside its own body."""
+def _unread_definitions(select):
+    """`module name` of each module-level function or class of the package,
+    among those `select(name)` picks, that is not read, as a name or an
+    attribute, anywhere in the package outside its own body."""
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     reads = [(n, n.id if isinstance(n, ast.Name) else n.attr)
              for tree in trees.values() for n in ast.walk(tree)
              if isinstance(n, (ast.Name, ast.Attribute))]
-    private = [(module, node) for module, tree in trees.items() for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")]
-    assert private
+    defs = [(module, node) for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and select(node.name)]
+    assert defs
     unread = []
-    for module, node in private:
+    for module, node in defs:
         inside = {id(n) for n in ast.walk(node)}
         if not any(name == node.name and id(n) not in inside for n, name in reads):
             unread.append(f"{module} {node.name}")
-    assert unread == []
+    return unread
+
+
+def test_every_private_module_level_definition_is_read():
+    """A module-level function or class whose name starts with `_` is read, as
+    a name or an attribute, somewhere in the package outside its own body."""
+    assert _unread_definitions(lambda name: name.startswith("_")) == []
+
+
+def test_every_definition_has_a_reader():
+    """A module-level function or class that the package root does not export
+    is read somewhere in the package outside its own body: code that only
+    tests read belongs in the tests (reference oracles live in
+    tests/oracles.py), and public API is exported."""
+    root = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {a.asname or a.name for n in root.body if isinstance(n, ast.ImportFrom)
+                for a in n.names}
+    assert _unread_definitions(lambda name: name not in exported) == []
 
 
 def _args_reads(fn):
