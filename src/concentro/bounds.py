@@ -101,24 +101,40 @@ def _norm_rows(f: Polynomial, dist: ProductDistribution, opts: NormOptions,
             yield d, J, scale * norm, flagged
 
 
+def _terms(rows, term) -> list[BoundTerm]:
+    """A BoundTerm for each (d, J, norm, flagged) row of `_norm_rows`, its
+    exponent and value given by term(d, J, norm).  A value that overflows a
+    float is refused, naming its order and partition."""
+    terms = []
+    for d, J, norm, flagged in rows:
+        try:
+            expo, value = term(d, J, norm)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"the bound term at order d = {d}, J = {J} overflows a float")
+        terms.append(BoundTerm(d, str(J), expo, norm, flagged, value))
+    return terms
+
+
 def _moment_terms(f: Polynomial, dist: ProductDistribution, p: float, L: float,
-                  gamma: float, opts: NormOptions | None,
+                  gamma: float, opts: NormOptions,
                   alpha: float | None = None) -> list[BoundTerm]:
     """The rows L^d p^((gamma-1/2)d + #J/2) |E D^d f|_J of the Sobolev-type
     moment functional, for p >= 2.  With `alpha`, J runs over splits and #J/2
     becomes #inner/2 + #outer/alpha."""
     if not 2 <= p < math.inf:
         raise ValueError(f"moment order p={p} must be finite and >= 2")
-    terms = []
-    for d, J, norm, flagged in _norm_rows(f, dist, opts or NormOptions(), alpha):
+
+    def term(d, J, norm):
         blocks = J.n_blocks / 2.0 if alpha is None else len(J.inner) / 2.0 + len(J.outer) / alpha
         expo = (gamma - 0.5) * d + blocks
-        terms.append(BoundTerm(d, str(J), expo, norm, flagged, L**d * p**expo * norm))
-    return terms
+        return expo, L**d * p**expo * norm
+    return _terms(_norm_rows(f, dist, opts, alpha), term)
 
 
 def gaussian_moment_bound(f: Polynomial, dist: ProductDistribution, p: float,
-                          opts: NormOptions | None = None) -> BoundReport:
+                          opts: NormOptions = NormOptions()) -> BoundReport:
     """Two-sided moment functional sum_d sum_J p^(#J/2) |E D^d f|_J: the
     Sobolev-type functional at the Gaussian pair (L, gamma) = (1, 1/2).
 
@@ -134,23 +150,20 @@ def gaussian_moment_bound(f: Polynomial, dist: ProductDistribution, p: float,
 
 
 def eta_tail(f: Polynomial, dist: ProductDistribution, t: float, L: float,
-             c_d: float = 1.0, opts: NormOptions | None = None) -> BoundReport:
+             c_d: float = 1.0, opts: NormOptions = NormOptions()) -> BoundReport:
     """Tail exponent min_(d,J) (t / (L^d |E D^d f|_J))^(2/#J), zero norms dropped.
 
     meta carries the two-sided tail estimate 2 exp(-eta/c_d).
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError(f"t={t} must be positive and finite")
     if not L > 0:
         raise ValueError("L must be positive")
-    opts = opts or NormOptions()
-    terms = []
-    for d, part, norm, flagged in _norm_rows(f, dist, opts):
-        if norm == 0.0:
-            continue
-        expo = 2.0 / part.n_blocks
-        value = (t / (L**d * norm)) ** expo
-        terms.append(BoundTerm(d, str(part), expo, norm, flagged, value))
+
+    def term(d, J, norm):
+        expo = 2.0 / J.n_blocks
+        return expo, (t / (L**d * norm)) ** expo
+    terms = _terms((row for row in _norm_rows(f, dist, opts) if row[2] != 0.0), term)
     if not terms:
         raise ValueError("degenerate polynomial: every derivative norm is zero")
     return BoundReport("min", tuple(terms),
@@ -159,7 +172,7 @@ def eta_tail(f: Polynomial, dist: ProductDistribution, t: float, L: float,
 
 def sobolev_moment_bound(f: Polynomial, dist: ProductDistribution, p: float,
                          L: float, gamma: float,
-                         opts: NormOptions | None = None) -> BoundReport:
+                         opts: NormOptions = NormOptions()) -> BoundReport:
     """Moment functional sum_d sum_J L^d p^((gamma-1/2)d + #J/2) |E D^d f|_J."""
     if not 0.5 <= gamma < math.inf:
         raise ValueError(f"gamma={gamma} must be finite and >= 1/2")
@@ -205,7 +218,7 @@ def additive_functional_tail(fmoments, fD_sup: float, n: int, L: float, t: float
 
 
 def weibull_moment_bound(f: Polynomial, dist: ProductDistribution, p: float,
-                         opts: NormOptions | None = None) -> BoundReport:
+                         opts: NormOptions = NormOptions()) -> BoundReport:
     """Split-indexed functional sum_d sum_splits p^(#J/2 + #K/alpha) |E D^d f|_(J|K)
     for the Weibull-alpha law `dist`, which alone gives alpha."""
     if dist.law != "weibull":

@@ -116,7 +116,7 @@ def _mc_config(args) -> MCConfig:
 
 def _cmd_norm(args) -> list[str]:
     tens = load_tensor(args.tensor)
-    part = SetPartition.parse(args.partition, d=tens.order)
+    part = SetPartition.parse(args.partition)
     res = norm_J(tens, part, _norm_opts(args), method=args.method)
     if args.cert_out:
         with open(args.cert_out, "w") as fh:
@@ -127,7 +127,7 @@ def _cmd_norm(args) -> list[str]:
 
 def _cmd_mixednorm(args) -> list[str]:
     tens = load_tensor(args.tensor)
-    split = SplitPartition.parse(args.split, d=tens.order)
+    split = SplitPartition.parse(args.split)
     return _csv("value", [(mixed_norm(tens, split, args.alpha, _norm_opts(args)),)])
 
 

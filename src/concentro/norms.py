@@ -68,10 +68,10 @@ class NormResult:
 
 @dataclass(frozen=True)
 class _BlockSpec:
-    """One constraint block of the alternating solver."""
+    """One constraint block of the alternating solver: the Euclidean sphere at
+    alpha = 2, else the l_alpha(l_2) ball with a distinguished coordinate."""
 
     coords: tuple[int, ...]          # 1-based tensor coordinates, ascending
-    kind: str = "l2"                 # "l2" or "mixed"
     s_pos: int = 0                   # position of the distinguished coordinate
     alpha: float = 2.0
 
@@ -80,7 +80,7 @@ def _dual_step(spec: _BlockSpec, g: np.ndarray, m: int):
     """Maximize <g[:, r], y> over the block's unit ball for every column r of
     the block-major (dim, restarts) g; returns (values, maximizers).  A zero
     column has value 0 and a zero maximizer."""
-    if spec.kind == "l2":
+    if spec.alpha == 2.0:
         r = np.sqrt(np.add.reduce(g * g, axis=0))
         return r, g / (r if r.all() else np.where(r > 0, r, 1.0))
     # mixed l_alpha(l_2) ball with distinguished coordinate spec.s_pos
@@ -109,7 +109,7 @@ def _dual_step(spec: _BlockSpec, g: np.ndarray, m: int):
 
 def _project_ball(spec: _BlockSpec, v: np.ndarray, m: int) -> np.ndarray:
     """Scale rows of v onto the block's unit sphere."""
-    if spec.kind == "l2":
+    if spec.alpha == 2.0:
         r = np.linalg.norm(v, axis=1)
     else:
         nb = len(spec.coords)
@@ -224,13 +224,17 @@ def _init_vectors(blocks: list[_BlockSpec], m: int, restarts: int, seed: int):
             for spec, lo, hi in zip(blocks, edges, edges[1:])]
 
 
-def _zero_result(a: Tensor, part: SetPartition, method: str) -> NormResult:
-    certs = tuple(np.zeros(a.dim ** len(b)) for b in part.blocks)
-    return NormResult(0.0, certs, method)
+def _solve(a: Tensor, blocks: list[_BlockSpec], opts: NormOptions):
+    """(best value, its vectors, sweeps) of `opts.restarts` alternating runs on
+    `blocks` from the start points of `_init_vectors`."""
+    vecs = _init_vectors(blocks, a.dim, opts.restarts, opts.seed)
+    vals, vecs, sweeps = _alternating_max(a, blocks, vecs, ALS_MAX_SWEEPS, ALS_TOL)
+    best = int(np.argmax(vals))
+    return float(vals[best]), tuple(v[:, best].copy() for v in vecs), sweeps
 
 
 @single_threaded()
-def norm_J(a: Tensor, part: SetPartition, opts: NormOptions | None = None,
+def norm_J(a: Tensor, part: SetPartition, opts: NormOptions = NormOptions(),
            method: str = "auto") -> NormResult:
     """The injective norm of `a` indexed by the partition `part`.
 
@@ -240,7 +244,6 @@ def norm_J(a: Tensor, part: SetPartition, opts: NormOptions | None = None,
     `opts.restarts` alternating-maximization runs, a lower bound on the true
     norm.  The result's `method` names the solver that ran.
     """
-    opts = opts or NormOptions()
     d, m = a.order, a.dim
     if part.d != d:
         raise ValueError(f"partition of [{part.d}] does not match tensor order {d}")
@@ -249,7 +252,7 @@ def norm_J(a: Tensor, part: SetPartition, opts: NormOptions | None = None,
     if method == "auto":
         method = {1: "frobenius", 2: "matricization-spectral"}.get(part.n_blocks, "als")
     if not np.any(a.values):
-        return _zero_result(a, part, method)
+        return NormResult(0.0, tuple(np.zeros(m ** len(b)) for b in part.blocks), method)
 
     if method == "frobenius":
         # scaling by a power of two is exact and keeps the sum of squares
@@ -266,12 +269,8 @@ def norm_J(a: Tensor, part: SetPartition, opts: NormOptions | None = None,
         u, s, vt = np.linalg.svd(mat, full_matrices=False)
         return NormResult(float(s[0]), (u[:, 0].copy(), vt[0].copy()), "matricization-spectral")
 
-    blocks = [_BlockSpec(b) for b in part.blocks]
-    vecs = _init_vectors(blocks, m, opts.restarts, opts.seed)
-    vals, vecs, sweeps = _alternating_max(a, blocks, vecs, ALS_MAX_SWEEPS, ALS_TOL)
-    best = int(np.argmax(vals))
-    cert = tuple(v[:, best].copy() for v in vecs)
-    return NormResult(float(vals[best]), cert, "als", sweeps, opts.restarts)
+    value, cert, sweeps = _solve(a, [_BlockSpec(b) for b in part.blocks], opts)
+    return NormResult(value, cert, "als", sweeps, opts.restarts)
 
 
 @single_threaded()
@@ -284,9 +283,9 @@ def norm_J_bruteforce(a: Tensor, part: SetPartition, npoints: int, seed: int = 0
     d, m = a.order, a.dim
     if part.d != d:
         raise ValueError(f"partition of [{part.d}] does not match tensor order {d}")
-    dims = [m ** len(b) for b in part.blocks]
-    if sum(dims) > BRUTEFORCE_DIM_CAP:
-        raise ValueError(f"total search dimension {sum(dims)} exceeds cap {BRUTEFORCE_DIM_CAP}")
+    total = sum(m ** len(b) for b in part.blocks)
+    if total > BRUTEFORCE_DIM_CAP:
+        raise ValueError(f"total search dimension {total} exceeds cap {BRUTEFORCE_DIM_CAP}")
     if not np.any(a.values):
         return 0.0
     blocks = [_BlockSpec(b) for b in part.blocks]
@@ -295,10 +294,8 @@ def norm_J_bruteforce(a: Tensor, part: SetPartition, npoints: int, seed: int = 0
     done = 0
     while done < npoints:
         r = min(_BRUTE_CHUNK, npoints - done)
-        vecs = []
-        for dim in dims:
-            v = rng.standard_normal((r, dim))
-            vecs.append(np.ascontiguousarray((v / np.linalg.norm(v, axis=1)[:, None]).T))
+        vecs = [np.ascontiguousarray(_project_ball(
+            spec, rng.standard_normal((r, m ** len(spec.coords))), m).T) for spec in blocks]
         # tiny tol: extra sweeps past a fixed point cannot change the value
         vals, _, _ = _alternating_max(a, blocks, vecs, 50, 1e-15)
         best = max(best, float(vals.max()))
@@ -308,15 +305,14 @@ def norm_J_bruteforce(a: Tensor, part: SetPartition, npoints: int, seed: int = 0
 
 @single_threaded()
 def mixed_norm(a: Tensor, split: SplitPartition, alpha: float,
-               opts: NormOptions | None = None) -> float:
+               opts: NormOptions = NormOptions()) -> float:
     """Mixed-constraint norm: inner blocks on Euclidean spheres, outer blocks
     on l_alpha(l_2) balls, summed over every choice of distinguished coordinate.
 
     At alpha=2 the mixed ball is the Euclidean ball of the whole block, so each
     summand is computed by the exact merged-partition solver.
     """
-    opts = opts or NormOptions()
-    d, m = a.order, a.dim
+    d = a.order
     if split.d != d:
         raise ValueError(f"split of [{split.d}] does not match tensor order {d}")
     if d > MAX_SPLIT_ORDER:
@@ -331,11 +327,8 @@ def mixed_norm(a: Tensor, split: SplitPartition, alpha: float,
 
     total = 0.0
     for s_choice in itertools.product(*split.outer):
-        blocks = [_BlockSpec(b, "l2") for b in split.inner]
-        for b, s in zip(split.outer, s_choice):
-            blocks.append(_BlockSpec(b, "mixed", s_pos=b.index(s), alpha=alpha))
+        blocks = [_BlockSpec(b) for b in split.inner]
+        blocks += [_BlockSpec(b, b.index(s), alpha) for b, s in zip(split.outer, s_choice)]
         blocks.sort(key=lambda sp: sp.coords[0])
-        vecs = _init_vectors(blocks, m, opts.restarts, opts.seed)
-        vals, _, _ = _alternating_max(a, blocks, vecs, ALS_MAX_SWEEPS, ALS_TOL)
-        total += float(vals.max())
+        total += _solve(a, blocks, opts)[0]
     return total

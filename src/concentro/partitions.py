@@ -7,10 +7,7 @@ k-th partition is the same on every run and every machine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-# Bell numbers B_0 .. B_6
-BELL = (1, 1, 2, 5, 15, 52, 203)
+from dataclasses import dataclass, field
 
 MAX_PARTITION_ORDER = 6
 MAX_SPLIT_ORDER = 3
@@ -39,29 +36,25 @@ def _label(blocks) -> str:
     return "|".join(",".join(str(i) for i in b) for b in blocks)
 
 
-def _check_cover(blocks, universe, what: str) -> None:
-    seen: set[int] = set()
-    for b in blocks:
-        for i in b:
-            if i in seen:
-                raise ValueError(f"{what}: index {i} appears in two blocks")
-            seen.add(i)
-    if seen != set(universe):
-        raise ValueError(f"{what}: blocks must cover exactly {sorted(universe)}, got {sorted(seen)}")
+def _order(blocks, what: str) -> int:
+    """The order d of blocks that hold each of 1..d exactly once, d >= 1."""
+    indices = sorted(i for b in blocks for i in b)
+    if not indices or indices != list(range(1, len(indices) + 1)):
+        raise ValueError(f"{what} blocks must hold each of 1..d exactly once, got {indices}")
+    return len(indices)
 
 
 @dataclass(frozen=True)
 class SetPartition:
-    """A partition of {1,..,d} into nonempty pairwise disjoint blocks."""
+    """A partition of {1,..,d} into nonempty pairwise disjoint blocks; the
+    blocks fix d."""
 
-    d: int
     blocks: tuple[tuple[int, ...], ...]
+    d: int = field(init=False)
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("partition order d must be >= 1")
         object.__setattr__(self, "blocks", _canonical(self.blocks))
-        _check_cover(self.blocks, range(1, self.d + 1), f"partition of [{self.d}]")
+        object.__setattr__(self, "d", _order(self.blocks, "partition"))
 
     @property
     def n_blocks(self) -> int:
@@ -74,18 +67,17 @@ class SetPartition:
         return tuple(sorted(len(b) for b in self.blocks))
 
     @classmethod
-    def parse(cls, text: str, d: int | None = None) -> "SetPartition":
+    def parse(cls, text: str) -> "SetPartition":
         """Parse "1,2|3" into a partition (1-based indices, blocks split on '|')."""
-        blocks = _parse_blocks(text)
-        return cls(d if d is not None else max(max(b) for b in blocks), blocks)
+        return cls(_parse_blocks(text))
 
     @classmethod
     def singletons(cls, d: int) -> "SetPartition":
-        return cls(d, tuple((i,) for i in range(1, d + 1)))
+        return cls(tuple((i,) for i in range(1, d + 1)))
 
     @classmethod
     def full(cls, d: int) -> "SetPartition":
-        return cls(d, (tuple(range(1, d + 1)),))
+        return cls((tuple(range(1, d + 1)),))
 
     def __str__(self) -> str:
         return _label(self.blocks)
@@ -96,19 +88,18 @@ class SplitPartition:
     """An (inner, outer) pair of partitions of disjoint subsets covering {1,..,d}.
 
     Either side may be empty (zero blocks).  Inner blocks carry Euclidean
-    constraints, outer blocks the mixed l_alpha(l_2) constraints.
+    constraints, outer blocks the mixed l_alpha(l_2) constraints.  The blocks
+    fix d.
     """
 
-    d: int
     inner: tuple[tuple[int, ...], ...]
     outer: tuple[tuple[int, ...], ...]
+    d: int = field(init=False)
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("split order d must be >= 1")
-        object.__setattr__(self, "inner", _canonical(self.inner) if self.inner else ())
-        object.__setattr__(self, "outer", _canonical(self.outer) if self.outer else ())
-        _check_cover(self.inner + self.outer, range(1, self.d + 1), f"split of [{self.d}]")
+        object.__setattr__(self, "inner", _canonical(self.inner))
+        object.__setattr__(self, "outer", _canonical(self.outer))
+        object.__setattr__(self, "d", _order(self.inner + self.outer, "split"))
 
     @property
     def shape(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -116,14 +107,12 @@ class SplitPartition:
         return tuple(sorted(len(b) for b in self.inner)), tuple(sorted(len(b) for b in self.outer))
 
     @classmethod
-    def parse(cls, text: str, d: int | None = None) -> "SplitPartition":
+    def parse(cls, text: str) -> "SplitPartition":
         """Parse "1|2||3": inner and outer separated by '||', blocks by '|'."""
         if "||" not in text:
             raise ValueError(f"split string {text!r} must contain '||'")
-        inner, outer = (_parse_blocks(side) if side.strip() else ()
-                        for side in text.split("||", 1))
-        order = d if d is not None else max(max(b) for b in inner + outer)
-        return cls(order, inner, outer)
+        return cls(*(_parse_blocks(side) if side.strip() else ()
+                     for side in text.split("||", 1)))
 
     def __str__(self) -> str:
         return f"{_label(self.inner)}||{_label(self.outer)}"
@@ -148,7 +137,7 @@ def enumerate_partitions(d: int) -> list[SetPartition]:
     if not 1 <= d <= MAX_PARTITION_ORDER:
         raise ValueError(f"partition order d={d} outside [1, {MAX_PARTITION_ORDER}]"
                          " (tensor sizes beyond order 6 are not desk scale)")
-    return [SetPartition(d, blocks) for blocks in _partitions_of(tuple(range(1, d + 1)))]
+    return [SetPartition(blocks) for blocks in _partitions_of(tuple(range(1, d + 1)))]
 
 
 def enumerate_splits(d: int) -> list[SplitPartition]:
@@ -167,7 +156,7 @@ def enumerate_splits(d: int) -> list[SplitPartition]:
         outer_elems = tuple(i for i in universe if not mask & (1 << (i - 1)))
         for inner in _partitions_of(inner_elems):
             for outer in _partitions_of(outer_elems):
-                out.append(SplitPartition(d, inner, outer))
+                out.append(SplitPartition(inner, outer))
     return out
 
 
@@ -181,4 +170,4 @@ def refines(fine: SetPartition, coarse: SetPartition) -> bool:
 
 def merged(split: SplitPartition) -> SetPartition:
     """The plain partition obtained by forgetting the inner/outer distinction."""
-    return SetPartition(split.d, split.inner + split.outer)
+    return SetPartition(split.inner + split.outer)

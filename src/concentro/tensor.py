@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partitions import SetPartition
+from .partitions import MAX_PARTITION_ORDER, SetPartition
 
 MAX_ENTRIES = 4_000_000
-MAX_ORDER = 6
 
 
 class Tensor:
@@ -28,8 +27,8 @@ class Tensor:
 
     def __init__(self, values):
         a = np.array(values, dtype=float, order="C")
-        if a.ndim < 1 or a.ndim > MAX_ORDER:
-            raise ValueError(f"tensor order must be in [1, {MAX_ORDER}], got {a.ndim}")
+        if a.ndim < 1 or a.ndim > MAX_PARTITION_ORDER:
+            raise ValueError(f"tensor order must be in [1, {MAX_PARTITION_ORDER}], got {a.ndim}")
         m = a.shape[0]
         if any(s != m for s in a.shape):
             raise ValueError(f"all axes must have equal length, got shape {a.shape}")

@@ -45,7 +45,7 @@ def indicator_norm_bound(e_seq, part: SetPartition, n: int) -> float:
 
 
 def indicator_norm_check(h: GraphSpec, e_seq, part: SetPartition, n: int,
-                         opts: NormOptions | None = None) -> tuple[NormResult, float]:
+                         opts: NormOptions = NormOptions()) -> tuple[NormResult, float]:
     """Norm of the indicator tensor of edge tuples matching e_seq, next to its
     combinatorial cap; callers assert lhs <= cap * (1 + tol)."""
     e_seq = [tuple(sorted(e)) for e in e_seq]
@@ -67,7 +67,7 @@ def indicator_norm_check(h: GraphSpec, e_seq, part: SetPartition, n: int,
         vmap = dict(zip(verts, image))
         pos = tuple(eidx.index((vmap[u], vmap[v])) - 1 for u, v in e_seq)
         vals[pos] = 1.0
-    lhs = norm_J(Tensor(vals), part, opts or NormOptions())
+    lhs = norm_J(Tensor(vals), part, opts)
     return lhs, indicator_norm_bound(e_seq, part, n)
 
 

@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from concentro.norms import NormOptions
 from concentro.poly import Polynomial, ProductDistribution
 
 X1X2 = Polynomial(2, {((1, 1), (2, 1)): 1.0})
+X1X2X3 = Polynomial(3, {((1, 1), (2, 1), (3, 1)): 1.0})
 GAUSS = ProductDistribution.gaussian()
 OPTS = NormOptions(restarts=16, seed=0)
 
@@ -111,6 +114,9 @@ def test_eta_tail_degenerate():
         eta_tail(Polynomial.constant(2, 1.0), GAUSS, 1.0, 1.0)
     with pytest.raises(ValueError):
         eta_tail(X1X2, GAUSS, 0.0, 1.0)
+    # t = inf made every term inf and a tail estimate of 0
+    with pytest.raises(ValueError, match="t=inf must be positive and finite"):
+        eta_tail(X1X2, GAUSS, math.inf, 1.0)
 
 
 def test_sobolev_bound_reduces_to_gaussian_at_half():
@@ -264,7 +270,7 @@ def test_weibull_alpha2_report_solves_once_per_merged_shape(monkeypatch):
     assert len(rep.terms) == 2 + 6 + 22
     for t in rep.terms:
         own = mixed_norm(expected_derivative_tensor(f, dist, t.d),
-                         SplitPartition.parse(t.label, d=t.d), 2.0, OPTS)
+                         SplitPartition.parse(t.label), 2.0, OPTS)
         assert t.norm == pytest.approx(own, rel=1e-9 if t.flagged else 1e-12)
 
 
@@ -286,7 +292,7 @@ def test_every_row_equals_its_own_partition_norm(case):
     rep = gaussian_moment_bound(f, dist, 2.0, OPTS)
     tensors = {d: expected_derivative_tensor(f, dist, d) for d in range(1, f.degree + 1)}
     for t in rep.terms:
-        part = SetPartition.parse(t.label, d=t.d)
+        part = SetPartition.parse(t.label)
         own = norm_J(tensors[t.d], part, OPTS)
         assert t.flagged == (own.method == "als")
         assert t.norm == pytest.approx(own.value, rel=1e-9 if t.flagged else 1e-12)
@@ -354,3 +360,21 @@ def test_moment_reports_need_a_finite_order_of_at_least_two(report, p):
 def test_sobolev_bound_needs_a_finite_L_and_gamma(L, gamma, message):
     with pytest.raises(ValueError, match=message):
         sobolev_moment_bound(X1X2, GAUSS, 4.0, L, gamma, OPTS)
+
+
+@pytest.mark.parametrize("report, where", [
+    (lambda: eta_tail(X1X2, ProductDistribution.rademacher(), 2.0, 1e308, opts=OPTS),
+     "d = 2, J = 1,2"),
+    (lambda: sobolev_moment_bound(X1X2, GAUSS, 2.0, 1e308, 1.0, OPTS), "d = 1, J = 1"),
+    (lambda: gaussian_moment_bound(X1X2X3, GAUSS, 1e300, OPTS), "d = 3, J = 1|2|3"),
+    (lambda: weibull_moment_bound(X1X2X3, ProductDistribution.weibull(1.5), 1e300, OPTS),
+     "d = 2, J = ||1|2")],
+    ids=["tail-L^d", "sobolev-product", "gaussian-p^expo", "weibull-p^expo"])
+def test_a_bound_term_that_overflows_is_refused(report, where):
+    # a float power that overflows raised OverflowError, and a product that
+    # overflows gave an inf term
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = re.escape(f"term at order {where} overflows a float")
+        with pytest.raises(ValueError, match=message):
+            report()

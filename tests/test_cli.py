@@ -472,9 +472,32 @@ def test_bounds_rejects_options_it_would_ignore(x1x2, extra, message, capsys):
     (["tail", "--poly", "x1x2", "--t", "1", "--L", "abc"],
      "argument --L: invalid float or 'auto' value: 'abc'"),
     (["tail", "--poly", "x1x2", "--t", "1", "--L", "nan"],
-     "argument --L: invalid float or 'auto' value: 'nan'")])
-def test_out_of_range_graph_and_tail_input_exit_2(x1x2, argv, message, capsys):
-    assert dispatch([x1x2 if a == "x1x2" else a for a in argv]) == 2
+     "argument --L: invalid float or 'auto' value: 'nan'"),
+    # a bound term whose arithmetic leaves the float range: L^d, p^exponent
+    # or their product
+    (["tail", "--poly", "x1x2", "--law", "rademacher", "--t", "2", "--L", "1e308"],
+     "the bound term at order d = 2, J = 1,2 overflows a float"),
+    (["bounds", "--poly", "x1x2", "--p", "2", "--gamma", "1", "--L", "1e308"],
+     "the bound term at order d = 1, J = 1 overflows a float"),
+    (["bounds", "--poly", "x1x2x3", "--p", "1e300"],
+     "the bound term at order d = 3, J = 1|2|3 overflows a float"),
+    (["bounds", "--poly", "x1x2x3", "--p", "1e300", "--law", "weibull", "--alpha", "1.5"],
+     "the bound term at order d = 2, J = ||1|2 overflows a float"),
+    # aut(C_600) = 1200 is counted without recursion; the bound then overflows
+    (["graphs", "cyclebound", "--k", "600", "--n", "600", "--p", "0.5",
+      "--partition", ",".join(str(i) for i in range(1, 601))],
+     "the norm bound overflows a float at k = 600, n = 600"),
+    # a label of another order than the tensor's: the norm functions check it
+    (["norm", "--tensor", "t3", "--partition", "1|2"],
+     "partition of [2] does not match tensor order 3"),
+    (["mixednorm", "--tensor", "t3", "--split", "1||2", "--alpha", "1.5"],
+     "split of [2] does not match tensor order 3")])
+def test_out_of_range_graph_and_tail_input_exit_2(x1x2, tmp_path, argv, message, capsys):
+    files = {"x1x2": x1x2,
+             "x1x2x3": _poly_file(tmp_path, "x1x2x3", 3, {((1, 1), (2, 1), (3, 1)): 1.0}),
+             "t3": str(tmp_path / "t3.json")}
+    save_tensor(Tensor(np.ones((2, 2, 2))), files["t3"])
+    assert dispatch([files.get(a, a) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err and captured.err.count("\n") == 1

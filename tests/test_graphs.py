@@ -33,19 +33,19 @@ OPTS = NormOptions(restarts=16, seed=0)
 
 def test_graph_spec_validation():
     with pytest.raises(ValueError):
-        GraphSpec(3, ((1, 1),))
+        GraphSpec(((1, 1),))
     with pytest.raises(ValueError):
-        GraphSpec(3, ((1, 2), (2, 1), (2, 3), (1, 3)))
+        GraphSpec(((1, 2), (2, 1), (2, 3), (1, 3)))
     with pytest.raises(ValueError):
-        GraphSpec(4, ((1, 2), (2, 3), (1, 3)))  # vertex 4 isolated
+        GraphSpec(((1, 2), (2, 4), (1, 4)))  # vertex 3 isolated
     assert GraphSpec.cycle(4).n_edges == 4
     assert GraphSpec.clique(4).n_edges == 6
     assert GraphSpec.cycle(5).aut_size == 10
     assert GraphSpec.clique(4).aut_size == 24
     assert GraphSpec.clique(2).aut_size == 2
     assert GraphSpec.cycle(3).aut_size == GraphSpec.clique(3).aut_size == 6
-    assert GraphSpec(3, ((1, 2), (2, 3), (1, 3))).aut_size == 6
-    assert GraphSpec(3, ((1, 2), (2, 3), (1, 3))).n_edges == 3
+    assert GraphSpec(((1, 2), (2, 3), (1, 3))).aut_size == 6
+    assert GraphSpec(((1, 2), (2, 3), (1, 3))).n_edges == 3
 
 
 def test_edge_index_round_trip():
@@ -169,15 +169,15 @@ def test_cycle_norm_bound_dominates_actual_norms():
                                     rel=1e-12)
 
 
-PAW = GraphSpec(4, ((1, 2), (2, 3), (1, 3), (3, 4)))   # a triangle with a pendant edge
+PAW = GraphSpec(((1, 2), (2, 3), (1, 3), (3, 4)))   # a triangle with a pendant edge
 
 
 def test_a_pattern_is_its_edge_set():
-    triangle = GraphSpec(3, ((2, 3), (1, 3), (2, 1)))
+    triangle = GraphSpec(((2, 3), (1, 3), (2, 1)))
     assert triangle == GraphSpec.cycle(3) == GraphSpec.clique(3)
     assert hash(triangle) == hash(GraphSpec.clique(3))
-    assert GraphSpec(4, ((1, 2), (2, 3), (3, 4), (4, 1))) == GraphSpec.cycle(4)
-    assert GraphSpec(4, ((1, 3), (3, 2), (2, 4), (4, 1))) != GraphSpec.cycle(4)
+    assert GraphSpec(((1, 2), (2, 3), (3, 4), (4, 1))) == GraphSpec.cycle(4)
+    assert GraphSpec(((1, 3), (3, 2), (2, 4), (4, 1))) != GraphSpec.cycle(4)
     assert PAW != GraphSpec.cycle(4)
 
 
@@ -189,28 +189,30 @@ def _brute_aut_size(h):
 
 def test_aut_size_is_computed_from_the_edges():
     assert PAW.aut_size == 2
-    relabelled_c4 = GraphSpec(4, ((1, 3), (3, 2), (2, 4), (4, 1)))
+    relabelled_c4 = GraphSpec(((1, 3), (3, 2), (2, 4), (4, 1)))
     assert relabelled_c4.aut_size == 8
-    assert GraphSpec(4, ((1, 2), (3, 4), (1, 3))).aut_size == 2   # the path 2-1-3-4
-    assert GraphSpec(4, ((1, 2), (3, 4))).aut_size == 8           # two disjoint edges
-    assert GraphSpec(4, ((1, 2), (1, 3), (1, 4))).aut_size == 6   # the star
+    assert GraphSpec(((1, 2), (3, 4), (1, 3))).aut_size == 2   # the path 2-1-3-4
+    assert GraphSpec(((1, 2), (3, 4))).aut_size == 8           # two disjoint edges
+    assert GraphSpec(((1, 2), (1, 3), (1, 4))).aut_size == 6   # the star
     rng = np.random.default_rng(5)
     for _ in range(60):
         k = int(rng.integers(2, 7))
         pairs = list(itertools.combinations(range(1, k + 1), 2))
         edges = tuple(e for e in pairs if rng.random() < 0.5)
         if {v for e in edges for v in e} == set(range(1, k + 1)):
-            h = GraphSpec(k, edges)
+            h = GraphSpec(edges)
             assert h.aut_size == _brute_aut_size(h), h
 
 
 def test_aut_size_of_a_long_cycle_does_not_enumerate_permutations():
     # C_12 relabelled by i -> 5(i - 1) mod 12 + 1; its 12! permutations take minutes
     relabel = lambda i: 5 * (i - 1) % 12 + 1
-    c12 = GraphSpec(12, tuple((relabel(u), relabel(v)) for u, v in GraphSpec.cycle(12).edges))
+    c12 = GraphSpec(tuple((relabel(u), relabel(v)) for u, v in GraphSpec.cycle(12).edges))
     start = time.perf_counter()
     assert c12.aut_size == GraphSpec.cycle(12).aut_size == 24
     assert time.perf_counter() - start < 0.5
+    # the completion search runs on an explicit stack, 600 levels deep here
+    assert GraphSpec.cycle(600).aut_size == 1200
 
 
 def test_aut_size_of_a_clique_does_not_visit_every_automorphism():
@@ -390,11 +392,11 @@ def test_er_tail_experiment_judges_its_pattern_by_its_edges(monkeypatch):
     import concentro.graphs as graphs
 
     cfg = MCConfig(N=200, seed=3, batch=64)
-    c4_from_edges = GraphSpec(4, ((1, 2), (2, 3), (3, 4), (4, 1)))
+    c4_from_edges = GraphSpec(((1, 2), (2, 3), (3, 4), (4, 1)))
     assert er_tail_experiment(c4_from_edges, 12, 0.3, cfg, eps=0.5) == \
         er_tail_experiment(GraphSpec.cycle(4), 12, 0.3, cfg, eps=0.5)
     # any labelling of C_4 counts the same 4-cycles
-    relabelled_c4 = GraphSpec(4, ((1, 3), (3, 2), (2, 4), (4, 1)))
+    relabelled_c4 = GraphSpec(((1, 3), (3, 2), (2, 4), (4, 1)))
     assert er_tail_experiment(relabelled_c4, 12, 0.3, cfg, eps=0.5) == \
         er_tail_experiment(GraphSpec.cycle(4), 12, 0.3, cfg, eps=0.5)
 
@@ -405,7 +407,7 @@ def test_er_tail_experiment_judges_its_pattern_by_its_edges(monkeypatch):
     with pytest.raises(ValueError, match="cycle patterns"):
         er_tail_experiment(PAW, 20, 0.5, cfg, eps=0.5)
     # 2-regular, but two components
-    two_triangles = GraphSpec(6, ((1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)))
+    two_triangles = GraphSpec(((1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)))
     with pytest.raises(ValueError, match="cycle patterns"):
         er_tail_experiment(two_triangles, 20, 0.5, cfg, eps=0.5)
     with pytest.raises(ValueError, match="ambient vertex count 2 below pattern size 3"):

@@ -38,36 +38,52 @@ def test_every_module_level_import_is_used():
     assert [u for path in modules for u in _unused_imports(path)] == []
 
 
+def _defined_names(node):
+    """The names a module-level statement defines: a function's or class's
+    name, or the names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
 def _unread_definitions(select):
-    """`module name` of each module-level function or class of the package,
-    among those `select(name)` picks, that is not read, as a name or an
-    attribute, anywhere in the package outside its own body."""
+    """`module name` of each module-level function, class or assigned name of
+    the package, among those `select(name)` picks, that is not read, as a name
+    or an attribute, anywhere in the package outside its own statement."""
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     reads = [(n, n.id if isinstance(n, ast.Name) else n.attr)
              for tree in trees.values() for n in ast.walk(tree)
-             if isinstance(n, (ast.Name, ast.Attribute))]
-    defs = [(module, node) for module, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and select(node.name)]
+             if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)]
+    defs = [(module, node, name) for module, tree in trees.items() for node in tree.body
+            for name in _defined_names(node) if select(name)]
     assert defs
     unread = []
-    for module, node in defs:
+    for module, node, name in defs:
         inside = {id(n) for n in ast.walk(node)}
-        if not any(name == node.name and id(n) not in inside for n, name in reads):
-            unread.append(f"{module} {node.name}")
+        if not any(read == name and id(n) not in inside for n, read in reads):
+            unread.append(f"{module} {name}")
     return unread
 
 
 def test_every_private_module_level_definition_is_read():
-    """A module-level function or class whose name starts with `_` is read, as
-    a name or an attribute, somewhere in the package outside its own body."""
+    """A module-level function, class or assigned name that starts with `_` is
+    read, as a name or an attribute, somewhere in the package outside its own
+    statement."""
     assert _unread_definitions(lambda name: name.startswith("_")) == []
 
 
 def test_every_definition_has_a_reader():
-    """A module-level function or class that the package root does not export
-    is read somewhere in the package outside its own body: code that only
-    tests read belongs in the tests (reference oracles live in
-    tests/oracles.py), and public API is exported."""
+    """A module-level function, class or assigned name that the package root
+    does not export is read somewhere in the package outside its own
+    statement: code and constants that only tests read belong in the tests
+    (reference oracles live in tests/oracles.py), and public API is
+    exported."""
     root = ast.parse((PACKAGE / "__init__.py").read_text())
     exported = {a.asname or a.name for n in root.body if isinstance(n, ast.ImportFrom)
                 for a in n.names}

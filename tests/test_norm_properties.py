@@ -35,7 +35,7 @@ def two_block_coarsenings(part):
         if any(mask):
             groups = [first + tuple(i for b, bit in zip(rest, mask) if not bit for i in b),
                       tuple(i for b, bit in zip(rest, mask) if bit for i in b)]
-            yield SetPartition(part.d, tuple(groups))
+            yield SetPartition(tuple(groups))
 
 
 @PROPERTY_SETTINGS

@@ -171,7 +171,7 @@ def test_permutation_invariance_for_symmetric_tensors():
     for part in enumerate_partitions(3):
         base = norm_J(a, part, OPTS).value
         for perm in itertools.permutations((1, 2, 3)):
-            relabeled = SetPartition(3, tuple(tuple(perm[i - 1] for i in b) for b in part.blocks))
+            relabeled = SetPartition(tuple(tuple(perm[i - 1] for i in b) for b in part.blocks))
             assert norm_J(a, relabeled, OPTS).value == pytest.approx(base, abs=1e-8)
 
 
@@ -198,12 +198,12 @@ def test_norm_is_deterministic():
 
 def test_mixed_norm_vector_cases():
     a = Tensor(np.array([3.0, 4.0]))
-    assert mixed_norm(a, SplitPartition.parse("1||", d=1), 1.0) == pytest.approx(5.0, rel=1e-12)
-    assert mixed_norm(a, SplitPartition.parse("||1", d=1), 1.0) == pytest.approx(4.0, rel=1e-12)
+    assert mixed_norm(a, SplitPartition.parse("1||"), 1.0) == pytest.approx(5.0, rel=1e-12)
+    assert mixed_norm(a, SplitPartition.parse("||1"), 1.0) == pytest.approx(4.0, rel=1e-12)
     # generic alpha: the dual norm |a|_beta with beta = alpha/(alpha-1)
-    val = mixed_norm(a, SplitPartition.parse("||1", d=1), 1.5)
+    val = mixed_norm(a, SplitPartition.parse("||1"), 1.5)
     assert val == pytest.approx((3.0**3 + 4.0**3) ** (1 / 3), rel=1e-10)
-    assert mixed_norm(a, SplitPartition.parse("||1", d=1), 2.0) == pytest.approx(5.0, rel=1e-12)
+    assert mixed_norm(a, SplitPartition.parse("||1"), 2.0) == pytest.approx(5.0, rel=1e-12)
 
 
 def test_mixed_norm_matrix_cases():
@@ -255,7 +255,7 @@ def test_mixed_norm_validation():
         mixed_norm(a, SplitPartition.parse("1||2,3"), 1.5)  # order mismatch
     big = Tensor(np.ones((2, 2, 2, 2)))
     with pytest.raises(ValueError):
-        mixed_norm(big, SplitPartition.parse("1,2||3", d=3), 1.5)
+        mixed_norm(big, SplitPartition.parse("1,2||3"), 1.5)
 
 
 def test_norm_options_validation():
@@ -273,10 +273,10 @@ def test_norm_options_validation():
 _AXES = "abcdefgh"
 
 MIXED_BLOCKS = [
-    [_BlockSpec((1,)), _BlockSpec((2, 3), "mixed", s_pos=1, alpha=1.5)],
-    [_BlockSpec((1,)), _BlockSpec((2, 3), "mixed", s_pos=0, alpha=1.5),
-     _BlockSpec((4,), "mixed", alpha=1.5)],
-    [_BlockSpec((1, 2), "mixed", s_pos=1, alpha=1.0), _BlockSpec((3,), "mixed", alpha=1.0)],
+    [_BlockSpec((1,)), _BlockSpec((2, 3), s_pos=1, alpha=1.5)],
+    [_BlockSpec((1,)), _BlockSpec((2, 3), s_pos=0, alpha=1.5),
+     _BlockSpec((4,), alpha=1.5)],
+    [_BlockSpec((1, 2), s_pos=1, alpha=1.0), _BlockSpec((3,), alpha=1.0)],
 ]
 
 
@@ -340,7 +340,7 @@ def test_one_sweep_matches_per_block_einsum(blocks):
         np.testing.assert_allclose(v, r, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("part", FOUR_PARTS + [SetPartition.parse("1|2|3", d=3)], ids=str)
+@pytest.mark.parametrize("part", FOUR_PARTS + [SetPartition.parse("1|2|3")], ids=str)
 def test_returned_values_are_form_values(part):
     a = Tensor(np.random.default_rng(part.n_blocks).standard_normal((3,) * part.d))
     blocks = _l2_blocks(part)
@@ -388,7 +388,7 @@ def test_cold_warm_and_unkept_draws_give_the_same_bits(cold_memo, monkeypatch):
 
     def solve():
         res = norm_J(a, SetPartition.parse("1|2|3"), OPTS)
-        mixed = mixed_norm(a, SplitPartition.parse("1||2,3", d=3), 1.5, OPTS)
+        mixed = mixed_norm(a, SplitPartition.parse("1||2,3"), 1.5, OPTS)
         return repr(res.value), [v.tobytes() for v in res.certificate], repr(mixed)
 
     cold = solve()

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concentro.partitions import (
-    BELL,
     SetPartition,
     SplitPartition,
     enumerate_partitions,
@@ -13,6 +12,9 @@ from concentro.partitions import (
     merged,
     refines,
 )
+
+# Bell numbers B_0 .. B_6
+BELL = (1, 1, 2, 5, 15, 52, 203)
 
 
 @pytest.mark.parametrize("d,count", [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52), (6, 203)])
@@ -22,7 +24,7 @@ def test_partition_counts_match_bell_numbers(d, count):
 
 
 def test_d1_single_partition():
-    assert enumerate_partitions(1) == [SetPartition(1, ((1,),))]
+    assert enumerate_partitions(1) == [SetPartition(((1,),))]
 
 
 def test_partitions_cover_exactly_and_disjointly():
@@ -41,9 +43,9 @@ def test_enumeration_has_no_duplicates():
 
 def test_canonicalization_is_idempotent():
     for p in enumerate_partitions(4):
-        again = SetPartition(p.d, tuple(reversed([tuple(reversed(b)) for b in p.blocks])))
+        again = SetPartition(tuple(reversed([tuple(reversed(b)) for b in p.blocks])))
         assert again == p
-        assert SetPartition(again.d, again.blocks) == again
+        assert SetPartition(again.blocks) == again
 
 
 def test_order_bounds_rejected():
@@ -55,19 +57,19 @@ def test_order_bounds_rejected():
 
 def test_invalid_blocks_rejected():
     with pytest.raises(ValueError):
-        SetPartition(3, ((1, 2),))  # missing 3
+        SetPartition(((1, 2), (4,)))  # skips 3
     with pytest.raises(ValueError):
-        SetPartition(3, ((1, 2), (2, 3)))  # overlap
+        SetPartition(((1, 2), (2, 3)))  # overlap
     with pytest.raises(ValueError):
-        SetPartition(2, ((1, 2), ()))  # empty block
+        SetPartition(((1, 2), ()))  # empty block
 
 
 def test_string_round_trip():
     p = SetPartition.parse("1,2|3")
-    assert p == SetPartition(3, ((1, 2), (3,)))
+    assert p == SetPartition(((1, 2), (3,)))
     assert str(p) == "1,2|3"
     for q in enumerate_partitions(4):
-        assert SetPartition.parse(str(q), d=4) == q
+        assert SetPartition.parse(str(q)) == q
 
 
 @pytest.mark.parametrize("d,count", [(1, 2), (2, 6), (3, 22)])
@@ -98,8 +100,8 @@ def test_split_shape_counts(d, count):
 
 def test_split_d1_members():
     splits = enumerate_splits(1)
-    assert SplitPartition(1, ((1,),), ()) in splits
-    assert SplitPartition(1, (), ((1,),)) in splits
+    assert SplitPartition(((1,),), ()) in splits
+    assert SplitPartition((), ((1,),)) in splits
 
 
 def test_splits_cover_universe():
@@ -170,7 +172,7 @@ def _restricted_growth_partitions(elements):
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_partitions_come_in_restricted_growth_order(d):
-    expect = [SetPartition(d, blocks)
+    expect = [SetPartition(blocks)
               for blocks in _restricted_growth_partitions(tuple(range(1, d + 1)))]
     assert enumerate_partitions(d) == expect
 
@@ -181,7 +183,7 @@ def test_splits_come_by_ascending_bitmask_then_restricted_growth_order(d):
     for mask in range(1 << d):
         inner = tuple(i for i in range(1, d + 1) if mask & (1 << (i - 1)))
         outer = tuple(i for i in range(1, d + 1) if not mask & (1 << (i - 1)))
-        expect += [SplitPartition(d, inner_blocks, outer_blocks)
+        expect += [SplitPartition(inner_blocks, outer_blocks)
                    for inner_blocks in _restricted_growth_partitions(inner)
                    for outer_blocks in _restricted_growth_partitions(outer)]
     assert enumerate_splits(d) == expect
@@ -204,15 +206,15 @@ def labelled_blocks(draw, max_d=6):
 @given(labelled_blocks(), st.data())
 def test_canonical_form_is_idempotent_and_ignores_block_labels(case, data):
     d, blocks = case
-    part = SetPartition(d, tuple(blocks))
+    part = SetPartition(tuple(blocks))
     assert list(part.blocks) == sorted(part.blocks)
     assert all(list(b) == sorted(b) for b in part.blocks)
     # idempotent: the canonical blocks, and their text, give the same partition
-    assert SetPartition(d, part.blocks) == part
-    assert SetPartition.parse(str(part), d=d) == part
+    assert SetPartition(part.blocks) == part
+    assert SetPartition.parse(str(part)) == part
     # another order of the blocks and of each block's indices
     relabelled = [tuple(data.draw(st.permutations(b))) for b in data.draw(st.permutations(blocks))]
-    assert SetPartition(d, tuple(relabelled)) == part
+    assert SetPartition(tuple(relabelled)) == part
     assert part in enumerate_partitions(d)
 
 
@@ -221,9 +223,9 @@ def test_canonical_form_is_idempotent_and_ignores_block_labels(case, data):
 def test_split_canonical_form_ignores_block_order(case, data):
     d, blocks = case
     outer = data.draw(st.lists(st.booleans(), min_size=len(blocks), max_size=len(blocks)))
-    split = SplitPartition(d, tuple(b for b, o in zip(blocks, outer) if not o),
+    split = SplitPartition(tuple(b for b, o in zip(blocks, outer) if not o),
                            tuple(b for b, o in zip(blocks, outer) if o))
-    assert SplitPartition(d, split.inner, split.outer) == split
-    assert SplitPartition.parse(str(split), d=d) == split
-    assert SplitPartition(d, split.inner[::-1], split.outer[::-1]) == split
+    assert SplitPartition(split.inner, split.outer) == split
+    assert SplitPartition.parse(str(split)) == split
+    assert SplitPartition(split.inner[::-1], split.outer[::-1]) == split
     assert split in enumerate_splits(d)
