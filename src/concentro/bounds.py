@@ -57,15 +57,23 @@ class BoundReport:
 
     @property
     def total(self) -> float:
-        """The sum of the term values, or their minimum."""
+        """The sum of the term values, refused when it overflows, or their minimum."""
         values = (t.value for t in self.terms)
-        return sum(values) if self.kind == "sum" else min(values)
+        return _finite_sum(values, "report total") if self.kind == "sum" else min(values)
 
     def csv_rows(self):
         yield ("d", "partition", "exponent", "norm", "flag", "term")
         for t in self.terms:
             yield (t.d, t.label, t.exponent, t.norm, "lower-bound" if t.flagged else "exact",
                    t.value)
+
+
+def _finite_sum(values, name: str) -> float:
+    """The sum of finite `values`, refused, naming it, when it overflows a float."""
+    total = sum(values)
+    if not math.isfinite(total):
+        raise ValueError(f"the {name}, a sum of finite terms, overflows a float")
+    return total
 
 
 def two_sided_tail(args, c: float) -> float:
@@ -145,7 +153,7 @@ def gaussian_moment_bound(f: Polynomial, dist: ProductDistribution, p: float,
     chaos estimate with the Wick-product coefficient tensors E D^d f / d!.
     """
     terms = _moment_terms(f, dist, p, 1.0, 0.5, opts)
-    chaos_total = sum(t.value / math.factorial(t.d) for t in terms)
+    chaos_total = _finite_sum((t.value / math.factorial(t.d) for t in terms), "chaos total")
     return BoundReport("sum", tuple(terms), {"chaos_total": chaos_total})
 
 

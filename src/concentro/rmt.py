@@ -2,6 +2,32 @@
 LAPACK (one batched call per stack of matrices), exact semicircle integrals of
 polynomials, and the deviation bound for smooth linear statistics with its
 Monte Carlo comparison.
+
+A linear statistic of a one-variable polynomial g needs no eigenvalues
+(Wigner's moment method).  With X = A / sqrt(n),
+
+    sum_i g(lambda_i / sqrt(n)) = tr g(X) = sum_k g_k n^(-k/2) tr A^k,
+
+the coefficients of g(x / sqrt(n)) dotted with the traces of the powers of A.
+`_power_traces` computes tr A^k for k = 0..K: tr A^0 = n, tr A^1 is the
+diagonal sum, and every higher tr A^(a+b) is the entrywise inner product
+<A^a, A^b>, since the powers of a symmetric matrix are symmetric.  So only the
+powers up to h = ceil(K/2) are formed, along the chain 1, 2, the numbers of
+the other parity than h from 3 to h - 1, and h (`_power_chain`).  Each step
+adds 1 or 2 to the exponent and is one matrix product (GEMM) per matrix:
+floor(h/2) + 1 of them for h >= 3, one for h = 2 and none for h = 1.  The
+`wigner_experiment` statistic f = x^2 (K = 2) needs no GEMM; degree 11, the
+cap that `semicircle_integral` sets on f'^2, has K = 20 and needs 6, where the
+consecutive powers 2..10 would need 9.
+
+The stack is worked through in blocks of max(1, _TRACE_BLOCK_BYTES // (8 n^2))
+matrices, so each formed power stays near 1 MB whatever the chunk size.  The
+traces do not depend on the block size: every product and inner product is
+taken one matrix at a time.
+
+`eigenvalues_symmetric` is the one eigen path.  `linear_statistic` returns the
+eigenvalues next to its statistic and `hoffman_wielandt_gap` compares them;
+the experiment never needs them.
 """
 
 from __future__ import annotations
@@ -18,6 +44,7 @@ from .poly import Polynomial, _substitute
 
 MAX_EIG_SIZE = 400
 SUP_HALFWIDTH = 4.0   # sup |f''| is taken on [-4, 4], the semicircle support (-2, 2) doubled
+_TRACE_BLOCK_BYTES = 1 << 20
 
 
 def eigenvalues_symmetric(m) -> np.ndarray:
@@ -83,6 +110,61 @@ class WignerSpec:
         return symmetric_stack(values, n)
 
 
+def _power_chain(top: int) -> list[int]:
+    """The exponents 1 < .. < h = ceil(top/2) of the powers that
+    `_power_traces` forms, each 1 or 2 above the one before it, so that every
+    k = 2..top is the sum of two of them (module docstring)."""
+    h = (top + 1) // 2
+    if h <= 2:
+        return list(range(1, h + 1))
+    return [1, 2, *range(3 + h % 2, h, 2), h]
+
+
+def _power_traces(mats: np.ndarray, top: int) -> np.ndarray:
+    """tr A^k for k = 0..top of each symmetric matrix A of a (rows, n, n)
+    stack, as a (top + 1, rows) array: the diagonal sum at k = 1, and at
+    k = a + b >= 2 the inner product <A^a, A^b> of two powers of
+    `_power_chain`, taken in blocks of about _TRACE_BLOCK_BYTES of matrices
+    (module docstring)."""
+    rows, n = len(mats), mats.shape[-1]
+    chain = _power_chain(top)
+    halves = [max(a for a in chain if a <= k - a and k - a in chain) for k in range(2, top + 1)]
+    out = np.empty((top + 1, rows))
+    out[0] = n
+    if top >= 1:
+        out[1] = np.trace(mats, axis1=1, axis2=2)
+    block = max(1, _TRACE_BLOCK_BYTES // (8 * n * n))
+    for start in range(0, rows, block):
+        powers = {1: mats[start:start + block]}
+        for prev, p in zip(chain, chain[1:]):
+            powers[p] = powers[prev] @ powers[p - prev]
+        flat = {p: m.reshape(len(m), -1) for p, m in powers.items()}
+        for k, a in enumerate(halves, start=2):
+            out[k, start:start + block] = np.vecdot(flat[a], flat[k - a])
+    return out
+
+
+def _coefficients(g: Polynomial, size: int) -> np.ndarray:
+    """(g_0, .., g_(size-1)), the coefficients of a one-variable polynomial
+    of degree below `size`."""
+    coeffs = np.zeros(size)
+    for key, coef in g.terms.items():
+        coeffs[key[0][1] if key else 0] = coef
+    return coeffs
+
+
+def _linear_statistics(mats: np.ndarray, polys) -> np.ndarray:
+    """sum_i g(lambda_i / sqrt(n)) = tr g(A / sqrt(n)) for each one-variable
+    polynomial g of `polys` (rows) and each matrix A of a symmetric
+    (rows, n, n) stack (columns), from one set of power traces (module
+    docstring).  A value that overflows is inf or nan, without a warning."""
+    n = mats.shape[-1]
+    top = max(g.degree for g in polys)
+    scaled = np.stack([_coefficients(g, top + 1) for g in polys]) * n ** (-0.5 * np.arange(top + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (scaled[:, :, None] * _power_traces(mats, top)).sum(axis=1)
+
+
 @dataclass(frozen=True)
 class LinStatResult:
     z: float
@@ -90,14 +172,15 @@ class LinStatResult:
 
 
 def linear_statistic(f: Polynomial, matrix) -> LinStatResult:
-    """Z = sum_i f(lambda_i / sqrt(n)) with eigenvalues sorted ascending."""
+    """Z = sum_i f(lambda_i / sqrt(n)), read from the traces of the powers of
+    the symmetrised matrix, next to its eigenvalues sorted ascending."""
     if f.nvars != 1:
         raise ValueError("linear statistics take a one-variable polynomial")
     if np.ndim(matrix) != 2:
         raise ValueError("linear statistics take one matrix")
     eigs = eigenvalues_symmetric(matrix)
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = float(f.evaluate_batch(eigs[:, None] / math.sqrt(eigs.size)).sum())
+    a = np.asarray(matrix, dtype=float)
+    z = float(_linear_statistics(((a + a.T) * 0.5)[None], (f,))[0, 0])
     if not math.isfinite(z):
         raise ValueError("the linear statistic is not finite: f overflows at the eigenvalues")
     return LinStatResult(z, eigs)
@@ -124,16 +207,15 @@ def sup_abs_on_interval(g: Polynomial) -> float:
     Every root contributes its real part, clipped to the interval: a point of
     the interval never exceeds the sup, so no tolerance on the imaginary part
     is needed to keep the real roots."""
-    coeffs = np.zeros(g.degree + 1)
-    for key, coef in g.terms.items():
-        coeffs[key[0][1] if key else 0] = coef
+    coeffs = _coefficients(g, g.degree + 1)
     crit = np.clip(P.polyroots(P.polyder(coeffs)).real, -SUP_HALFWIDTH, SUP_HALFWIDTH)
     xs = np.concatenate([[-SUP_HALFWIDTH, SUP_HALFWIDTH], crit])
     return float(np.abs(g.evaluate_batch(xs[:, None])).max())
 
 
-def _fprime_energy(f: Polynomial) -> float:
-    """The semicircle energy of f', the integral of f'(x)^2, refused when it overflows."""
+def _fprime_energy(f: Polynomial) -> tuple[float, Polynomial]:
+    """The semicircle energy of f', the integral of f'(x)^2, refused when it
+    overflows, and f'^2 itself."""
     try:
         fp = f.partial(1)
         sq = fp * fp
@@ -144,7 +226,7 @@ def _fprime_energy(f: Polynomial) -> float:
             energy = semicircle_integral(sq)
     if not math.isfinite(energy):
         raise ValueError("the semicircle energy of f' (the integral of f'(x)^2) is not finite")
-    return energy
+    return energy, sq
 
 
 def linstat_tail_bound(f: Polynomial, n: int, L: float, t: float,
@@ -155,7 +237,7 @@ def linstat_tail_bound(f: Polynomial, n: int, L: float, t: float,
         raise ValueError("linear statistics take a one-variable polynomial")
     if not t > 0:
         return two_sided_tail([0.0], c_l)
-    energy = _fprime_energy(f)
+    energy, _ = _fprime_energy(f)
     fpp_sup = sup_abs_on_interval(f.partial(1).partial(1))
     args = []
     if energy > 0 or fpp_sup > 0:
@@ -177,9 +259,18 @@ class WignerResult:
 
 def wigner_experiment(f: Polynomial, spec: WignerSpec, cfg: MCConfig,
                       t_list=(), c_l: float = 1.0) -> WignerResult:
-    """Replicated linear statistics: empirical tails of Z next to the deviation
-    bound, and the empirical gradient energy (1/n) sum f'(lambda_i/sqrt(n))^2
-    next to its semicircle limit."""
+    """Replicated linear statistics: empirical tails of Z = tr f(X), X = A/sqrt(n),
+    next to the deviation bound, and the empirical gradient energy
+    (1/n) tr f'(X)^2 = (1/n) sum f'(lambda_i/sqrt(n))^2 next to its semicircle
+    limit.
+
+    No eigenvalue is computed (module docstring).  Each chunk of sampled
+    matrices takes one set of traces tr A^k, k = 0..K with
+    K = max(deg f, 2 deg f - 2), dotted with the coefficients of f and of f'^2.
+    The powers are formed in blocks of max(1, _TRACE_BLOCK_BYTES // (8 n^2))
+    matrices (145 at n = 30, 3 at n = 200), and the result is the same for every
+    block size.  At K = 2 (f = x^2) no power is formed; at K = 20 (degree 11)
+    six GEMMs form A^2, A^3, A^5, A^7, A^9 and A^10."""
     if f.nvars != 1:
         raise ValueError("linear statistics take a one-variable polynomial")
     if spec.n > 200:
@@ -187,16 +278,12 @@ def wigner_experiment(f: Polynomial, spec: WignerSpec, cfg: MCConfig,
     if cfg.N > 10_000:
         raise ValueError("experiment replica count capped at 10000")
     two_sided_tail((), c_l)   # a bad c_l fails here, before any sampling
-    energy = _fprime_energy(f)   # so does an energy that overflows
-    fp = f.partial(1)
-    sqrt_n = math.sqrt(spec.n)
+    energy, fp_sq = _fprime_energy(f)   # so does an energy that overflows
 
     def job(rows, rng):
-        lam = eigenvalues_symmetric(spec.sample(rng, rows)).reshape(-1, 1) / sqrt_n
-        f_lam = f.evaluate_batch(lam).reshape(rows, spec.n)
-        fp_lam = fp.evaluate_batch(lam).reshape(rows, spec.n)
-        with np.errstate(over="ignore", invalid="ignore"):   # refused by _mean_stderr
-            return np.stack([f_lam.sum(axis=1), (fp_lam**2).mean(axis=1)])
+        # a value that overflows is refused by _mean_stderr
+        z, fp_sq_trace = _linear_statistics(spec.sample(rng, rows), (f, fp_sq))
+        return np.stack([z, fp_sq_trace / spec.n])
 
     z, sob = _run_chunks(job, cfg)
     z_mean, z_stderr = _mean_stderr(z, "Z")

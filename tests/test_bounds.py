@@ -50,6 +50,14 @@ def test_gaussian_bound_chaos_total_hand_example():
     assert rep.meta["chaos_total"] == pytest.approx(2.5359, abs=1e-4)
 
 
+def test_a_report_total_that_overflows_is_refused():
+    # two finite terms whose sum leaves the float range; their minimum does not
+    big = BoundTerm(1, "1", 0.5, 1.0, False, 1e308)
+    with pytest.raises(ValueError, match="report total, a sum of finite terms, overflows"):
+        BoundReport("sum", (big, big)).total
+    assert BoundReport("min", (big, big)).total == 1e308
+
+
 def test_gaussian_bound_linear_and_constant():
     a = (3.0, 4.0)
     f = Polynomial(2, {((1, 1),): a[0], ((2, 1),): a[1]})

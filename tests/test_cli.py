@@ -491,10 +491,17 @@ def test_bounds_rejects_options_it_would_ignore(x1x2, extra, message, capsys):
     (["norm", "--tensor", "t3", "--partition", "1|2"],
      "partition of [2] does not match tensor order 3"),
     (["mixednorm", "--tensor", "t3", "--split", "1||2", "--alpha", "1.5"],
-     "split of [2] does not match tensor order 3")])
+     "split of [2] does not match tensor order 3"),
+    # finite terms whose sum overflows: five d = 3 rows up to 9.35e307, and
+    # the chaos sum sqrt(2) c + (2c + 2c)/2 of c (x1 + x1 x2) at c = 6e307
+    (["bounds", "--poly", "x1x2x3", "--p", "2", "--gamma", "0.5", "--L", "3e102"],
+     "the report total, a sum of finite terms, overflows a float"),
+    (["bounds", "--poly", "big", "--p", "2"],
+     "the chaos total, a sum of finite terms, overflows a float")])
 def test_out_of_range_graph_and_tail_input_exit_2(x1x2, tmp_path, argv, message, capsys):
     files = {"x1x2": x1x2,
              "x1x2x3": _poly_file(tmp_path, "x1x2x3", 3, {((1, 1), (2, 1), (3, 1)): 1.0}),
+             "big": _poly_file(tmp_path, "big", 2, {((1, 1),): 6e307, ((1, 1), (2, 1)): 6e307}),
              "t3": str(tmp_path / "t3.json")}
     save_tensor(Tensor(np.ones((2, 2, 2))), files["t3"])
     assert dispatch([files.get(a, a) for a in argv]) == 2

@@ -186,6 +186,27 @@ def test_only_tensor_builds_index_grids():
     assert found == []
 
 
+def test_only_eigenvalues_symmetric_calls_the_eigensolver():
+    """One eigen path: LAPACK `eigvalsh` appears only inside
+    `rmt.eigenvalues_symmetric`, which checks and symmetrises its input; a
+    linear statistic reads the traces of matrix powers instead."""
+    found, inside = [], 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        home = {id(node) for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef) and (path.name, fn.name)
+                == ("rmt.py", "eigenvalues_symmetric") for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            names = {getattr(node, "attr", None), getattr(node, "id", None),
+                     getattr(node, "name", None)}
+            if "eigvalsh" in names:
+                if id(node) in home:
+                    inside += 1
+                else:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == [] and inside == 1
+
+
 def test_every_parameter_is_read():
     """Every parameter of every def in the package is read in its body, so no
     argument goes unused or restates another input.  A method's self or cls

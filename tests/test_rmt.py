@@ -1,9 +1,13 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from concentro import rmt
 from concentro.montecarlo import MCConfig, chunk_rng
 from concentro.poly import Polynomial
 from concentro.rmt import (
@@ -21,6 +25,7 @@ from concentro.rmt import (
 
 X = Polynomial(1, {((1, 1),): 1.0})
 X_SQ = Polynomial(1, {((1, 2),): 1.0})
+DEG11 = Polynomial(1, {((1, k),) if k else (): (-1) ** k / (k + 1) for k in range(12)})
 
 
 def test_eigenvalues_simple_cases():
@@ -203,3 +208,68 @@ def test_a_sample_that_overflows_is_refused():
             wigner_experiment(f, WignerSpec(6), MCConfig(N=20), t_list=[1.0])
         with pytest.raises(ValueError, match="linear statistic is not finite"):
             linear_statistic(x4, np.diag([1.0, 4.0, 9.0]))
+
+
+# ---------------------------------------------------------------------------
+# linear statistics from the traces of matrix powers
+
+def test_power_chain_covers_every_trace():
+    assert rmt._power_chain(2) == [1]
+    assert rmt._power_chain(20) == [1, 2, 3, 5, 7, 9, 10]   # 6 GEMMs at degree 11
+    for top in range(61):
+        chain, h = rmt._power_chain(top), (top + 1) // 2
+        assert chain == list(range(1, h + 1)) if h <= 2 else chain[-1] == h
+        assert all(b - a in (1, 2) for a, b in zip(chain, chain[1:]))
+        assert len(chain[1:]) == (h // 2 + 1 if h >= 3 else max(h - 1, 0))   # GEMMs
+        assert all(any(k - a in chain for a in chain) for k in range(2, top + 1))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(0, 11), st.sampled_from([2, 7, 30]), st.sampled_from(["paper", "goe"]),
+       st.integers(0, 2**32 - 1))
+def test_trace_statistics_match_the_eigenvalues(degree, n, convention, seed):
+    # tr f(X) and tr f'(X)^2, X = A / sqrt(n), against f and f'^2 summed over
+    # the eigenvalues of X; the tolerance is relative to the sum of the
+    # absolute monomial values, the size of the terms that may cancel
+    rng = chunk_rng(47, seed)
+    f = Polynomial(1, {((1, k),) if k else (): c
+                       for k, c in enumerate(rng.standard_normal(degree + 1))})
+    fp_sq = f.partial(1) * f.partial(1)
+    mats = WignerSpec(n, convention).sample(rng, 4)
+    lam = eigenvalues_symmetric(mats).reshape(-1, 1) / math.sqrt(n)
+    for got, g in zip(rmt._linear_statistics(mats, (f, fp_sq)), (f, fp_sq)):
+        want = g.evaluate_batch(lam).reshape(4, n).sum(axis=1)
+        size = Polynomial(1, {k: abs(c) for k, c in g.terms.items()}).evaluate_batch(np.abs(lam))
+        assert np.all(np.abs(got - want) <= 1e-10 * size.reshape(4, n).sum(axis=1))
+
+
+def test_wigner_experiment_takes_no_eigenvalues(monkeypatch):
+    def refuse(m):
+        raise AssertionError("the experiment computed eigenvalues")
+    monkeypatch.setattr(rmt, "eigenvalues_symmetric", refuse)
+    res = wigner_experiment(DEG11, WignerSpec(12), MCConfig(N=20, seed=3), t_list=[1.0])
+    assert res.z_stderr > 0 and res.sobolev_stderr > 0
+
+
+@pytest.mark.parametrize("f", [X_SQ, DEG11])
+@pytest.mark.parametrize("n", [30, 100])
+def test_wigner_experiment_does_not_depend_on_the_block_size(f, n, monkeypatch):
+    # 145 matrices per block at n = 30 and 13 at n = 100, then one per block
+    args = (f, WignerSpec(n), MCConfig(N=60, seed=48, batch=40), (1.0, 5.0))
+    whole = wigner_experiment(*args)
+    monkeypatch.setattr(rmt, "_TRACE_BLOCK_BYTES", 1)
+    assert wigner_experiment(*args) == whole
+
+
+def test_wigner_chunk_memory():
+    # one chunk of 256 matrices at n = 200: sampling holds the draws next to
+    # the stack, 1.5 times the stack, and the traces add 1 MB blocks of
+    # powers; the eigen path held 2.0 times the stack
+    cfg = MCConfig(N=256, seed=49, batch=256)
+    tracemalloc.start()
+    try:
+        wigner_experiment(DEG11, WignerSpec(200), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * 256 * 200 * 200 * 8
