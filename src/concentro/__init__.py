@@ -17,7 +17,6 @@ from .tensor import (
 )
 from .norms import NormOptions, NormResult, mixed_norm, norm_J, norm_J_bruteforce
 from .poly import (
-    HermiteCoeffs,
     Polynomial,
     ProductDistribution,
     derivative_tensor_at,

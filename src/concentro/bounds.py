@@ -165,8 +165,8 @@ def eta_tail(f: Polynomial, dist: ProductDistribution, t: float, L: float,
     """
     if not 0 < t < math.inf:
         raise ValueError(f"t={t} must be positive and finite")
-    if not L > 0:
-        raise ValueError("L must be positive")
+    if not 0 < L < math.inf:
+        raise ValueError(f"L={L} must be positive and finite")
 
     def term(d, J, norm):
         expo = 2.0 / J.n_blocks

@@ -220,7 +220,7 @@ def _cmd_hermite(args) -> list[str]:
         coeffs = hermite_expansion(load_polynomial(args.poly))
         return _csv("degrees,coefficient", [("|".join(str(d) for d in degrees), a)
                                             for degrees, a in sorted(coeffs.items())])
-    return _csv("power,coefficient", enumerate(hermite(args.k).coeffs))
+    return _csv("power,coefficient", enumerate(hermite(args.k)))
 
 
 # ---------------------------------------------------------------------------

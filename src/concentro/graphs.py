@@ -5,11 +5,11 @@ graph is its edge set: its automorphism count, and whether it is a cycle, are
 computed from its edges.
 
 The experiment samples and counts each Monte Carlo chunk in blocks of
-max(1, _ER_BLOCK_BYTES // (8 n^2)) graphs, so that a block's adjacency stack
-and its matrix powers stay near the size of a core's L2 cache whatever the
-chunk size.  The counts do not depend on the block size: the blocks draw in
-sequence from the chunk's generator, the same bits as one whole-chunk draw,
-and every count is an exact integer.
+`montecarlo._stack_block(n)` graphs, about 1 MB of adjacency, so that a
+block's adjacency stack and its matrix powers stay near the size of a core's
+L2 cache whatever the chunk size.  The counts do not depend on the block size:
+the blocks draw in sequence from the chunk's generator, the same bits as one
+whole-chunk draw, and every count is an exact integer.
 """
 
 from __future__ import annotations
@@ -22,11 +22,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import two_sided_tail
-from .montecarlo import MCConfig, _mean_stderr, _run_chunks, symmetric_stack, tail_rows
+from .montecarlo import (
+    MCConfig,
+    _mean_stderr,
+    _run_chunks,
+    _stack_block,
+    _tail_points,
+    symmetric_stack,
+    tail_rows,
+)
 from .partitions import SetPartition
 from .poly import Polynomial
 
-_ER_BLOCK_BYTES = 1 << 20
 MAX_TRACE_CYCLE = 5   # the longest cycle `count_cycles_trace` counts
 
 
@@ -60,12 +67,6 @@ class GraphSpec:
         if k < 3:
             raise ValueError("cycles need k >= 3")
         return cls(tuple((i, i % k + 1) for i in range(1, k + 1)))
-
-    @classmethod
-    def clique(cls, k: int) -> "GraphSpec":
-        if k < 2:
-            raise ValueError("cliques need k >= 2")
-        return cls(tuple(itertools.combinations(range(1, k + 1), 2)))
 
     @property
     def aut_size(self) -> int:
@@ -285,7 +286,7 @@ def sample_adjacency(n: int, p: float, rng: np.random.Generator, rows: int) -> n
     """rows symmetric 0/1 adjacency matrices with i.i.d. upper-triangle edges,
     drawn graph after graph, each upper triangle row by row."""
     m = n * (n - 1) // 2
-    bits = np.zeros((rows, m + 1), dtype=bool)   # the last column is the zero diagonal
+    bits = np.zeros((rows, m + n), dtype=bool)   # the last n columns are the zero diagonal
     np.less(rng.random((rows, m)), p, out=bits[:, :m])
     return symmetric_stack(bits, n).astype(float)
 
@@ -332,7 +333,7 @@ def er_tail_experiment(h: GraphSpec, n: int, p: float, cfg: MCConfig,
     proposition-style bound (constant c explicit).
 
     Each chunk of cfg.batch graphs is sampled and counted in blocks of
-    max(1, _ER_BLOCK_BYTES // (8 n^2)) graphs (36 at n = 60, 3 at n = 200), so
+    `_stack_block(n)` graphs (36 at n = 60, 3 at n = 200), so
     memory does not grow with the batch; the result is the same for every
     block size (see the module docstring)."""
     # the trace counts patterns on at most 5 vertices, and there a 2-regular
@@ -351,8 +352,9 @@ def er_tail_experiment(h: GraphSpec, n: int, p: float, cfg: MCConfig,
         if eps is None:
             raise ValueError("provide t_list or eps")
         t_list = [eps * expected_cycle_count(h.k, n, p)]
+    t_list = _tail_points(t_list)
 
-    block = max(1, _ER_BLOCK_BYTES // (8 * n * n))
+    block = _stack_block(n)
 
     def job(rows, rng):
         return np.concatenate([

@@ -7,7 +7,11 @@ chunk on `cfg.workers` threads and joins the chunks in chunk order, so results
 are bit-identical for a fixed (seed, N, batch) whatever `cfg.workers` is.
 Every deviation tail comes from `tail_rows`, every replicate mean with its
 standard error from `_mean_stderr`, and every stack of symmetric
-matrices (Erdos-Renyi adjacency, Wigner) from `symmetric_stack`.  Moment orders
+matrices (Erdos-Renyi adjacency, Wigner) from `symmetric_stack`, whose rows
+have one layout: the n(n-1)/2 upper-triangle entries row by row, then the n
+diagonal entries.  A stack of n x n float matrices is worked through in blocks
+of `_stack_block(n)` = max(1, _STACK_BLOCK_BYTES // (8 n^2)) matrices, about
+1 MB (the Erdos-Renyi counts and the Wigner power traces).  Moment orders
 are an argument of the estimators that take them (`empirical_moment`,
 `chaos_moment`, `sandwich_check`, `sobolev_check`), not of `MCConfig`, and
 `_moment_orders` alone checks them.
@@ -100,16 +104,25 @@ def _run_chunks(fn, cfg: MCConfig) -> np.ndarray:
     return np.concatenate([job(c) for c in range(len(sizes))], axis=-1)
 
 
+_STACK_BLOCK_BYTES = 1 << 20
+
+
+def _stack_block(n: int) -> int:
+    """The matrices per block of a stack of n x n float matrices, so that a
+    block holds about _STACK_BLOCK_BYTES, and at least one."""
+    return max(1, _STACK_BLOCK_BYTES // (8 * n * n))
+
+
 @functools.lru_cache(maxsize=8)
-def _symmetric_index(n: int, diagonal: bool) -> np.ndarray:
+def _symmetric_index(n: int) -> np.ndarray:
     """Read-only flat map from entry (i, j) of an n x n matrix to a column of
     `symmetric_stack`'s values: the upper triangle row by row, then the n
-    diagonal entries, or one column for the whole diagonal."""
+    diagonal entries."""
     m = n * (n - 1) // 2
     idx = np.empty((n, n), dtype=np.intp)
     iu = np.triu_indices(n, 1)
     idx[iu] = idx[iu[::-1]] = np.arange(m)
-    idx[np.diag_indices(n)] = m + np.arange(n) if diagonal else m
+    idx[np.diag_indices(n)] = m + np.arange(n)
     idx.flags.writeable = False
     return idx.ravel()
 
@@ -117,13 +130,12 @@ def _symmetric_index(n: int, diagonal: bool) -> np.ndarray:
 def symmetric_stack(values: np.ndarray, n: int) -> np.ndarray:
     """The (rows, n, n) symmetric matrices, one per row of `values`, by one
     gather.  A row holds the n(n-1)/2 upper-triangle entries row by row, then
-    either the n diagonal entries or one entry shared by the whole diagonal."""
+    the n diagonal entries."""
     m = n * (n - 1) // 2
-    if values.ndim != 2 or values.shape[1] not in (m + 1, m + n):
-        raise ValueError(f"rows of {m + 1} or {m + n} values build {n} x {n} matrices,"
+    if values.ndim != 2 or values.shape[1] != m + n:
+        raise ValueError(f"rows of {m + n} values build {n} x {n} matrices,"
                          f" got shape {values.shape}")
-    idx = _symmetric_index(n, values.shape[1] == m + n)
-    return values.take(idx, axis=1).reshape(len(values), n, n)
+    return values.take(_symmetric_index(n), axis=1).reshape(len(values), n, n)
 
 
 def _sample_values(f: Polynomial, dist: ProductDistribution, cfg: MCConfig) -> np.ndarray:
@@ -182,6 +194,16 @@ def wilson_interval(k: int, n: int) -> tuple[float, float]:
     return max(0.0, mid - half), min(1.0, mid + half)
 
 
+def _tail_points(t_list) -> tuple:
+    """The tail points as floats, each one nonnegative: the experiments check
+    them before they sample."""
+    t_list = tuple(float(t) for t in t_list)
+    for t in t_list:
+        if not t >= 0:
+            raise ValueError(f"t={t:g} must be nonnegative")
+    return t_list
+
+
 def tail_rows(values: np.ndarray, t_list, bound=None) -> tuple:
     """One row per t: the share of values at least t from their sample mean
     (refused when not finite), its Wilson interval, and bound(t) (None without a bound)."""
@@ -205,9 +227,8 @@ def empirical_tail(f: Polynomial, dist: ProductDistribution, t: float,
     """Fraction of samples with |f(X) - empirical mean| >= t, with Wilson interval."""
     if cfg.N < 1000:
         raise ValueError("tail estimation needs N >= 1000")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    (row,) = tail_rows(_sample_values(f, dist, cfg), [t])
+    t_list = _tail_points([t])
+    (row,) = tail_rows(_sample_values(f, dist, cfg), t_list)
     return TailEstimate(row["t"], row["tail"], row["wilson_low"], row["wilson_high"], cfg.N)
 
 
@@ -244,8 +265,12 @@ def chaos_moment(a: Tensor, mode: str, p: float, cfg: MCConfig) -> MomentEstimat
 
 def sandwich_check(f: Polynomial, dist: ProductDistribution, p_list, cfg: MCConfig,
                    bound_fn, window: tuple = (0.1, 10.0)) -> list[dict]:
-    """Empirical moment / bound ratio per p, judged against the ratio window;
-    `bound_fn(f, dist, p)` returns the bound as a number."""
+    """Empirical moment / bound ratio per p, judged against the ratio window
+    (low, high), 0 <= low <= high; `bound_fn(f, dist, p)` returns the bound as
+    a number."""
+    low, high = window
+    if not 0 <= low <= high:
+        raise ValueError(f"ratio window ({low:g}, {high:g}) needs 0 <= low <= high")
     estimates = empirical_moment(f, dist, p_list, cfg)
     rows = []
     for est in estimates:
@@ -255,7 +280,7 @@ def sandwich_check(f: Polynomial, dist: ProductDistribution, p_list, cfg: MCConf
                          "bound": 0.0, "ratio": None, "status": "degenerate"})
             continue
         ratio = est.value / bound if bound > 0 else math.inf
-        ok = window[0] <= ratio <= window[1]
+        ok = low <= ratio <= high
         rows.append({"p": est.p, "empirical": est.value, "stderr": est.stderr,
                      "bound": float(bound), "ratio": ratio,
                      "status": "pass" if ok else "fail"})
@@ -296,7 +321,7 @@ def hermite_tetrahedral_convergence(d: int, N_list, cfg: MCConfig) -> list[dict]
     for big_n in sizes:
         if big_n < 1:
             raise ValueError(f"inner size N={big_n} must be >= 1")
-    coeffs = hermite(d).coeffs
+    coeffs = hermite(d)
     fact = float(math.factorial(d))
     out = []
     for big_n in sizes:

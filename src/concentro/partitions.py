@@ -71,14 +71,6 @@ class SetPartition:
         """Parse "1,2|3" into a partition (1-based indices, blocks split on '|')."""
         return cls(_parse_blocks(text))
 
-    @classmethod
-    def singletons(cls, d: int) -> "SetPartition":
-        return cls(tuple((i,) for i in range(1, d + 1)))
-
-    @classmethod
-    def full(cls, d: int) -> "SetPartition":
-        return cls((tuple(range(1, d + 1)),))
-
     def __str__(self) -> str:
         return _label(self.blocks)
 

@@ -2,12 +2,15 @@
 
 Provides evaluation at a batch of points, symbolic differentiation, expected
 derivative tensors built by coordinatewise moment substitution, and the
-probabilists' Hermite polynomials.  One routine, `_substitute`, puts a moment,
-a coordinate's power or a semicircle moment in place of each remaining power
-of every monomial: each derivative tensor, expected value and semicircle
-integral is one call of it, order 0 giving the substituted value of f.  Any
-polynomial expands exactly in the Hermite basis: each monomial factors over its
-coordinates, and each power has the closed form
+probabilists' Hermite polynomials (`hermite(k)` is the tuple of h_k's
+coefficients).  Each value has one constructor: a polynomial is
+`Polynomial(nvars, terms)`, a constant c being the term {(): c}, and a law is
+`ProductDistribution(law, p=.., alpha=.., moments_table=..)`.  One routine,
+`_substitute`, puts a moment, a coordinate's power or a semicircle moment in
+place of each remaining power of every monomial: each derivative tensor,
+expected value and semicircle integral is one call of it, order 0 giving the
+substituted value of f.  Any polynomial expands exactly in the Hermite basis:
+each monomial factors over its coordinates, and each power has the closed form
 x^p = sum_k p!/(2^k k! (p-2k)!) h_{p-2k}(x).
 """
 
@@ -66,14 +69,6 @@ class Polynomial:
         if not self.terms:
             return 0
         return max(sum(p for _, p in key) for key in self.terms)
-
-    @classmethod
-    def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars, {})
-
-    @classmethod
-    def constant(cls, nvars: int, c: float) -> "Polynomial":
-        return cls(nvars, {(): c} if c != 0 else {})
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if self.nvars != other.nvars:
@@ -168,26 +163,8 @@ class ProductDistribution:
             raise ValueError(f"{self.law} law takes no alpha (weibull only)")
         if self.law == "custom" and not self.moments_table:
             raise ValueError("custom law needs a moments table")
-
-    @classmethod
-    def gaussian(cls) -> "ProductDistribution":
-        return cls("gaussian")
-
-    @classmethod
-    def rademacher(cls) -> "ProductDistribution":
-        return cls("rademacher")
-
-    @classmethod
-    def bernoulli(cls, p: float) -> "ProductDistribution":
-        return cls("bernoulli", p=p)
-
-    @classmethod
-    def weibull(cls, alpha: float) -> "ProductDistribution":
-        return cls("weibull", alpha=alpha)
-
-    @classmethod
-    def custom(cls, moments) -> "ProductDistribution":
-        return cls("custom", moments_table=tuple(float(m) for m in moments))
+        if self.moments_table is not None:
+            object.__setattr__(self, "moments_table", tuple(float(m) for m in self.moments_table))
 
     def moment(self, k: int) -> float:
         """E X^k for one coordinate."""
@@ -311,20 +288,9 @@ def expected_value(f: Polynomial, dist: ProductDistribution) -> float:
 MAX_HERMITE_DEGREE = 12
 
 
-@dataclass(frozen=True)
-class HermiteCoeffs:
-    coeffs: tuple  # exact integers, ascending powers
-
-    def to_polynomial(self, nvars: int = 1, var: int = 1) -> Polynomial:
-        terms = {}
-        for p, c in enumerate(self.coeffs):
-            if c:
-                terms[((var, p),) if p else ()] = float(c)
-        return Polynomial(nvars, terms)
-
-
-def hermite(k: int) -> HermiteCoeffs:
-    """h_k by the recurrence h_{k+1}(x) = x h_k(x) - k h_{k-1}(x)."""
+def hermite(k: int) -> tuple:
+    """The coefficients of h_k, exact integers in ascending powers, by the
+    recurrence h_{k+1}(x) = x h_k(x) - k h_{k-1}(x)."""
     if not 0 <= k <= MAX_HERMITE_DEGREE:
         raise ValueError(f"hermite degree {k} outside [0, {MAX_HERMITE_DEGREE}]")
     prev, cur = [], [1]   # h_(-1) = 0, h_0 = 1
@@ -333,7 +299,7 @@ def hermite(k: int) -> HermiteCoeffs:
         for i, c in enumerate(prev):
             nxt[i] -= deg * c
         prev, cur = cur, nxt
-    return HermiteCoeffs(tuple(cur))
+    return tuple(cur)
 
 
 MAX_EXPANSION_DEGREE = 6

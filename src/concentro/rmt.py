@@ -20,7 +20,7 @@ floor(h/2) + 1 of them for h >= 3, one for h = 2 and none for h = 1.  The
 cap that `semicircle_integral` sets on f'^2, has K = 20 and needs 6, where the
 consecutive powers 2..10 would need 9.
 
-The stack is worked through in blocks of max(1, _TRACE_BLOCK_BYTES // (8 n^2))
+The stack is worked through in blocks of `montecarlo._stack_block(n)`
 matrices, so each formed power stays near 1 MB whatever the chunk size.  The
 traces do not depend on the block size: every product and inner product is
 taken one matrix at a time.
@@ -39,12 +39,19 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .bounds import two_sided_tail
-from .montecarlo import MCConfig, _mean_stderr, _run_chunks, symmetric_stack, tail_rows
+from .montecarlo import (
+    MCConfig,
+    _mean_stderr,
+    _run_chunks,
+    _stack_block,
+    _tail_points,
+    symmetric_stack,
+    tail_rows,
+)
 from .poly import Polynomial, _substitute
 
 MAX_EIG_SIZE = 400
 SUP_HALFWIDTH = 4.0   # sup |f''| is taken on [-4, 4], the semicircle support (-2, 2) doubled
-_TRACE_BLOCK_BYTES = 1 << 20
 
 
 def eigenvalues_symmetric(m) -> np.ndarray:
@@ -124,8 +131,8 @@ def _power_traces(mats: np.ndarray, top: int) -> np.ndarray:
     """tr A^k for k = 0..top of each symmetric matrix A of a (rows, n, n)
     stack, as a (top + 1, rows) array: the diagonal sum at k = 1, and at
     k = a + b >= 2 the inner product <A^a, A^b> of two powers of
-    `_power_chain`, taken in blocks of about _TRACE_BLOCK_BYTES of matrices
-    (module docstring)."""
+    `_power_chain`, taken in blocks of `_stack_block(n)` matrices (module
+    docstring)."""
     rows, n = len(mats), mats.shape[-1]
     chain = _power_chain(top)
     halves = [max(a for a in chain if a <= k - a and k - a in chain) for k in range(2, top + 1)]
@@ -133,7 +140,7 @@ def _power_traces(mats: np.ndarray, top: int) -> np.ndarray:
     out[0] = n
     if top >= 1:
         out[1] = np.trace(mats, axis1=1, axis2=2)
-    block = max(1, _TRACE_BLOCK_BYTES // (8 * n * n))
+    block = _stack_block(n)
     for start in range(0, rows, block):
         powers = {1: mats[start:start + block]}
         for prev, p in zip(chain, chain[1:]):
@@ -267,8 +274,8 @@ def wigner_experiment(f: Polynomial, spec: WignerSpec, cfg: MCConfig,
     No eigenvalue is computed (module docstring).  Each chunk of sampled
     matrices takes one set of traces tr A^k, k = 0..K with
     K = max(deg f, 2 deg f - 2), dotted with the coefficients of f and of f'^2.
-    The powers are formed in blocks of max(1, _TRACE_BLOCK_BYTES // (8 n^2))
-    matrices (145 at n = 30, 3 at n = 200), and the result is the same for every
+    The powers are formed in blocks of `_stack_block(n)` matrices (145 at
+    n = 30, 3 at n = 200), and the result is the same for every
     block size.  At K = 2 (f = x^2) no power is formed; at K = 20 (degree 11)
     six GEMMs form A^2, A^3, A^5, A^7, A^9 and A^10."""
     if f.nvars != 1:
@@ -279,6 +286,7 @@ def wigner_experiment(f: Polynomial, spec: WignerSpec, cfg: MCConfig,
         raise ValueError("experiment replica count capped at 10000")
     two_sided_tail((), c_l)   # a bad c_l fails here, before any sampling
     energy, fp_sq = _fprime_energy(f)   # so does an energy that overflows
+    t_list = _tail_points(t_list)       # and a negative tail point
 
     def job(rows, rng):
         # a value that overflows is refused by _mean_stderr

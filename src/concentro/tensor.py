@@ -78,10 +78,6 @@ class IndexMask:
         return cls("generalized-diagonal", subset=subset)
 
     @classmethod
-    def level_set(cls, partition: SetPartition) -> "IndexMask":
-        return cls("level-set", partition=partition)
-
-    @classmethod
     def off_diagonal(cls) -> "IndexMask":
         return cls("off-diagonal")
 

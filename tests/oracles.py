@@ -1,7 +1,8 @@
 """Reference implementations that the tests compare the package against:
 brute-force counts, the inverse of the Hermite expansion, the edge-index
-inverse and a dense indicator-tensor norm beside its combinatorial cap.  No
-code of the package reads them."""
+inverse and a dense indicator-tensor norm beside its combinatorial cap; and
+the test inputs that several test files build: a clique's edges and a Hermite
+polynomial.  No code of the package reads them."""
 
 import itertools
 
@@ -71,13 +72,23 @@ def indicator_norm_check(h: GraphSpec, e_seq, part: SetPartition, n: int,
     return lhs, indicator_norm_bound(e_seq, part, n)
 
 
+def clique_edges(k: int) -> tuple:
+    """The edges of the complete graph on vertices 1..k, for `GraphSpec`."""
+    return tuple(itertools.combinations(range(1, k + 1), 2))
+
+
+def hermite_polynomial(k: int, nvars: int = 1, var: int = 1) -> Polynomial:
+    """h_k(x_var) as a polynomial in `nvars` variables."""
+    return Polynomial(nvars, {((var, p),) if p else (): c for p, c in enumerate(hermite(k)) if c})
+
+
 def hermite_combination(coeffs: dict, nvars: int) -> Polynomial:
     """Inverse of hermite_expansion: rebuild the polynomial from a_d coefficients,
     multiplying out the Hermite polynomials of the recurrence."""
-    total = Polynomial.zero(nvars)
+    total = Polynomial(nvars)
     for degrees, a in coeffs.items():
-        term = Polynomial.constant(nvars, a)
+        term = Polynomial(nvars, {(): a})
         for i, deg in enumerate(degrees):
-            term = term * hermite(deg).to_polynomial(nvars, i + 1)
+            term = term * hermite_polynomial(deg, nvars, i + 1)
         total = total + term
     return total

@@ -35,10 +35,10 @@ from concentro.poly import (
     ProductDistribution,
     expected_derivative_tensor,
     expected_value,
-    hermite,
 )
 from concentro.rmt import WignerSpec, eigenvalues_symmetric, hoffman_wielandt_gap, wigner_experiment
 from concentro.tensor import IndexMask, Tensor, apply_mask, hadamard_rank_one, symmetrize
+from oracles import clique_edges, hermite_polynomial
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -112,7 +112,7 @@ def test_criterion_03_norm_property_suite():
         parts = enumerate_partitions(d)
         k = parts[int(rng.integers(len(parts)))]
         part = parts[int(rng.integers(len(parts)))]
-        lhs = norm_J(apply_mask(a, IndexMask.level_set(k)), part, opts).value
+        lhs = norm_J(apply_mask(a, IndexMask("level-set", partition=k)), part, opts).value
         factor = 2.0 ** (k.n_blocks * (k.n_blocks - 1) / 2)
         failures += lhs > factor * norm_J(a, part, opts).value + 1e-8
 
@@ -123,15 +123,15 @@ def test_criterion_03_norm_property_suite():
 def test_criterion_04_triangle_closed_forms():
     ok = True
     detail = []
-    triangle = GraphSpec.clique(3)
+    triangle = GraphSpec(clique_edges(3))
     for n in range(4, 9):
         y_poly = counting_polynomial(triangle, n) * (1.0 / triangle.aut_size)
         d3 = None
         for p in (0.1, 0.5, 0.9):
-            dist = ProductDistribution.bernoulli(p)
+            dist = ProductDistribution("bernoulli", p=p)
             expect = triangle_norms_exact(n, p)
             d1 = norm_J(expected_derivative_tensor(y_poly, dist, 1),
-                        SetPartition.full(1)).value
+                        SetPartition.parse("1")).value
             t2 = expected_derivative_tensor(y_poly, dist, 2)
             d2_op = norm_J(t2, SetPartition.parse("1|2")).value
             d2_hs = norm_J(t2, SetPartition.parse("1,2")).value
@@ -168,7 +168,7 @@ def test_criterion_05_gaussian_sandwich():
     ok = True
     detail = []
     for idx, (name, f) in enumerate(polys):
-        dist = ProductDistribution.gaussian()
+        dist = ProductDistribution("gaussian")
         cfg = MCConfig(N=1_000_000, seed=500 + idx)
         rows = sandwich_check(f, dist, (2.0, 4.0, 6.0), cfg, bound_fn, window=(0.1, 10.0))
         for r in rows:
@@ -213,10 +213,10 @@ def test_criterion_07_hermite_tetrahedral_convergence():
 
 
 def test_criterion_08_hermite_moment_identities():
-    dist = ProductDistribution.gaussian()
+    dist = ProductDistribution("gaussian")
     ok = True
     for k in range(6):
-        f = hermite(k).to_polynomial()
+        f = hermite_polynomial(k)
         got0 = expected_value(f, dist)
         if got0 != (1.0 if k == 0 else 0.0):
             ok = False
@@ -248,7 +248,7 @@ def test_criterion_09_weibull_consistency():
     for i in range(50):
         rng = np.random.default_rng(900 + i)
         f = _random_poly_deg3(rng)
-        dist = ProductDistribution.weibull(2.0)
+        dist = ProductDistribution("weibull", alpha=2.0)
         p = 4.0
         total = weibull_moment_bound(f, dist, p, opts=opts).total
         recombined = 0.0
@@ -266,7 +266,7 @@ def test_criterion_09_weibull_consistency():
         rng = np.random.default_rng(950 + i)
         a = rng.standard_normal(4)
         f = Polynomial(4, {((j + 1, 1),): float(a[j]) for j in range(4)})
-        dist = ProductDistribution.weibull(1.0)
+        dist = ProductDistribution("weibull", alpha=1.0)
         p = float(rng.integers(2, 7))
         total = weibull_moment_bound(f, dist, p, opts=opts).total
         expect = math.sqrt(p) * float(np.linalg.norm(a)) + p * float(np.abs(a).max())
@@ -314,7 +314,7 @@ def test_criterion_10_rmt_pipeline():
 
 def test_criterion_11_er_experiment_sanity():
     n, p = 30, 0.5
-    triangle = GraphSpec.clique(3)
+    triangle = GraphSpec(clique_edges(3))
     y_poly = counting_polynomial(triangle, n) * (1.0 / triangle.aut_size)
     iu = np.triu_indices(n, 1)
     adjs = sample_adjacency(n, p, chunk_rng(111, 0), 100)

@@ -23,7 +23,7 @@ from concentro.poly import Polynomial, ProductDistribution
 
 X1X2 = Polynomial(2, {((1, 1), (2, 1)): 1.0})
 X1X2X3 = Polynomial(3, {((1, 1), (2, 1), (3, 1)): 1.0})
-GAUSS = ProductDistribution.gaussian()
+GAUSS = ProductDistribution("gaussian")
 OPTS = NormOptions(restarts=16, seed=0)
 
 
@@ -42,7 +42,7 @@ def test_gaussian_bound_chaos_total_hand_example():
     assert rep.meta["chaos_total"] == pytest.approx(2.0, rel=1e-12)
     assert rep.total == pytest.approx(4.0, rel=1e-12)
     x1x2x3 = Polynomial(3, {((1, 1), (2, 1), (3, 1)): 1.0})
-    rep = gaussian_moment_bound(x1x2x3, ProductDistribution.gaussian(), 2.0, OPTS)
+    rep = gaussian_moment_bound(x1x2x3, ProductDistribution("gaussian"), 2.0, OPTS)
     # E D^3 f = sum over permutations of e1 x e2 x e3: HS sqrt(6), three
     # one-vs-two matricizations of norm sqrt(2), injective norm 2/sqrt(3)
     expect = (math.sqrt(12) + 6 * math.sqrt(2) + 2**1.5 * 2 / math.sqrt(3)) / 6
@@ -64,7 +64,7 @@ def test_gaussian_bound_linear_and_constant():
     for p in (2.0, 4.0, 9.0):
         rep = gaussian_moment_bound(f, GAUSS, p, OPTS)
         assert rep.total == pytest.approx(math.sqrt(p) * 5.0, rel=1e-12)
-    rep = gaussian_moment_bound(Polynomial.constant(2, 7.0), GAUSS, 2.0)
+    rep = gaussian_moment_bound(Polynomial(2, {(): 7.0}), GAUSS, 2.0)
     assert rep.terms == () and rep.total == 0.0
 
 
@@ -78,7 +78,7 @@ def test_gaussian_bound_validations_and_monotonicity():
 def test_gaussian_bound_relabeling_invariance():
     f = Polynomial(3, {((1, 2), (2, 1)): 1.0, ((3, 1),): 2.0})
     g = Polynomial(3, {((2, 2), (3, 1)): 1.0, ((1, 1),): 2.0})  # relabeled 1->2,2->3,3->1
-    dist = ProductDistribution.gaussian()
+    dist = ProductDistribution("gaussian")
     for p in (2.0, 4.0):
         assert gaussian_moment_bound(f, dist, p, OPTS).total == pytest.approx(
             gaussian_moment_bound(g, dist, p, OPTS).total, rel=1e-8)
@@ -119,7 +119,7 @@ def test_eta_tail_monotone_in_t_and_L():
 
 def test_eta_tail_degenerate():
     with pytest.raises(ValueError):
-        eta_tail(Polynomial.constant(2, 1.0), GAUSS, 1.0, 1.0)
+        eta_tail(Polynomial(2, {(): 1.0}), GAUSS, 1.0, 1.0)
     with pytest.raises(ValueError):
         eta_tail(X1X2, GAUSS, 0.0, 1.0)
     # t = inf made every term inf and a tail estimate of 0
@@ -173,7 +173,7 @@ def test_additive_tail_three_groups():
 
 def test_weibull_bound_linear_alpha_one():
     f = Polynomial(2, {((1, 1),): 3.0, ((2, 1),): 4.0})
-    rep = weibull_moment_bound(f, ProductDistribution.weibull(1.0), p=4.0)
+    rep = weibull_moment_bound(f, ProductDistribution("weibull", alpha=1.0), p=4.0)
     assert rep.total == pytest.approx(math.sqrt(4.0) * 5.0 + 4.0 * 4.0, rel=1e-10)
     labels = {t.label for t in rep.terms}
     assert labels == {"1||", "||1"}
@@ -185,7 +185,7 @@ def test_weibull_bound_alpha2_matches_merged_recombination():
     from concentro.poly import expected_derivative_tensor
 
     rng = np.random.default_rng(9)
-    dist = ProductDistribution.weibull(2.0)
+    dist = ProductDistribution("weibull", alpha=2.0)
     f = Polynomial(3, {((1, 1), (2, 1)): rng.standard_normal(),
                        ((1, 1), (2, 1), (3, 1)): rng.standard_normal(),
                        ((3, 2),): rng.standard_normal()})
@@ -203,12 +203,12 @@ def test_weibull_bound_alpha2_matches_merged_recombination():
 
 
 def test_weibull_bound_constant_and_caps():
-    rep = weibull_moment_bound(Polynomial.constant(2, 5.0),
-                               ProductDistribution.weibull(1.5), 2.0)
+    rep = weibull_moment_bound(Polynomial(2, {(): 5.0}),
+                               ProductDistribution("weibull", alpha=1.5), 2.0)
     assert rep.total == 0.0
     quartic = Polynomial(1, {((1, 4),): 1.0})
     with pytest.raises(ValueError):
-        weibull_moment_bound(quartic, ProductDistribution.weibull(1.0), 2.0)
+        weibull_moment_bound(quartic, ProductDistribution("weibull", alpha=1.0), 2.0)
 
 
 def test_weibull_bound_takes_alpha_from_its_law():
@@ -257,7 +257,7 @@ def test_gaussian_report_solves_once_per_shape(monkeypatch):
 def test_weibull_report_solves_once_per_split_shape(monkeypatch):
     calls = _counting(monkeypatch, "mixed_norm")
     f = Polynomial(2, {((1, 3),): 1.0, ((1, 1), (2, 1)): 0.5, ((2, 1),): -1.0})
-    rep = weibull_moment_bound(f, ProductDistribution.weibull(1.5), 4.0, OPTS)
+    rep = weibull_moment_bound(f, ProductDistribution("weibull", alpha=1.5), 4.0, OPTS)
     assert len(calls) == 2 + 5 + 10
     assert len(rep.terms) == 2 + 6 + 22
 
@@ -268,7 +268,7 @@ def test_weibull_alpha2_report_solves_once_per_merged_shape(monkeypatch):
     from concentro.poly import expected_derivative_tensor
 
     f = Polynomial(3, {((1, 1), (2, 1), (3, 1)): 1.0, ((1, 2),): 0.5, ((2, 1),): 1.0})
-    dist = ProductDistribution.weibull(2.0)
+    dist = ProductDistribution("weibull", alpha=2.0)
     norm_calls = _counting(monkeypatch, "norm_J")
     mixed_calls = _counting(monkeypatch, "mixed_norm")
     rep = weibull_moment_bound(f, dist, 4.0, OPTS)
@@ -292,11 +292,11 @@ def test_every_row_equals_its_own_partition_norm(case):
     if case == "degree-4":
         f = Polynomial(3, {((1, 2), (2, 2)): 1.3, ((1, 1), (2, 1), (3, 2)): -0.7,
                            ((3, 4),): 0.4, ((2, 3),): 2.0, ((1, 1), (3, 1)): 0.5})
-        dist = ProductDistribution.gaussian()
+        dist = ProductDistribution("gaussian")
     else:
         h = GraphSpec.cycle(4)
         f = counting_polynomial(h, 6) * (1.0 / h.aut_size)
-        dist = ProductDistribution.bernoulli(0.3)
+        dist = ProductDistribution("bernoulli", p=0.3)
     rep = gaussian_moment_bound(f, dist, 2.0, OPTS)
     tensors = {d: expected_derivative_tensor(f, dist, d) for d in range(1, f.degree + 1)}
     for t in rep.terms:
@@ -317,7 +317,7 @@ def test_two_sided_tail():
 
 
 def test_tail_reports_reject_a_constant_that_is_not_positive():
-    dist = ProductDistribution.gaussian()
+    dist = ProductDistribution("gaussian")
     with pytest.raises(ValueError, match="tail constant"):
         eta_tail(X1X2, dist, 1.0, 1.0, c_d=0.0, opts=OPTS)
     with pytest.raises(ValueError, match="tail constant"):
@@ -353,7 +353,7 @@ def test_experiments_reject_the_tail_constant_before_sampling(monkeypatch):
 @pytest.mark.parametrize("report", [
     lambda p: gaussian_moment_bound(X1X2, GAUSS, p, OPTS),
     lambda p: sobolev_moment_bound(X1X2, GAUSS, p, 1.0, 0.5, OPTS),
-    lambda p: weibull_moment_bound(X1X2, ProductDistribution.weibull(1.5), p, OPTS)],
+    lambda p: weibull_moment_bound(X1X2, ProductDistribution("weibull", alpha=1.5), p, OPTS)],
     ids=["gaussian", "sobolev", "weibull"])
 @pytest.mark.parametrize("p", [math.inf, math.nan, 1.5])
 def test_moment_reports_need_a_finite_order_of_at_least_two(report, p):
@@ -371,11 +371,11 @@ def test_sobolev_bound_needs_a_finite_L_and_gamma(L, gamma, message):
 
 
 @pytest.mark.parametrize("report, where", [
-    (lambda: eta_tail(X1X2, ProductDistribution.rademacher(), 2.0, 1e308, opts=OPTS),
+    (lambda: eta_tail(X1X2, ProductDistribution("rademacher"), 2.0, 1e308, opts=OPTS),
      "d = 2, J = 1,2"),
     (lambda: sobolev_moment_bound(X1X2, GAUSS, 2.0, 1e308, 1.0, OPTS), "d = 1, J = 1"),
     (lambda: gaussian_moment_bound(X1X2X3, GAUSS, 1e300, OPTS), "d = 3, J = 1|2|3"),
-    (lambda: weibull_moment_bound(X1X2X3, ProductDistribution.weibull(1.5), 1e300, OPTS),
+    (lambda: weibull_moment_bound(X1X2X3, ProductDistribution("weibull", alpha=1.5), 1e300, OPTS),
      "d = 2, J = ||1|2")],
     ids=["tail-L^d", "sobolev-product", "gaussian-p^expo", "weibull-p^expo"])
 def test_a_bound_term_that_overflows_is_refused(report, where):

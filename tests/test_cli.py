@@ -497,11 +497,22 @@ def test_bounds_rejects_options_it_would_ignore(x1x2, extra, message, capsys):
     (["bounds", "--poly", "x1x2x3", "--p", "2", "--gamma", "0.5", "--L", "3e102"],
      "the report total, a sum of finite terms, overflows a float"),
     (["bounds", "--poly", "big", "--p", "2"],
-     "the chaos total, a sum of finite terms, overflows a float")])
+     "the chaos total, a sum of finite terms, overflows a float"),
+    # a negative tail point, refused before any sampling as `mc tail` refuses
+    # it: t = eps * E X = -1 * 1.25 for triangles at n = 5, p = 1/2
+    (["graphs", "triangles", "--n", "5", "--p", "0.5", "--eps", "-1", "--N", "100"],
+     "t=-1.25 must be nonnegative"),
+    (["rmt", "--f", "xsq", "--n", "5", "--t", "-1"], "t=-1 must be nonnegative"),
+    # an infinite L would make every tail term zero
+    (["tail", "--poly", "x1x2", "--t", "1", "--L", "inf"], "L=inf must be positive and finite"),
+    # an inverted ratio window would judge every row `fail`
+    (["mc", "sandwich", "--poly", "x1x2", "--N", "1000", "--window", "10", "0.1"],
+     "ratio window (10, 0.1) needs 0 <= low <= high")])
 def test_out_of_range_graph_and_tail_input_exit_2(x1x2, tmp_path, argv, message, capsys):
     files = {"x1x2": x1x2,
              "x1x2x3": _poly_file(tmp_path, "x1x2x3", 3, {((1, 1), (2, 1), (3, 1)): 1.0}),
              "big": _poly_file(tmp_path, "big", 2, {((1, 1),): 6e307, ((1, 1), (2, 1)): 6e307}),
+             "xsq": _poly_file(tmp_path, "xsq", 1, {((1, 2),): 1.0}),
              "t3": str(tmp_path / "t3.json")}
     save_tensor(Tensor(np.ones((2, 2, 2))), files["t3"])
     assert dispatch([files.get(a, a) for a in argv]) == 2

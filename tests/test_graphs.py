@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from concentro import montecarlo
 from concentro.graphs import (
     ERResult,
     EdgeIndex,
@@ -26,7 +27,13 @@ from concentro.montecarlo import MCConfig, chunk_rng
 from concentro.norms import NormOptions, norm_J
 from concentro.partitions import SetPartition, enumerate_partitions
 from concentro.poly import ProductDistribution, expected_derivative_tensor
-from oracles import count_cycles_embedding, edge_pair, indicator_norm_bound, indicator_norm_check
+from oracles import (
+    clique_edges,
+    count_cycles_embedding,
+    edge_pair,
+    indicator_norm_bound,
+    indicator_norm_check,
+)
 
 OPTS = NormOptions(restarts=16, seed=0)
 
@@ -39,11 +46,11 @@ def test_graph_spec_validation():
     with pytest.raises(ValueError):
         GraphSpec(((1, 2), (2, 4), (1, 4)))  # vertex 3 isolated
     assert GraphSpec.cycle(4).n_edges == 4
-    assert GraphSpec.clique(4).n_edges == 6
+    assert GraphSpec(clique_edges(4)).n_edges == 6
     assert GraphSpec.cycle(5).aut_size == 10
-    assert GraphSpec.clique(4).aut_size == 24
-    assert GraphSpec.clique(2).aut_size == 2
-    assert GraphSpec.cycle(3).aut_size == GraphSpec.clique(3).aut_size == 6
+    assert GraphSpec(clique_edges(4)).aut_size == 24
+    assert GraphSpec(clique_edges(2)).aut_size == 2
+    assert GraphSpec.cycle(3).aut_size == GraphSpec(clique_edges(3)).aut_size == 6
     assert GraphSpec(((1, 2), (2, 3), (1, 3))).aut_size == 6
     assert GraphSpec(((1, 2), (2, 3), (1, 3))).n_edges == 3
 
@@ -61,18 +68,18 @@ def test_edge_index_round_trip():
 
 
 def test_counting_polynomial_triangle_n3():
-    f = counting_polynomial(GraphSpec.clique(3), 3)
+    f = counting_polynomial(GraphSpec(clique_edges(3)), 3)
     assert f.nvars == 3
     assert f.terms == {((1, 1), (2, 1), (3, 1)): 6.0}
 
 
 def test_counting_polynomial_single_edge():
-    f = counting_polynomial(GraphSpec.clique(2), 3)
+    f = counting_polynomial(GraphSpec(clique_edges(2)), 3)
     assert f.terms == {((1, 1),): 2.0, ((2, 1),): 2.0, ((3, 1),): 2.0}
 
 
-@pytest.mark.parametrize("h,n", [(GraphSpec.clique(3), 5), (GraphSpec.cycle(4), 6),
-                                 (GraphSpec.clique(2), 4)])
+@pytest.mark.parametrize("h,n", [(GraphSpec(clique_edges(3)), 5), (GraphSpec.cycle(4), 6),
+                                 (GraphSpec(clique_edges(2)), 4)])
 def test_counting_polynomial_at_ones_is_falling_factorial(h, n):
     f = counting_polynomial(h, n)
     expect = 1.0
@@ -83,9 +90,9 @@ def test_counting_polynomial_at_ones_is_falling_factorial(h, n):
 
 def test_triangle_second_derivative_is_p_times_shared_vertex_indicator():
     n, p = 4, 0.3
-    h = GraphSpec.clique(3)
+    h = GraphSpec(clique_edges(3))
     y_poly = counting_polynomial(h, n) * (1.0 / h.aut_size)
-    dist = ProductDistribution.bernoulli(p)
+    dist = ProductDistribution("bernoulli", p=p)
     d2 = expected_derivative_tensor(y_poly, dist, 2).values
     eidx = EdgeIndex(n)
     for i in range(1, eidx.count + 1):
@@ -97,12 +104,12 @@ def test_triangle_second_derivative_is_p_times_shared_vertex_indicator():
 
 def test_triangle_closed_forms_match_derivative_tensors():
     n, p = 5, 0.5
-    h = GraphSpec.clique(3)
+    h = GraphSpec(clique_edges(3))
     y_poly = counting_polynomial(h, n) * (1.0 / h.aut_size)
-    dist = ProductDistribution.bernoulli(p)
+    dist = ProductDistribution("bernoulli", p=p)
     expect = triangle_norms_exact(n, p)
     d1 = expected_derivative_tensor(y_poly, dist, 1)
-    assert norm_J(d1, SetPartition.full(1)).value == pytest.approx(expect.d1, rel=1e-12)
+    assert norm_J(d1, SetPartition.parse("1")).value == pytest.approx(expect.d1, rel=1e-12)
     d2 = expected_derivative_tensor(y_poly, dist, 2)
     assert norm_J(d2, SetPartition.parse("1|2")).value == pytest.approx(
         expect.d2_operator, rel=1e-12)
@@ -119,17 +126,17 @@ def test_triangle_closed_forms_match_derivative_tensors():
 def test_cycle_norm_bound_cases():
     h = GraphSpec.cycle(3)
     # top order: the exact norm sqrt(2k * k! * (n)_k) of the constant tensor D^k X
-    assert subgraph_norm_bound(h, SetPartition.full(3), 10, 0.5) == \
+    assert subgraph_norm_bound(h, SetPartition.parse("1,2,3"), 10, 0.5) == \
         pytest.approx(math.sqrt(6 * 6 * 720), rel=1e-12)
     # order 2, singleton blocks: six ordered edge pairs, each contributing 2n
     n, p = 20, 0.3
     got = subgraph_norm_bound(h, SetPartition.parse("1|2"), n, p)
     assert got == pytest.approx(12.0 * p * n, rel=1e-12)
     # order 1: three edges, isolated-edge weight sqrt(2), two singly covered vertices
-    got = subgraph_norm_bound(h, SetPartition.full(1), n, p)
+    got = subgraph_norm_bound(h, SetPartition.parse("1"), n, p)
     assert got == pytest.approx(3.0 * math.sqrt(2.0) * p**2 * n**2, rel=1e-12)
     k4 = GraphSpec.cycle(4)
-    assert subgraph_norm_bound(k4, SetPartition.full(4), 9, 0.2) == \
+    assert subgraph_norm_bound(k4, SetPartition.parse("1,2,3,4"), 9, 0.2) == \
         pytest.approx(math.sqrt(8 * 24 * 3024), rel=1e-12)
 
 
@@ -139,12 +146,13 @@ def test_cycle_norm_bound_cases():
     (GraphSpec.cycle(3), SetPartition.parse("1,2"), 10, math.nan, r"p must be in \(0, 1\]"),
     (GraphSpec.cycle(3), SetPartition.parse("1,2"), -5, 0.5,
      "ambient vertex count -5 below pattern size 3"),
-    (GraphSpec.cycle(300), SetPartition.full(1), 30, 0.5,
+    (GraphSpec.cycle(300), SetPartition.parse("1"), 30, 0.5,
      "ambient vertex count 30 below pattern size 300"),
     # the edge sum: n^(k - 1) = 300^299 at d = 1
-    (GraphSpec.cycle(300), SetPartition.full(1), 300, 0.5, "overflows a float at k = 300"),
+    (GraphSpec.cycle(300), SetPartition.parse("1"), 300, 0.5, "overflows a float at k = 300"),
     # the top order: 190! alone exceeds the float range
-    (GraphSpec.clique(20), SetPartition.full(190), 20, 0.5, "overflows a float at k = 20")])
+    (GraphSpec(clique_edges(20)), SetPartition([range(1, 191)]), 20, 0.5,
+     "overflows a float at k = 20")])
 def test_subgraph_norm_bound_refuses_bad_input(h, part, n, p, message):
     with pytest.raises(ValueError, match=message):
         subgraph_norm_bound(h, part, n, p)
@@ -157,16 +165,16 @@ def test_cycle_norm_bound_dominates_actual_norms():
     for k in (3, 4):
         h = GraphSpec.cycle(k)
         f = counting_polynomial(h, n)
-        dist = ProductDistribution.bernoulli(p)
+        dist = ProductDistribution("bernoulli", p=p)
         for d in range(1, k + 1):
             tens = expected_derivative_tensor(f, dist, d)
             for part in enumerate_partitions(d):
                 true_norm = norm_J(tens, part, OPTS).value
                 bound = subgraph_norm_bound(h, part, n, p)
                 assert true_norm <= bound * (1 + 1e-9), (k, d, str(part))
-        top = norm_J(tens, SetPartition.full(k)).value
-        assert top == pytest.approx(subgraph_norm_bound(h, SetPartition.full(k), n, p),
-                                    rel=1e-12)
+        top = SetPartition([range(1, k + 1)])
+        assert norm_J(tens, top).value == pytest.approx(subgraph_norm_bound(h, top, n, p),
+                                                        rel=1e-12)
 
 
 PAW = GraphSpec(((1, 2), (2, 3), (1, 3), (3, 4)))   # a triangle with a pendant edge
@@ -174,8 +182,8 @@ PAW = GraphSpec(((1, 2), (2, 3), (1, 3), (3, 4)))   # a triangle with a pendant 
 
 def test_a_pattern_is_its_edge_set():
     triangle = GraphSpec(((2, 3), (1, 3), (2, 1)))
-    assert triangle == GraphSpec.cycle(3) == GraphSpec.clique(3)
-    assert hash(triangle) == hash(GraphSpec.clique(3))
+    assert triangle == GraphSpec.cycle(3) == GraphSpec(clique_edges(3))
+    assert hash(triangle) == hash(GraphSpec(clique_edges(3)))
     assert GraphSpec(((1, 2), (2, 3), (3, 4), (4, 1))) == GraphSpec.cycle(4)
     assert GraphSpec(((1, 3), (3, 2), (2, 4), (4, 1))) != GraphSpec.cycle(4)
     assert PAW != GraphSpec.cycle(4)
@@ -218,18 +226,18 @@ def test_aut_size_of_a_long_cycle_does_not_enumerate_permutations():
 def test_aut_size_of_a_clique_does_not_visit_every_automorphism():
     # a stabiliser chain multiplies orbit sizes; visiting all 10! maps takes a minute
     start = time.perf_counter()
-    assert GraphSpec.clique(10).aut_size == math.factorial(10)
+    assert GraphSpec(clique_edges(10)).aut_size == math.factorial(10)
     assert time.perf_counter() - start < 0.5
 
 
-@pytest.mark.parametrize("h,n,expect", [(GraphSpec.clique(4), 4, 643.98757752),
+@pytest.mark.parametrize("h,n,expect", [(GraphSpec(clique_edges(4)), 4, 643.98757752),
                                         (PAW, 5, 75.8946638)])
 def test_subgraph_norm_bound_is_the_norm_at_the_top_order(h, n, expect):
     # D^e X_H is aut(H) on each edge e-tuple forming a copy: norm sqrt(aut * e! * (n)_k)
     e = h.n_edges
     tens = expected_derivative_tensor(counting_polynomial(h, n),
-                                      ProductDistribution.bernoulli(0.3), e)
-    top = SetPartition.full(e)
+                                      ProductDistribution("bernoulli", p=0.3), e)
+    top = SetPartition([range(1, e + 1)])
     assert subgraph_norm_bound(h, top, n, 0.3) == pytest.approx(norm_J(tens, top).value,
                                                                 rel=1e-12)
     assert subgraph_norm_bound(h, top, n, 0.3) == pytest.approx(expect, rel=1e-9)
@@ -246,11 +254,11 @@ def _k4_cases():
 
 @pytest.mark.parametrize("p", [0.2, 0.7])
 def test_subgraph_norm_bound_caps_k4_norms(p):
-    h = GraphSpec.clique(4)
+    h = GraphSpec(clique_edges(4))
     worst = 0.0
     for n, d, parts in _k4_cases():
         f = counting_polynomial(h, n)
-        tens = expected_derivative_tensor(f, ProductDistribution.bernoulli(p), d)
+        tens = expected_derivative_tensor(f, ProductDistribution("bernoulli", p=p), d)
         for part in parts:
             ratio = norm_J(tens, part, OPTS).value / subgraph_norm_bound(h, part, n, p)
             assert ratio <= 1 + 1e-9, (n, d, str(part))
@@ -268,16 +276,16 @@ def test_edge_index_is_a_bijection(n):
 
 
 def test_indicator_norm_check_single_edge():
-    h = GraphSpec.clique(3)
+    h = GraphSpec(clique_edges(3))
     n = 6
-    res, cap = indicator_norm_check(h, [(1, 2)], SetPartition.full(1), n)
+    res, cap = indicator_norm_check(h, [(1, 2)], SetPartition.parse("1"), n)
     assert res.value == pytest.approx(math.sqrt(n * (n - 1) / 2.0), rel=1e-12)
     assert cap == pytest.approx(n / math.sqrt(2.0), rel=1e-12)
     assert res.value <= cap * (1 + 1e-8)
 
 
 def test_indicator_norm_check_adjacent_edges():
-    h = GraphSpec.clique(3)
+    h = GraphSpec(clique_edges(3))
     n = 6
     res, cap = indicator_norm_check(h, [(1, 2), (2, 3)], SetPartition.parse("1|2"), n, OPTS)
     assert res.value <= cap * (1 + 1e-8)
@@ -290,11 +298,11 @@ def test_indicator_norm_check_adjacent_edges():
 
 
 def test_indicator_norm_check_validation():
-    h = GraphSpec.clique(3)
+    h = GraphSpec(clique_edges(3))
     with pytest.raises(ValueError):
         indicator_norm_check(h, [(1, 2), (1, 2)], SetPartition.parse("1|2"), 5)
     with pytest.raises(ValueError):
-        indicator_norm_check(h, [(1, 4)], SetPartition.full(1), 5)
+        indicator_norm_check(h, [(1, 4)], SetPartition.parse("1"), 5)
 
 
 def test_trace_counts_match_embedding_oracle():
@@ -345,7 +353,7 @@ def test_trace_counts_known_graphs_k5():
 
 def test_polynomial_count_equals_trace_count():
     n, p = 8, 0.5
-    h = GraphSpec.clique(3)
+    h = GraphSpec(clique_edges(3))
     y_poly = counting_polynomial(h, n) * (1.0 / h.aut_size)
     eidx = EdgeIndex(n)
     rng = chunk_rng(32, 0)
@@ -383,7 +391,7 @@ def test_er_tail_experiment_triangles():
     assert 0.0 <= row["tail"] <= 1.0
     assert row["tail"] <= row["bound"]  # documented c=1 window
     with pytest.raises(ValueError):
-        er_tail_experiment(GraphSpec.clique(4), 20, 0.5, cfg, eps=0.5)
+        er_tail_experiment(GraphSpec(clique_edges(4)), 20, 0.5, cfg, eps=0.5)
     with pytest.raises(ValueError):
         er_tail_experiment(GraphSpec.cycle(6), 20, 0.5, cfg, eps=0.5)
 
@@ -435,6 +443,14 @@ def test_er_tail_experiment_pinned(k):
         cfg = MCConfig(N=2500, seed=77, batch=1024, workers=workers)
         res = er_tail_experiment(GraphSpec.cycle(k), 60, 0.1, cfg, eps=0.5)
         assert (repr(res.mean), repr(res.mean_stderr), repr(res.rows)) == ER_PINNED[k]
+
+
+def test_er_counts_do_not_depend_on_the_block_size(monkeypatch):
+    # one graph per block gives the output pinned with 36-graph blocks
+    monkeypatch.setattr(montecarlo, "_STACK_BLOCK_BYTES", 1)
+    cfg = MCConfig(N=2500, seed=77, batch=1024)
+    res = er_tail_experiment(GraphSpec.cycle(4), 60, 0.1, cfg, eps=0.5)
+    assert (repr(res.mean), repr(res.mean_stderr), repr(res.rows)) == ER_PINNED[4]
 
 
 @pytest.mark.parametrize("k,n,N", [(4, 60, 1024), (5, 200, 64)])

@@ -1,6 +1,6 @@
-"""Source hygiene: every module-level import, function parameter and
-definition the package does not export is used, and every option a subcommand
-declares is read and has an option string."""
+"""Source hygiene: every module-level import, function parameter, class
+member and definition the package does not export is used, and every option a
+subcommand declares is read and has an option string."""
 
 import ast
 import pathlib
@@ -9,6 +9,7 @@ import concentro
 from concentro import cli
 
 PACKAGE = pathlib.Path(concentro.__file__).parent
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
 
 
 def _unused_imports(path):
@@ -88,6 +89,31 @@ def test_every_definition_has_a_reader():
     exported = {a.asname or a.name for n in root.body if isinstance(n, ast.ImportFrom)
                 for a in n.names}
     assert _unread_definitions(lambda name: name not in exported) == []
+
+
+def test_every_class_member_has_a_reader():
+    """Every def in a class body of the package (a method, classmethod or
+    property) is read as an attribute in the package outside its own body, or
+    by the benchmark (perfbench/*.py): each value has one constructor, and an
+    alternate constructor or helper that only tests call belongs in the tests.
+    Dunders are exempt, and so is a class with a base class, whose members may
+    override it (`cli._Parser.error`)."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    benchmark = [ast.parse(p.read_text()) for p in sorted(PERFBENCH.glob("*.py"))]
+    assert benchmark
+    reads = [n for tree in [*trees.values(), *benchmark] for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
+    members = [(f"{module}.{cls.name}.{fn.name}", fn) for module, tree in trees.items()
+               for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and not cls.bases
+               for fn in cls.body if isinstance(fn, ast.FunctionDef)
+               and not (fn.name.startswith("__") and fn.name.endswith("__"))]
+    assert members
+    unread = []
+    for name, fn in members:
+        inside = {id(n) for n in ast.walk(fn)}
+        if not any(n.attr == fn.name and id(n) not in inside for n in reads):
+            unread.append(name)
+    assert unread == []
 
 
 def _args_reads(fn):

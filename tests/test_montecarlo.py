@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -32,18 +33,18 @@ from concentro.tensor import IndexMask, Tensor, apply_mask, symmetrize
 
 X1 = Polynomial(2, {((1, 1),): 1.0})
 X1X2 = Polynomial(2, {((1, 1), (2, 1)): 1.0})
-GAUSS = ProductDistribution.gaussian()
+GAUSS = ProductDistribution("gaussian")
 
 
 def test_sampler_statistics():
     rng = chunk_rng(11, 0)
-    draws = ProductDistribution.gaussian().sample(rng, 1_000_000, 1)[:, 0]
+    draws = ProductDistribution("gaussian").sample(rng, 1_000_000, 1)[:, 0]
     assert abs(draws.mean()) < 4e-3  # 4 sigma CLT band
     rng = chunk_rng(11, 1)
-    rade = ProductDistribution.rademacher().sample(rng, 10_000, 1)[:, 0]
+    rade = ProductDistribution("rademacher").sample(rng, 10_000, 1)[:, 0]
     assert set(np.unique(rade)) == {-1.0, 1.0}
     rng = chunk_rng(11, 2)
-    weib = ProductDistribution.weibull(1.0).sample(rng, 1_000_000, 1)[:, 0]
+    weib = ProductDistribution("weibull", alpha=1.0).sample(rng, 1_000_000, 1)[:, 0]
     assert (np.abs(weib) > 2.0).mean() == pytest.approx(math.exp(-2.0), abs=2e-3)
     assert GAUSS.sample(chunk_rng(11, 3), 5, 2).shape == (5, 2)
 
@@ -182,7 +183,7 @@ def test_chaos_validation():
 
 def test_sandwich_linear_ratio_is_inverse_sqrt2():
     f = Polynomial(3, {((1, 1),): 1.0, ((2, 1),): 2.0, ((3, 1),): -2.0})
-    dist = ProductDistribution.gaussian()
+    dist = ProductDistribution("gaussian")
     cfg = MCConfig(N=200_000, seed=17)
     opts = NormOptions(restarts=8, seed=0)
     rows = sandwich_check(f, dist, [2.0], cfg,
@@ -194,7 +195,7 @@ def test_sandwich_linear_ratio_is_inverse_sqrt2():
 
 
 def test_sandwich_degenerate_constant():
-    f = Polynomial.constant(2, 3.0)
+    f = Polynomial(2, {(): 3.0})
     rows = sandwich_check(f, GAUSS, [2.0], MCConfig(N=5000, seed=18),
                           lambda g, d, p: gaussian_moment_bound(g, d, p).total)
     assert rows[0]["status"] == "degenerate"
@@ -298,13 +299,13 @@ def test_sobolev_check_examples():
     for r in rows:
         assert r["ratio"] <= 1.0
     f_sq = Polynomial(1, {((1, 2),): 1.0})
-    rows = sobolev_check(ProductDistribution.gaussian(), f_sq, [2.0], cfg)
+    rows = sobolev_check(ProductDistribution("gaussian"), f_sq, [2.0], cfg)
     assert rows[0]["ratio"] == pytest.approx(0.5, abs=0.02)
     for c in (1.0, 0.3, 7.7):
-        rows = sobolev_check(GAUSS, Polynomial.constant(2, c), [2.0], cfg)
+        rows = sobolev_check(GAUSS, Polynomial(2, {(): c}), [2.0], cfg)
         assert rows[0]["status"] == "degenerate" and rows[0]["ratio"] is None
     with pytest.raises(ValueError, match="Sobolev"):
-        sobolev_check(ProductDistribution.bernoulli(0.5), f_lin, [2.0], cfg)
+        sobolev_check(ProductDistribution("bernoulli", p=0.5), f_lin, [2.0], cfg)
 
 
 @pytest.mark.parametrize("size", [0, -3])
@@ -314,20 +315,22 @@ def test_hermite_convergence_rejects_inner_size_below_one(size):
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
-@given(st.integers(1, 9), st.integers(1, 4), st.booleans())
-def test_symmetric_stack_matches_entrywise_fill(n, rows, own_diagonal):
+@given(st.integers(1, 9), st.integers(1, 4))
+def test_symmetric_stack_matches_entrywise_fill(n, rows):
     m = n * (n - 1) // 2
-    values = np.arange(rows * (m + (n if own_diagonal else 1)), dtype=float).reshape(rows, -1)
+    values = np.arange(rows * (m + n), dtype=float).reshape(rows, -1)
     got = symmetric_stack(values, n)
     for r in range(rows):
         upper = iter(values[r])
         for i in range(n):
             for j in range(i + 1, n):
                 assert got[r, i, j] == got[r, j, i] == next(upper)
-        diag = [next(upper) for _ in range(n)] if own_diagonal else [values[r, m]] * n
-        assert got[r].diagonal().tolist() == diag
+        assert got[r].diagonal().tolist() == [next(upper) for _ in range(n)]
     with pytest.raises(ValueError):
         symmetric_stack(values[:, :-1], n + 2)
+    if n > 1:   # one entry shared by the whole diagonal is not a row layout
+        with pytest.raises(ValueError):
+            symmetric_stack(values[:, :m + 1], n)
 
 
 # finite coefficients whose sample deviations overflow in their squares
@@ -346,7 +349,7 @@ def test_estimators_refuse_moments_that_overflow():
                 run()
         # at 1e60 the squares of the p = 2 powers fit and those of the p = 4 powers do not
         with pytest.raises(ValueError, match="p=4 moment is not finite"):
-            empirical_moment(Polynomial(1, {((1, 1),): 1e60}), ProductDistribution.gaussian(),
+            empirical_moment(Polynomial(1, {((1, 1),): 1e60}), ProductDistribution("gaussian"),
                              [2.0, 4.0], cfg)
 
 
@@ -396,3 +399,30 @@ def test_mean_stderr_refuses_a_mean_or_stderr_that_is_not_finite():
         for values in (np.full(4, 1e308), np.array([1e200, -1e200]), np.array([np.nan])):
             with pytest.raises(ValueError, match="mean of x or its standard error"):
                 montecarlo._mean_stderr(values, "x")
+
+
+def _sandwich(window):
+    bound_fn = lambda f, d, p: gaussian_moment_bound(f, d, p).total
+    return lambda cfg: sandwich_check(X1X2, GAUSS, [2.0], cfg, bound_fn, window=window)
+
+
+@pytest.mark.parametrize("run,message", [
+    # a negative tail point, on each path that reads one
+    (lambda cfg: empirical_tail(X1X2, GAUSS, -1.0, cfg), "t=-1 must be nonnegative"),
+    (lambda cfg: er_tail_experiment(GraphSpec.cycle(3), 5, 0.5, cfg, eps=-1.0),
+     "t=-1.25 must be nonnegative"),
+    (lambda cfg: er_tail_experiment(GraphSpec.cycle(4), 6, 0.5, cfg, t_list=[1.0, -0.5]),
+     "t=-0.5 must be nonnegative"),
+    (lambda cfg: wigner_experiment(Polynomial(1, {((1, 2),): 1.0}), WignerSpec(5), cfg,
+                                   t_list=[-1.0]), "t=-1 must be nonnegative"),
+    # a ratio window that is not 0 <= low <= high would judge every row `fail`
+    (_sandwich((10.0, 0.1)), "ratio window (10, 0.1) needs 0 <= low <= high"),
+    (_sandwich((-0.5, 2.0)), "ratio window (-0.5, 2) needs 0 <= low <= high"),
+    (_sandwich((math.nan, 1.0)), "ratio window (nan, 1) needs 0 <= low <= high")])
+def test_bad_input_is_refused_before_sampling(run, message, monkeypatch):
+    def refuse(fn, cfg):
+        raise AssertionError("sampled before the input was checked")
+    for module in ("concentro.montecarlo", "concentro.graphs", "concentro.rmt"):
+        monkeypatch.setattr(f"{module}._run_chunks", refuse)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run(MCConfig(N=1000, seed=0))

@@ -90,7 +90,7 @@ def test_masking_factors(case, data):
     bound = norm_J(a, part).value * (1 + 1e-9)
     pairs = lambda k: k * (k - 1) / 2
     for mask, factor in ((IndexMask.generalized_diagonal(subset), 1.0),
-                         (IndexMask.level_set(level), 2.0 ** pairs(level.n_blocks)),
+                         (IndexMask("level-set", partition=level), 2.0 ** pairs(level.n_blocks)),
                          (IndexMask.off_diagonal(), 2.0 ** pairs(a.order))):
         assert norm_J(apply_mask(a, mask), part).value <= factor * bound
 
@@ -110,8 +110,8 @@ def sparse_polynomial(draw):
     return Polynomial(nvars, terms)
 
 
-LAWS = [ProductDistribution.gaussian(), ProductDistribution.bernoulli(0.3),
-        ProductDistribution.weibull(1.5)]
+LAWS = [ProductDistribution("gaussian"), ProductDistribution("bernoulli", p=0.3),
+        ProductDistribution("weibull", alpha=1.5)]
 
 
 @PROPERTY_SETTINGS

@@ -110,7 +110,7 @@ def test_norm_dominated_by_frobenius_and_merge_monotone():
     rng = np.random.default_rng(102)
     for _ in range(20):
         a = Tensor(rng.standard_normal((3, 3, 3)))
-        fro = norm_J(a, SetPartition.full(3)).value
+        fro = norm_J(a, SetPartition.parse("1,2,3")).value
         for part in enumerate_partitions(3):
             val = norm_J(a, part, OPTS).value
             assert val <= fro + 1e-8
@@ -157,7 +157,7 @@ def test_level_set_mask_inequality():
         a = Tensor(rng.standard_normal((3,) * d))
         parts = enumerate_partitions(d)
         k = parts[int(rng.integers(len(parts)))]
-        masked = apply_mask(a, IndexMask.level_set(k))
+        masked = apply_mask(a, IndexMask("level-set", partition=k))
         factor = 2.0 ** (k.n_blocks * (k.n_blocks - 1) / 2)
         for part in parts:
             lhs = norm_J(masked, part, OPTS).value

@@ -154,8 +154,8 @@ def test_enumeration_order_is_deterministic():
     second = enumerate_partitions(4)
     assert first == second
     # restricted-growth order starts with the single block, ends with singletons
-    assert first[0] == SetPartition.full(4)
-    assert first[-1] == SetPartition.singletons(4)
+    assert first[0] == SetPartition.parse("1,2,3,4")
+    assert first[-1] == SetPartition.parse("1|2|3|4")
 
 
 def _restricted_growth_partitions(elements):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concentro.poly import (
-    HermiteCoeffs,
     Polynomial,
     ProductDistribution,
     derivative_tensor_at,
@@ -20,14 +19,14 @@ from concentro.poly import (
     polynomial_to_dict,
     save_polynomial,
 )
-from oracles import hermite_combination
+from oracles import hermite_combination, hermite_polynomial
 
 X1X2 = Polynomial(2, {((1, 1), (2, 1)): 1.0})
 
 
 def test_evaluate_examples():
     assert X1X2.evaluate_batch([[2.0, 3.0]])[0] == 6.0
-    assert Polynomial.zero(3).evaluate_batch([[1.0, 2.0, 3.0]])[0] == 0.0
+    assert Polynomial(3).evaluate_batch([[1.0, 2.0, 3.0]])[0] == 0.0
     f = Polynomial(2, {((1, 2),): 1.0, ((2, 1),): 2.0})
     assert f.evaluate_batch([[1.0, 1.0]])[0] == 3.0
     with pytest.raises(ValueError):
@@ -70,7 +69,7 @@ def test_partial_derivatives():
 
 
 def test_expected_derivative_examples():
-    gauss = ProductDistribution.gaussian()
+    gauss = ProductDistribution("gaussian")
     f = Polynomial(2, {((1, 1),): 3.0, ((2, 2),): 1.0})
     d1 = expected_derivative_tensor(f, gauss, 1)
     assert np.array_equal(d1.values, np.array([3.0, 0.0]))
@@ -85,7 +84,7 @@ def test_expected_derivative_examples():
 
 def test_expected_derivative_symmetry_and_linearity():
     rng = np.random.default_rng(1)
-    dist = ProductDistribution.gaussian()
+    dist = ProductDistribution("gaussian")
     f = Polynomial(3, {((1, 2), (2, 1)): 1.5, ((2, 1), (3, 2)): -0.5, ((1, 1),): 2.0})
     g = Polynomial(3, {((1, 1), (2, 1), (3, 1)): 1.0, ((3, 4),): 0.25})
     for d in (1, 2, 3):
@@ -111,7 +110,7 @@ def test_tetrahedral_top_derivative_is_factorial_times_coefficients():
     for combo in itertools.combinations(range(n), D):
         terms[tuple((v + 1, 1) for v in combo)] = a[combo] * math.factorial(D)
     f = Polynomial(n, terms)
-    for dist in (ProductDistribution.gaussian(), ProductDistribution.rademacher()):
+    for dist in (ProductDistribution("gaussian"), ProductDistribution("rademacher")):
         top = expected_derivative_tensor(f, dist, D).values
         assert np.allclose(top, math.factorial(D) * a, atol=1e-12)
         # lower-order expected derivatives vanish under centered laws
@@ -143,48 +142,52 @@ def test_finite_difference_cross_check():
 
 
 def test_moments_by_law():
-    g = ProductDistribution.gaussian()
+    g = ProductDistribution("gaussian")
     assert [g.moment(k) for k in range(7)] == [1, 0, 1, 0, 3, 0, 15]
-    r = ProductDistribution.rademacher()
+    r = ProductDistribution("rademacher")
     assert [r.moment(k) for k in range(5)] == [1, 0, 1, 0, 1]
-    b = ProductDistribution.bernoulli(0.3)
+    b = ProductDistribution("bernoulli", p=0.3)
     assert [b.moment(k) for k in range(4)] == [1.0, 0.3, 0.3, 0.3]
-    w = ProductDistribution.weibull(1.0)
+    w = ProductDistribution("weibull", alpha=1.0)
     assert w.moment(2) == pytest.approx(math.gamma(3.0))
-    w2 = ProductDistribution.weibull(2.0)
+    w2 = ProductDistribution("weibull", alpha=2.0)
     assert w2.moment(2) == pytest.approx(1.0)
     assert w2.moment(3) == 0.0
-    c = ProductDistribution.custom([1.0, 0.5, 2.0])
+    c = ProductDistribution("custom", moments_table=[1.0, 0.5, 2.0])
     assert c.moment(2) == 2.0
+    # the table is kept as a tuple of floats, so equal tables give equal laws
+    assert c.moments_table == (1.0, 0.5, 2.0)
+    assert c == ProductDistribution("custom", moments_table=(1, 0.5, 2))
+    assert hash(c) == hash(ProductDistribution("custom", moments_table=(1, 0.5, 2)))
     with pytest.raises(ValueError):
         c.moment(3)
 
 
 def test_psi2_and_sobolev_defaults():
-    assert ProductDistribution.gaussian().psi2 == pytest.approx(math.sqrt(8 / 3))
-    assert ProductDistribution.bernoulli(0.5).psi2 == pytest.approx(
+    assert ProductDistribution("gaussian").psi2 == pytest.approx(math.sqrt(8 / 3))
+    assert ProductDistribution("bernoulli", p=0.5).psi2 == pytest.approx(
         math.sqrt(2) / math.sqrt(math.log(4.0)))
-    assert ProductDistribution.gaussian().sobolev == (1.0, 0.5)
-    assert ProductDistribution.bernoulli(0.5).sobolev is None
-    assert ProductDistribution.weibull(1.5).psi2 is None
+    assert ProductDistribution("gaussian").sobolev == (1.0, 0.5)
+    assert ProductDistribution("bernoulli", p=0.5).sobolev is None
+    assert ProductDistribution("weibull", alpha=1.5).psi2 is None
 
 
 def test_expected_value():
-    dist = ProductDistribution.gaussian()
+    dist = ProductDistribution("gaussian")
     f = Polynomial(2, {((1, 2),): 1.0, ((2, 1),): 5.0, (): 2.0})
     assert expected_value(f, dist) == pytest.approx(3.0)
-    b = ProductDistribution.bernoulli(0.25)
+    b = ProductDistribution("bernoulli", p=0.25)
     assert expected_value(X1X2, b) == pytest.approx(0.0625)
 
 
 def test_hermite_coefficients():
-    assert hermite(0).coeffs == (1,)
-    assert hermite(1).coeffs == (0, 1)
-    assert hermite(2).coeffs == (-1, 0, 1)
-    assert hermite(3).coeffs == (0, -3, 0, 1)
+    assert hermite(0) == (1,)
+    assert hermite(1) == (0, 1)
+    assert hermite(2) == (-1, 0, 1)
+    assert hermite(3) == (0, -3, 0, 1)
     # recurrence invariant and leading coefficient one
     for k in range(2, 13):
-        hk, hk1, hk2 = hermite(k).coeffs, hermite(k - 1).coeffs, hermite(k - 2).coeffs
+        hk, hk1, hk2 = hermite(k), hermite(k - 1), hermite(k - 2)
         assert hk[-1] == 1
         shifted = (0,) + hk1
         expect = [shifted[i] - (k - 1) * (hk2[i] if i < len(hk2) else 0)
@@ -196,9 +199,9 @@ def test_hermite_coefficients():
 
 def test_hermite_derivative_moment_identity_small():
     # E h_k^(l)(g) = k! when l = k and 0 otherwise, through the symbolic pipeline
-    dist = ProductDistribution.gaussian()
+    dist = ProductDistribution("gaussian")
     for k in range(0, 4):
-        f = hermite(k).to_polynomial()
+        f = hermite_polynomial(k)
         assert expected_value(f, dist) == pytest.approx(1.0 if k == 0 else 0.0, abs=0)
         for l in range(1, 4):
             got = expected_derivative_tensor(f, dist, l).values.ravel()[0]
@@ -244,7 +247,7 @@ def test_hermite_expansion_is_exact_for_non_dyadic_coefficients():
 
 @pytest.mark.parametrize("k", range(7))
 def test_hermite_expansion_of_a_hermite_polynomial_is_itself(k):
-    assert hermite_expansion(hermite(k).to_polynomial()) == {(k,): 1.0}
+    assert hermite_expansion(hermite_polynomial(k)) == {(k,): 1.0}
 
 
 @st.composite
@@ -284,9 +287,9 @@ def test_distribution_config_round_trip():
     with pytest.raises(ValueError):
         ProductDistribution("cauchy")
     with pytest.raises(ValueError):
-        ProductDistribution.bernoulli(0.0)
+        ProductDistribution("bernoulli", p=0.0)
     with pytest.raises(ValueError):
-        ProductDistribution.weibull(3.0)
+        ProductDistribution("weibull", alpha=3.0)
 
 
 def test_distribution_config_without_law_parameter_is_a_value_error():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concentro import rmt
+from concentro import montecarlo, rmt
 from concentro.montecarlo import MCConfig, chunk_rng
 from concentro.poly import Polynomial
 from concentro.rmt import (
@@ -82,7 +82,7 @@ def test_hoffman_wielandt_on_random_pairs():
 
 
 def test_semicircle_moments():
-    assert semicircle_integral(Polynomial.constant(1, 1.0)) == 1.0
+    assert semicircle_integral(Polynomial(1, {(): 1.0})) == 1.0
     assert semicircle_integral(X_SQ) == 1.0
     assert semicircle_integral(Polynomial(1, {((1, 4),): 1.0})) == 2.0
     assert semicircle_integral(Polynomial(1, {((1, 6),): 1.0})) == 5.0
@@ -101,10 +101,10 @@ def test_linstat_bound_closed_form_for_square():
     assert sup_abs_on_interval(X_SQ.partial(1).partial(1)) == pytest.approx(2.0)
     # interior maximum 1 at x = a, midway between two nodes of a 10k-point grid
     a = -4.0 + 5000.5 * 8.0 / 9999
-    shifted = X - Polynomial.constant(1, a)
-    g = Polynomial.constant(1, 1.0) - shifted * shifted * (1 / 25)
+    shifted = X - Polynomial(1, {(): a})
+    g = Polynomial(1, {(): 1.0}) - shifted * shifted * (1 / 25)
     assert sup_abs_on_interval(g) == pytest.approx(1.0, abs=1e-12)
-    assert sup_abs_on_interval(Polynomial.constant(1, -3.0)) == 3.0
+    assert sup_abs_on_interval(Polynomial(1, {(): -3.0})) == 3.0
     assert sup_abs_on_interval(X * X * X) == pytest.approx(64.0, abs=1e-12)
 
 
@@ -257,7 +257,7 @@ def test_wigner_experiment_does_not_depend_on_the_block_size(f, n, monkeypatch):
     # 145 matrices per block at n = 30 and 13 at n = 100, then one per block
     args = (f, WignerSpec(n), MCConfig(N=60, seed=48, batch=40), (1.0, 5.0))
     whole = wigner_experiment(*args)
-    monkeypatch.setattr(rmt, "_TRACE_BLOCK_BYTES", 1)
+    monkeypatch.setattr(montecarlo, "_STACK_BLOCK_BYTES", 1)
     assert wigner_experiment(*args) == whole
 
 

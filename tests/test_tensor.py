@@ -68,10 +68,10 @@ def test_generalized_diagonal_mask():
 
 def test_level_set_masks():
     ones2 = Tensor(np.ones((3, 3)))
-    off = apply_mask(ones2, IndexMask.level_set(SetPartition.parse("1|2")))
+    off = apply_mask(ones2, IndexMask("level-set", partition=SetPartition.parse("1|2")))
     assert np.array_equal(off.values, np.ones((3, 3)) - np.eye(3))
     ones3 = Tensor(np.ones((2, 2, 2)))
-    diag = apply_mask(ones3, IndexMask.level_set(SetPartition.parse("1,2,3")))
+    diag = apply_mask(ones3, IndexMask("level-set", partition=SetPartition.parse("1,2,3")))
     assert diag.values.sum() == 2
     assert diag.values[0, 0, 0] == 1 and diag.values[1, 1, 1] == 1
 
@@ -82,7 +82,7 @@ def test_level_sets_partition_the_index_set():
         a = Tensor(rng.standard_normal((m,) * d))
         total = np.zeros((m,) * d)
         for part in enumerate_partitions(d):
-            total += apply_mask(a, IndexMask.level_set(part)).values
+            total += apply_mask(a, IndexMask("level-set", partition=part)).values
         assert np.allclose(total, a.values, atol=0)
 
 
@@ -91,7 +91,7 @@ def test_masks_idempotent():
     a = Tensor(rng.standard_normal((3, 3, 3)))
     masks = [
         IndexMask.generalized_diagonal((1, 3)),
-        IndexMask.level_set(SetPartition.parse("1,2|3")),
+        IndexMask("level-set", partition=SetPartition.parse("1,2|3")),
         IndexMask.off_diagonal(),
     ]
     for mk in masks:
@@ -104,7 +104,7 @@ def test_off_diagonal_matches_singleton_level_set():
     rng = np.random.default_rng(7)
     a = Tensor(rng.standard_normal((3, 3, 3)))
     off = apply_mask(a, IndexMask.off_diagonal())
-    lvl = apply_mask(a, IndexMask.level_set(SetPartition.singletons(3)))
+    lvl = apply_mask(a, IndexMask("level-set", partition=SetPartition.parse("1|2|3")))
     assert np.array_equal(off.values, lvl.values)
 
 
