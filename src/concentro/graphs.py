@@ -5,11 +5,13 @@ graph is its edge set: its automorphism count, and whether it is a cycle, are
 computed from its edges.
 
 The experiment samples and counts each Monte Carlo chunk in blocks of
-`montecarlo._stack_block(n)` graphs, about 1 MB of adjacency, so that a
-block's adjacency stack and its matrix powers stay near the size of a core's
-L2 cache whatever the chunk size.  The counts do not depend on the block size:
-the blocks draw in sequence from the chunk's generator, the same bits as one
-whole-chunk draw, and every count is an exact integer.
+`montecarlo._stack_block(n)` graphs, so that a block's adjacency stack and its
+matrix powers stay near the size of a core's L2 cache whatever the chunk size:
+the rule sizes a block for 1 MB of float64 matrices, and the float32 stacks
+take half of that (36 graphs of about 512 KB at n = 60).  The counts do not
+depend on the block size: the blocks draw in sequence from the chunk's
+generator, the same bits as one whole-chunk draw, and every count is an exact
+integer, the float32 matrix powers included (`count_cycles_trace`).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .montecarlo import (
     tail_rows,
 )
 from .partitions import SetPartition
-from .poly import Polynomial
+from .poly import Polynomial, bernoulli_bits
 
 MAX_TRACE_CYCLE = 5   # the longest cycle `count_cycles_trace` counts
 
@@ -283,36 +285,50 @@ def cycle_tail_bound(k: int, n: int, p: float, t: float, c: float = 1.0) -> floa
 # Erdos-Renyi experiment
 
 def sample_adjacency(n: int, p: float, rng: np.random.Generator, rows: int) -> np.ndarray:
-    """rows symmetric 0/1 adjacency matrices with i.i.d. upper-triangle edges,
-    drawn graph after graph, each upper triangle row by row."""
+    """rows symmetric 0/1 adjacency matrices, as float32, with i.i.d.
+    upper-triangle edges drawn graph after graph, each upper triangle row by
+    row: the edge bits of `rng.random((rows, n(n-1)/2)) < p`, read from the
+    raw generator words (`bernoulli_bits`)."""
     m = n * (n - 1) // 2
     bits = np.zeros((rows, m + n), dtype=bool)   # the last n columns are the zero diagonal
-    np.less(rng.random((rows, m)), p, out=bits[:, :m])
-    return symmetric_stack(bits, n).astype(float)
+    bits[:, :m] = bernoulli_bits(rng, p, (rows, m))
+    return symmetric_stack(bits, n).astype(np.float32)
 
 
 def count_cycles_trace(a: np.ndarray, k: int) -> np.ndarray:
-    """Cycle counts per stacked adjacency matrix via closed-walk corrections.
+    """Cycle counts per stacked 0/1 adjacency matrix via closed-walk
+    corrections, exact.
 
-    k = 3 and 4 take one matrix product (tr A^3 is the entrywise sum of
-    A^2 * A), k = 5 two.  Every product entry and every sum is an integer far
-    below 2**53, so the counts are exact whatever the order of summation."""
+    The powers are float32 products: k = 3 and 4 take A^2 (tr A^3 is the
+    entrywise sum of A^2 * A, and the degrees are diag(A^2)), k = 5 also A^3.
+    An entry of A^2 is at most n-1 and one of A^3 at most (n-1)^2, and the
+    terms are nonnegative, so every partial sum is an integer of at most
+    (n-1)^2 <= 2**24 and exact in float32 while n <= 4097.  The traces and
+    corrections are summed in float64, where a closed-walk total is at most
+    n (n-1)^(k-1): exact while that is at most 2**53 (n <= 1552 at k = 5).
+    Past either bound the input is refused before any product."""
     if not 3 <= k <= MAX_TRACE_CYCLE:
         raise ValueError(f"trace-based counting covers cycle lengths 3..{MAX_TRACE_CYCLE} only")
+    n = a.shape[-1]
+    if (n - 1) ** 2 > 2**24 or n * (n - 1) ** (k - 1) > 2**53:
+        raise ValueError(f"the {k}-cycle trace count is exact up to (n-1)^2 = 2^24 and"
+                         f" n (n-1)^(k-1) = 2^53, got n = {n}")
+    a = np.asarray(a, dtype=np.float32)
     if a.ndim == 2:
         a = a[None]
     a2 = np.matmul(a, a)
     if k == 3:
-        return np.einsum("bij,bij->b", a2, a) / 6.0
-    deg = a.sum(axis=2)
+        return np.einsum("bij,bij->b", a2, a, dtype=np.float64) / 6.0
+    deg = np.diagonal(a2, axis1=1, axis2=2)
     if k == 4:
-        tr4 = np.einsum("bij,bij->b", a2, a2)
-        edges = deg.sum(axis=1) / 2.0
-        return (tr4 - 2.0 * (deg**2).sum(axis=1) + 2.0 * edges) / 8.0
+        tr4 = np.einsum("bij,bij->b", a2, a2, dtype=np.float64)
+        deg_squares = np.einsum("bi,bi->b", deg, deg, dtype=np.float64)
+        return (tr4 - 2.0 * deg_squares + deg.sum(axis=1, dtype=np.float64)) / 8.0
     a3 = np.matmul(a2, a)
     diag3 = np.diagonal(a3, axis1=1, axis2=2)
-    tr5 = np.einsum("bij,bij->b", a2, a3)
-    return (tr5 - 5.0 * diag3.sum(axis=1) - 5.0 * ((deg - 2.0) * diag3).sum(axis=1)) / 10.0
+    tr5 = np.einsum("bij,bij->b", a2, a3, dtype=np.float64)
+    return (tr5 - 5.0 * diag3.sum(axis=1, dtype=np.float64)
+            - 5.0 * np.einsum("bi,bi->b", deg - 2.0, diag3, dtype=np.float64)) / 10.0
 
 
 def expected_cycle_count(k: int, n: int, p: float) -> float:

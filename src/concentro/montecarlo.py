@@ -11,7 +11,8 @@ matrices (Erdos-Renyi adjacency, Wigner) from `symmetric_stack`, whose rows
 have one layout: the n(n-1)/2 upper-triangle entries row by row, then the n
 diagonal entries.  A stack of n x n float matrices is worked through in blocks
 of `_stack_block(n)` = max(1, _STACK_BLOCK_BYTES // (8 n^2)) matrices, about
-1 MB (the Erdos-Renyi counts and the Wigner power traces).  Moment orders
+1 MB of float64 (the Wigner power traces) and half that of the float32
+Erdos-Renyi adjacency and its powers.  Moment orders
 are an argument of the estimators that take them (`empirical_moment`,
 `chaos_moment`, `sandwich_check`, `sobolev_check`), not of `MCConfig`, and
 `_moment_orders` alone checks them.

@@ -5,7 +5,9 @@ derivative tensors built by coordinatewise moment substitution, and the
 probabilists' Hermite polynomials (`hermite(k)` is the tuple of h_k's
 coefficients).  Each value has one constructor: a polynomial is
 `Polynomial(nvars, terms)`, a constant c being the term {(): c}, and a law is
-`ProductDistribution(law, p=.., alpha=.., moments_table=..)`.  One routine,
+`ProductDistribution(law, p=.., alpha=.., moments_table=..)`, each parameter
+refused for a law that does not take it.  A Bernoulli bit is one
+`bernoulli_bits` call, which reads the generator's raw words.  One routine,
 `_substitute`, puts a moment, a coordinate's power or a semicircle moment in
 place of each remaining power of every monomial: each derivative tensor,
 expected value and semicircle integral is one call of it, order 0 giving the
@@ -139,6 +141,28 @@ class Polynomial:
 
 _LAWS = ("gaussian", "rademacher", "bernoulli", "weibull", "custom")
 
+# the bit generators whose double is the top 53 bits of one raw 64-bit word
+# times 2**-53 (MT19937 builds its double from two 32-bit words)
+_WORD_DOUBLE_GENERATORS = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM,
+                           np.random.SFC64)
+
+
+def bernoulli_bits(rng: np.random.Generator, p: float, shape) -> np.ndarray:
+    """The bool array `rng.random(shape) < p`, bit for bit and leaving `rng` in
+    the same state, read from the raw words without forming the doubles: a
+    double is (w >> 11) * 2**-53 for one 64-bit word w, so it is below p exactly
+    when w >> 11 < ceil(p * 2**53).  p must lie in [0, 1], where that bound is a
+    uint64, and the generator's doubles must be built that way."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"a Bernoulli probability must be in [0, 1], got p={p}")
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, _WORD_DOUBLE_GENERATORS):
+        raise ValueError(f"{type(bitgen).__name__} doubles are not the top 53 bits of one"
+                         " 64-bit word, so its raw words give no Bernoulli bits")
+    words = bitgen.random_raw(shape)
+    words >>= np.uint64(11)
+    return words < np.uint64(math.ceil(p * 2.0**53))
+
 
 @dataclass(frozen=True)
 class ProductDistribution:
@@ -161,6 +185,8 @@ class ProductDistribution:
             raise ValueError(f"{self.law} law takes no p (bernoulli only)")
         if self.alpha is not None and self.law != "weibull":
             raise ValueError(f"{self.law} law takes no alpha (weibull only)")
+        if self.moments_table is not None and self.law != "custom":
+            raise ValueError(f"{self.law} law takes no moments_table (custom only)")
         if self.law == "custom" and not self.moments_table:
             raise ValueError("custom law needs a moments table")
         if self.moments_table is not None:
@@ -217,7 +243,7 @@ class ProductDistribution:
         if self.law == "rademacher":
             return 2.0 * rng.integers(0, 2, size=shape) - 1.0
         if self.law == "bernoulli":
-            return (rng.random(shape) < self.p).astype(float)
+            return bernoulli_bits(rng, self.p, shape).astype(float)
         if self.law == "weibull":
             u = rng.random(shape)
             mag = (-np.log1p(-u)) ** (1.0 / self.alpha)

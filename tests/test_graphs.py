@@ -335,7 +335,7 @@ def test_sample_adjacency_matches_the_scatter_build():
         a = np.zeros((rows, n, n))
         a[:, iu[0], iu[1]] = (chunk_rng(35, n).random((rows, iu[0].size)) < 0.3).astype(float)
         a += np.transpose(a, (0, 2, 1))
-        assert np.array_equal(got, a)
+        assert got.dtype == np.float32 and np.array_equal(got, a)
 
 
 def test_trace_counts_known_graphs_k5():
@@ -349,6 +349,28 @@ def test_trace_counts_known_graphs_k5():
     assert count_cycles_trace(full6, 5)[0] == pytest.approx(72.0)
     with pytest.raises(ValueError):
         count_cycles_trace(full6, 6)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_trace_counts_of_the_largest_experiment_graph_are_exact(k):
+    # K_200, the experiment's cap, holds the largest value of every intermediate
+    full = np.ones((200, 200), dtype=np.float32) - np.eye(200, dtype=np.float32)
+    assert count_cycles_trace(full, k)[0] == math.perm(200, k) / (2 * k)
+
+
+def test_trace_counts_do_not_depend_on_the_input_precision():
+    stack = sample_adjacency(40, 0.5, chunk_rng(37, 0), 6)
+    for k in (3, 4, 5):
+        assert np.array_equal(count_cycles_trace(stack.astype(np.float64), k),
+                              count_cycles_trace(stack.astype(np.float32), k))
+
+
+@pytest.mark.parametrize("k,n", [(3, 4098), (4, 4098), (5, 4098), (5, 1553)])
+def test_trace_counts_refuse_graphs_past_the_exact_range(k, n):
+    # a (1, n, n) view of one zero row: refused from its shape, before any product
+    a = np.broadcast_to(np.zeros(1, dtype=np.float32), (1, n, n))
+    with pytest.raises(ValueError, match=f"got n = {n}"):
+        count_cycles_trace(a, k)
 
 
 def test_polynomial_count_equals_trace_count():

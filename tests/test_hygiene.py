@@ -233,6 +233,43 @@ def test_only_eigenvalues_symmetric_calls_the_eigensolver():
     assert found == [] and inside == 1
 
 
+def _compares_a_uniform_draw(node):
+    """Whether `node` compares the result of a `.random(...)` call by order,
+    as an operand of `<`, `<=`, `>` or `>=` or an argument of `np.less` and
+    its kin."""
+    def drawn(n):
+        return (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and n.func.attr == "random")
+    if isinstance(node, ast.Compare):
+        return (any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops)
+                and any(map(drawn, [node.left, *node.comparators])))
+    return (isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None))
+            in {"less", "less_equal", "greater", "greater_equal"}
+            and any(map(drawn, node.args)))
+
+
+def test_only_bernoulli_bits_reads_raw_words():
+    """One Bernoulli-bit routine: `random_raw` is read only inside
+    `poly.bernoulli_bits`, and no uniform draw of the package is compared with
+    a probability; a Bernoulli bit is a `bernoulli_bits` call."""
+    found, inside = [], 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        home = {id(node) for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef) and (path.name, fn.name)
+                == ("poly.py", "bernoulli_bits") for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "random_raw":
+                if id(node) in home:
+                    inside += 1
+                else:
+                    found.append(f"{path.name}:{node.lineno} random_raw")
+            elif _compares_a_uniform_draw(node):
+                found.append(f"{path.name}:{node.lineno} compares a uniform draw")
+    assert found == [] and inside == 1
+
+
 def test_every_parameter_is_read():
     """Every parameter of every def in the package is read in its body, so no
     argument goes unused or restates another input.  A method's self or cls

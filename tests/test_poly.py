@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from concentro.poly import (
     Polynomial,
     ProductDistribution,
+    bernoulli_bits,
     derivative_tensor_at,
     expected_derivative_tensor,
     expected_value,
@@ -302,7 +303,30 @@ def test_distribution_config_without_law_parameter_is_a_value_error():
 
 @pytest.mark.parametrize("law,kwargs,name", [("gaussian", {"alpha": 1.5}, "alpha"),
                                              ("rademacher", {"p": 0.3}, "p"),
-                                             ("weibull", {"alpha": 1.5, "p": 0.3}, "p")])
+                                             ("weibull", {"alpha": 1.5, "p": 0.3}, "p"),
+                                             ("gaussian", {"moments_table": (1, 0, 5)},
+                                              "moments_table")])
 def test_law_parameter_of_another_law_is_rejected(law, kwargs, name):
     with pytest.raises(ValueError, match=f"{law} law takes no {name}"):
         ProductDistribution(law, **kwargs)
+
+
+@pytest.mark.parametrize("bitgen", [np.random.Philox, np.random.PCG64, np.random.PCG64DXSM,
+                                    np.random.SFC64])
+@pytest.mark.parametrize("p", [0.0, 2.0**-53, 0.1, 0.3, 0.5, 1.0 - 2.0**-53, 1.0])
+def test_bernoulli_bits_are_the_bits_of_uniform_doubles(bitgen, p):
+    # 7 x 33 words: not a multiple of Philox's four words per block
+    ours, theirs = np.random.Generator(bitgen(5)), np.random.Generator(bitgen(5))
+    bits = bernoulli_bits(ours, p, (7, 33))
+    assert bits.dtype == bool
+    assert np.array_equal(bits, theirs.random((7, 33)) < p)
+    assert np.array_equal(ours.random(5), theirs.random(5))
+
+
+def test_bernoulli_bits_refuse_a_bad_p_or_generator():
+    rng = np.random.Generator(np.random.Philox(5))
+    for p in (-0.1, 1.1, math.nan):
+        with pytest.raises(ValueError, match="must be in \\[0, 1\\]"):
+            bernoulli_bits(rng, p, 3)
+    with pytest.raises(ValueError, match="MT19937"):
+        bernoulli_bits(np.random.Generator(np.random.MT19937(5)), 0.5, 3)
