@@ -3,29 +3,22 @@ polynomials of independent coordinates, and Monte Carlo verification tools."""
 
 __version__ = "0.1.0"
 
-from .partitions import SetPartition, SplitPartition, enumerate_partitions, enumerate_splits, refines
+from .partitions import SetPartition, SplitPartition, enumerate_partitions, enumerate_splits
 from .tensor import (
     IndexMask,
     Tensor,
     apply_mask,
-    contract,
-    hadamard,
-    hadamard_rank_one,
     load_tensor,
-    save_tensor,
     symmetrize,
 )
 from .norms import NormOptions, NormResult, mixed_norm, norm_J, norm_J_bruteforce
 from .poly import (
     Polynomial,
     ProductDistribution,
-    derivative_tensor_at,
     expected_derivative_tensor,
-    expected_value,
     hermite,
     hermite_expansion,
     load_polynomial,
-    save_polynomial,
 )
 from .bounds import (
     BoundReport,
@@ -53,13 +46,10 @@ from .graphs import (
     counting_polynomial,
     er_tail_experiment,
     subgraph_norm_bound,
-    triangle_norms_exact,
 )
 from .rmt import (
     WignerSpec,
     eigenvalues_symmetric,
-    hoffman_wielandt_gap,
-    linear_statistic,
     linstat_tail_bound,
     semicircle_integral,
     wigner_experiment,

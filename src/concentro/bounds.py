@@ -167,6 +167,7 @@ def eta_tail(f: Polynomial, dist: ProductDistribution, t: float, L: float,
         raise ValueError(f"t={t} must be positive and finite")
     if not 0 < L < math.inf:
         raise ValueError(f"L={L} must be positive and finite")
+    two_sided_tail((), c_d)   # a bad c_d fails here, before any norm is solved
 
     def term(d, J, norm):
         expo = 2.0 / J.n_blocks

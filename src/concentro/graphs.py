@@ -1,8 +1,7 @@
 """Subgraph counting over Erdos-Renyi graphs: counting polynomials in edge
-variables, closed-form triangle derivative norms, one combinatorial norm bound
-for every pattern, and the cycle tail experiment against the bounds.  A pattern
-graph is its edge set: its automorphism count, and whether it is a cycle, are
-computed from its edges.
+variables, one combinatorial norm bound for every pattern, and the cycle tail
+experiment against the bounds.  A pattern graph is its edge set: its
+automorphism count, and whether it is a cycle, are computed from its edges.
 
 The experiment samples and counts each Monte Carlo chunk in blocks of
 `montecarlo._stack_block(n)` graphs, so that a block's adjacency stack and its
@@ -160,35 +159,7 @@ def counting_polynomial(h: GraphSpec, n: int) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# closed forms and combinatorial bounds
-
-@dataclass(frozen=True)
-class TriangleNorms:
-    """Exact derivative-tensor norms for the unordered triangle count, plus the
-    two upper caps for the mixed third-order partitions."""
-
-    d1: float
-    d2_operator: float
-    d2_hs: float
-    d3_hs: float
-    d3_two_block_cap: float
-    d3_singleton_cap: float
-
-
-def triangle_norms_exact(n: int, p: float) -> TriangleNorms:
-    if n < 3:
-        raise ValueError("triangle norms need n >= 3")
-    if not 0 < p <= 1:
-        raise ValueError("edge probability p must be in (0, 1]")
-    return TriangleNorms(
-        d1=(n - 2) * p**2 * math.sqrt(n * (n - 1) / 2.0),
-        d2_operator=2.0 * p * (n - 2),
-        d2_hs=p * math.sqrt(n * (n - 1) * (n - 2)),
-        d3_hs=math.sqrt(n * (n - 1) * (n - 2)),
-        d3_two_block_cap=math.sqrt(2.0 * n),
-        d3_singleton_cap=2.0**1.5,
-    )
-
+# combinatorial bounds
 
 def _isolated_edge_count(edges) -> int:
     """Edges sharing a vertex with no other edge of the list: as the edges are
@@ -303,10 +274,13 @@ def count_cycles_trace(a: np.ndarray, k: int) -> np.ndarray:
     entrywise sum of A^2 * A, and the degrees are diag(A^2)), k = 5 also A^3.
     An entry of A^2 is at most n-1 and one of A^3 at most (n-1)^2, and the
     terms are nonnegative, so every partial sum is an integer of at most
-    (n-1)^2 <= 2**24 and exact in float32 while n <= 4097.  The traces and
-    corrections are summed in float64, where a closed-walk total is at most
-    n (n-1)^(k-1): exact while that is at most 2**53 (n <= 1552 at k = 5).
-    Past either bound the input is refused before any product."""
+    (n-1)^2 <= 2**24 and exact in float32 while n <= 4097.  At k = 3 the row
+    sums of A^2 * A are taken in float32 too: row i sums A^2[i, j] <= n-1 over
+    the at most n-1 neighbours j of i, so each partial sum is such an integer.
+    The traces and corrections are summed in float64, where a closed-walk
+    total is at most n (n-1)^(k-1): exact while that is at most 2**53
+    (n <= 1552 at k = 5).  Past either bound the input is refused before any
+    product."""
     if not 3 <= k <= MAX_TRACE_CYCLE:
         raise ValueError(f"trace-based counting covers cycle lengths 3..{MAX_TRACE_CYCLE} only")
     n = a.shape[-1]
@@ -318,7 +292,7 @@ def count_cycles_trace(a: np.ndarray, k: int) -> np.ndarray:
         a = a[None]
     a2 = np.matmul(a, a)
     if k == 3:
-        return np.einsum("bij,bij->b", a2, a, dtype=np.float64) / 6.0
+        return np.einsum("bij,bij->bi", a2, a).sum(axis=1, dtype=np.float64) / 6.0
     deg = np.diagonal(a2, axis1=1, axis2=2)
     if k == 4:
         tr4 = np.einsum("bij,bij->b", a2, a2, dtype=np.float64)

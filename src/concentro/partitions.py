@@ -152,14 +152,6 @@ def enumerate_splits(d: int) -> list[SplitPartition]:
     return out
 
 
-def refines(fine: SetPartition, coarse: SetPartition) -> bool:
-    """True when every block of `fine` is contained in some block of `coarse`."""
-    if fine.d != coarse.d:
-        raise ValueError("partitions of different orders")
-    coarse_sets = [set(b) for b in coarse.blocks]
-    return all(any(set(b) <= c for c in coarse_sets) for b in fine.blocks)
-
-
 def merged(split: SplitPartition) -> SetPartition:
     """The plain partition obtained by forgetting the inner/outer distinction."""
     return SetPartition(split.inner + split.outer)

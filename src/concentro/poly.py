@@ -5,15 +5,14 @@ derivative tensors built by coordinatewise moment substitution, and the
 probabilists' Hermite polynomials (`hermite(k)` is the tuple of h_k's
 coefficients).  Each value has one constructor: a polynomial is
 `Polynomial(nvars, terms)`, a constant c being the term {(): c}, and a law is
-`ProductDistribution(law, p=.., alpha=.., moments_table=..)`, each parameter
-refused for a law that does not take it.  A Bernoulli bit is one
-`bernoulli_bits` call, which reads the generator's raw words.  One routine,
-`_substitute`, puts a moment, a coordinate's power or a semicircle moment in
-place of each remaining power of every monomial: each derivative tensor,
-expected value and semicircle integral is one call of it, order 0 giving the
-substituted value of f.  Any polynomial expands exactly in the Hermite basis:
-each monomial factors over its coordinates, and each power has the closed form
-x^p = sum_k p!/(2^k k! (p-2k)!) h_{p-2k}(x).
+`ProductDistribution(law, p=.., alpha=..)`, each parameter refused for a law
+that does not take it.  A Bernoulli bit is one `bernoulli_bits` call, which
+reads the generator's raw words.  One routine, `_substitute`, puts a moment of
+the law or of the semicircle in place of each remaining power of every
+monomial: each expected derivative tensor and semicircle integral is one call
+of it, order 0 giving the substituted value of f.  Any polynomial expands
+exactly in the Hermite basis: each monomial factors over its coordinates, and
+each power has the closed form x^p = sum_k p!/(2^k k! (p-2k)!) h_{p-2k}(x).
 """
 
 from __future__ import annotations
@@ -139,7 +138,7 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 # product distributions
 
-_LAWS = ("gaussian", "rademacher", "bernoulli", "weibull", "custom")
+_LAWS = ("gaussian", "rademacher", "bernoulli", "weibull")
 
 # the bit generators whose double is the top 53 bits of one raw 64-bit word
 # times 2**-53 (MT19937 builds its double from two 32-bit words)
@@ -172,7 +171,6 @@ class ProductDistribution:
     law: str
     p: float | None = None
     alpha: float | None = None
-    moments_table: tuple | None = None
 
     def __post_init__(self):
         if self.law not in _LAWS:
@@ -185,12 +183,6 @@ class ProductDistribution:
             raise ValueError(f"{self.law} law takes no p (bernoulli only)")
         if self.alpha is not None and self.law != "weibull":
             raise ValueError(f"{self.law} law takes no alpha (weibull only)")
-        if self.moments_table is not None and self.law != "custom":
-            raise ValueError(f"{self.law} law takes no moments_table (custom only)")
-        if self.law == "custom" and not self.moments_table:
-            raise ValueError("custom law needs a moments table")
-        if self.moments_table is not None:
-            object.__setattr__(self, "moments_table", tuple(float(m) for m in self.moments_table))
 
     def moment(self, k: int) -> float:
         """E X^k for one coordinate."""
@@ -206,14 +198,10 @@ class ProductDistribution:
             return 0.0 if k % 2 else 1.0
         if self.law == "bernoulli":
             return float(self.p)
-        if self.law == "weibull":
-            if k % 2:
-                return 0.0
-            return math.gamma(k / self.alpha + 1.0)
-        # custom: table indexed by order, table[k] = E X^k
-        if k >= len(self.moments_table):
-            raise ValueError(f"custom law table covers moments up to {len(self.moments_table) - 1}")
-        return self.moments_table[k]
+        # weibull
+        if k % 2:
+            return 0.0
+        return math.gamma(k / self.alpha + 1.0)
 
     @property
     def psi2(self) -> float | None:
@@ -244,12 +232,11 @@ class ProductDistribution:
             return 2.0 * rng.integers(0, 2, size=shape) - 1.0
         if self.law == "bernoulli":
             return bernoulli_bits(rng, self.p, shape).astype(float)
-        if self.law == "weibull":
-            u = rng.random(shape)
-            mag = (-np.log1p(-u)) ** (1.0 / self.alpha)
-            sign = 2.0 * rng.integers(0, 2, size=shape) - 1.0
-            return sign * mag
-        raise ValueError(f"law {self.law!r} has no sampler")
+        # weibull
+        u = rng.random(shape)
+        mag = (-np.log1p(-u)) ** (1.0 / self.alpha)
+        sign = 2.0 * rng.integers(0, 2, size=shape) - 1.0
+        return sign * mag
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +244,8 @@ class ProductDistribution:
 
 def _substitute(f: Polynomial, d: int, power_value) -> np.ndarray:
     """The order-d array of d-th partial derivatives of f, each remaining power
-    x_v^r replaced by `power_value(v, r)` (a moment or a power of a point); at
-    d = 0 the 0-d array of f's substituted value."""
+    x_v^r replaced by `power_value(v, r)` (a moment of the law or of the
+    semicircle); at d = 0 the 0-d array of f's substituted value."""
     m = f.nvars
     if m**d > MAX_ENTRIES:
         raise ValueError(f"derivative tensor would have {m**d} entries, cap is {MAX_ENTRIES}")
@@ -291,21 +278,6 @@ def expected_derivative_tensor(f: Polynomial, dist: ProductDistribution, d: int)
     if d < 1:
         raise ValueError("derivative order must be >= 1")
     return Tensor(_substitute(f, d, lambda v, r: dist.moment(r)))
-
-
-def derivative_tensor_at(f: Polynomial, d: int, x) -> Tensor:
-    """Pointwise order-d derivative tensor of f at x."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (f.nvars,):
-        raise ValueError(f"point has length {x.size}, expected {f.nvars}")
-    if d < 1:
-        raise ValueError("derivative order must be >= 1")
-    return Tensor(_substitute(f, d, lambda v, r: x[v - 1] ** r))
-
-
-def expected_value(f: Polynomial, dist: ProductDistribution) -> float:
-    """E f(X) under the product law, by termwise moment substitution."""
-    return float(_substitute(f, 0, lambda v, r: dist.moment(r)))
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +340,6 @@ def hermite_expansion(f: Polynomial) -> dict:
 # ---------------------------------------------------------------------------
 # JSON formats
 
-def polynomial_to_dict(f: Polynomial) -> dict:
-    return {"nvars": f.nvars,
-            "terms": [{"exps": [[v, p] for v, p in key], "coef": c}
-                      for key, c in sorted(f.terms.items())]}
-
-
 def polynomial_from_dict(doc: dict) -> Polynomial:
     terms: dict[TermKey, float] = {}
     try:
@@ -385,11 +351,6 @@ def polynomial_from_dict(doc: dict) -> Polynomial:
         raise ValueError("polynomial document needs nvars and a list of terms,"
                          " each with exps and coef") from exc
     return Polynomial(nvars, terms)
-
-
-def save_polynomial(f: Polynomial, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(polynomial_to_dict(f), fh)
 
 
 def load_polynomial(path: str) -> Polynomial:

@@ -25,9 +25,8 @@ matrices, so each formed power stays near 1 MB whatever the chunk size.  The
 traces do not depend on the block size: every product and inner product is
 taken one matrix at a time.
 
-`eigenvalues_symmetric` is the one eigen path.  `linear_statistic` returns the
-eigenvalues next to its statistic and `hoffman_wielandt_gap` compares them;
-the experiment never needs them.
+`eigenvalues_symmetric` is the one eigen path, for checks that compare a
+statistic with its eigenvalues; the experiment never needs them.
 """
 
 from __future__ import annotations
@@ -77,16 +76,6 @@ def eigenvalues_symmetric(m) -> np.ndarray:
     np.add(a, at, out=buf)
     buf *= 0.5
     return np.linalg.eigvalsh(buf)
-
-
-def hoffman_wielandt_gap(b, c) -> tuple[float, float]:
-    """(sorted-eigenvalue squared distance, squared Frobenius distance); the
-    first never exceeds the second for symmetric matrices."""
-    eb = eigenvalues_symmetric(b)
-    ec = eigenvalues_symmetric(c)
-    lhs = float(((eb - ec) ** 2).sum())
-    rhs = float(np.linalg.norm(np.asarray(b, dtype=float) - np.asarray(c, dtype=float)) ** 2)
-    return lhs, rhs
 
 
 @dataclass(frozen=True)
@@ -172,27 +161,6 @@ def _linear_statistics(mats: np.ndarray, polys) -> np.ndarray:
         return (scaled[:, :, None] * _power_traces(mats, top)).sum(axis=1)
 
 
-@dataclass(frozen=True)
-class LinStatResult:
-    z: float
-    eigenvalues: np.ndarray
-
-
-def linear_statistic(f: Polynomial, matrix) -> LinStatResult:
-    """Z = sum_i f(lambda_i / sqrt(n)), read from the traces of the powers of
-    the symmetrised matrix, next to its eigenvalues sorted ascending."""
-    if f.nvars != 1:
-        raise ValueError("linear statistics take a one-variable polynomial")
-    if np.ndim(matrix) != 2:
-        raise ValueError("linear statistics take one matrix")
-    eigs = eigenvalues_symmetric(matrix)
-    a = np.asarray(matrix, dtype=float)
-    z = float(_linear_statistics(((a + a.T) * 0.5)[None], (f,))[0, 0])
-    if not math.isfinite(z):
-        raise ValueError("the linear statistic is not finite: f overflows at the eigenvalues")
-    return LinStatResult(z, eigs)
-
-
 def catalan(j: int) -> int:
     return math.comb(2 * j, j) // (j + 1)
 
@@ -236,10 +204,11 @@ def _fprime_energy(f: Polynomial) -> tuple[float, Polynomial]:
     return energy, sq
 
 
-def linstat_tail_bound(f: Polynomial, n: int, L: float, t: float,
-                       c_l: float = 1.0) -> float:
+def linstat_tail_bound(f: Polynomial, n: int, t: float, c_l: float = 1.0) -> float:
     """Deviation bound for Z: sub-Gaussian term driven by the semicircle energy
-    of f', exponential term by sup |f''|, single explicit constant c_l."""
+    of f', exponential term by sup |f''|, single explicit constant c_l.  The
+    entries are Gaussian (`WignerSpec`), so the log-Sobolev constant L is 1
+    and the exponents carry no L^2."""
     if f.nvars != 1:
         raise ValueError("linear statistics take a one-variable polynomial")
     if not t > 0:
@@ -248,9 +217,9 @@ def linstat_tail_bound(f: Polynomial, n: int, L: float, t: float,
     fpp_sup = sup_abs_on_interval(f.partial(1).partial(1))
     args = []
     if energy > 0 or fpp_sup > 0:
-        args.append(t**2 / (L**2 * (energy + n ** (-2.0 / 3.0) * fpp_sup**2)))
+        args.append(t**2 / (energy + n ** (-2.0 / 3.0) * fpp_sup**2))
     if fpp_sup > 0:
-        args.append(n * t / (L**2 * fpp_sup))
+        args.append(n * t / fpp_sup)
     return two_sided_tail(args, c_l)
 
 
@@ -296,7 +265,6 @@ def wigner_experiment(f: Polynomial, spec: WignerSpec, cfg: MCConfig,
     z, sob = _run_chunks(job, cfg)
     z_mean, z_stderr = _mean_stderr(z, "Z")
     sob_mean, sob_stderr = _mean_stderr(sob, "the gradient energy")
-    # Gaussian entries: log-Sobolev constant L = 1
-    rows = tail_rows(z, t_list, lambda t: linstat_tail_bound(f, spec.n, 1.0, t, c_l))
+    rows = tail_rows(z, t_list, lambda t: linstat_tail_bound(f, spec.n, t, c_l))
     return WignerResult(z_mean, z_stderr, sob_mean, sob_stderr, energy, rows)
 

@@ -1,4 +1,5 @@
-"""Dense order-d tensors with equal axis lengths, masks and block contractions.
+"""Dense order-d tensors with equal axis lengths, index masks, exact
+symmetrization, the row contraction kernel `contract_rows` and the JSON loader.
 
 Storage is row-major with the last index fastest, matching the on-disk JSON
 format, and capped at 4e6 entries.  Tensors are immutable after construction.
@@ -50,13 +51,6 @@ class Tensor:
     @property
     def values(self) -> np.ndarray:
         return self._a
-
-    @classmethod
-    def from_flat(cls, order: int, dim: int, flat) -> "Tensor":
-        flat = np.asarray(flat, dtype=float)
-        if flat.size != dim**order:
-            raise ValueError(f"expected {dim**order} values, got {flat.size}")
-        return cls(flat.reshape((dim,) * order))
 
     def __repr__(self) -> str:
         return f"Tensor(order={self.order}, dim={self.dim})"
@@ -110,26 +104,6 @@ class IndexMask:
         return keep
 
 
-def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    if a.order != b.order or a.dim != b.dim:
-        raise ValueError(f"shape mismatch: {a!r} vs {b!r}")
-    return Tensor(a.values * b.values)
-
-
-def hadamard_rank_one(a: Tensor, *vectors) -> Tensor:
-    """Entrywise product of `a` with the rank-one tensor v_1 x ... x v_d."""
-    if len(vectors) != a.order:
-        raise ValueError(f"expected {a.order} vectors, got {len(vectors)}")
-    out = np.array(a.values)
-    d, m = a.order, a.dim
-    for k, v in enumerate(vectors):
-        v = np.asarray(v, dtype=float)
-        if v.shape != (m,):
-            raise ValueError(f"vector {k + 1} has length {v.size}, expected {m}")
-        out *= v.reshape((1,) * k + (m,) + (1,) * (d - k - 1))
-    return Tensor(out)
-
-
 def apply_mask(a: Tensor, mask: IndexMask) -> Tensor:
     keep = mask.boolean(a.order, a.dim)
     return Tensor(np.where(keep, a.values, 0.0))
@@ -144,27 +118,6 @@ def contract_rows(values: np.ndarray, vecs) -> np.ndarray:
     for j, v in enumerate(vecs[1:], 1):
         w = np.einsum("zb...,zb->z...", w.reshape((rows,) + values.shape[j:]), v)
     return w.reshape(rows)
-
-
-def contract(a: Tensor, part: SetPartition, vectors) -> float:
-    """Value of the multilinear form: sum_i a_i * prod_l x^(l)[i restricted to block l].
-
-    Block vectors are flat arrays of length m^(#block), row-major over the
-    block's coordinates in ascending order.  The axes of `a` are transposed
-    into block order and the form is one row of ``contract_rows``.
-    """
-    d, m = a.order, a.dim
-    if part.d != d:
-        raise ValueError(f"partition of [{part.d}] does not match tensor order {d}")
-    vectors = [np.asarray(v, dtype=float) for v in vectors]
-    if len(vectors) != part.n_blocks:
-        raise ValueError(f"expected {part.n_blocks} block vectors, got {len(vectors)}")
-    for block, v in zip(part.blocks, vectors):
-        if v.size != m ** len(block):
-            raise ValueError(f"block {block} vector has {v.size} entries, expected {m ** len(block)}")
-    perm = [i - 1 for block in part.blocks for i in block]
-    values = a.values.transpose(perm).reshape([v.size for v in vectors])
-    return float(contract_rows(values, [v.reshape(1, -1) for v in vectors])[0])
 
 
 def symmetrize(a: Tensor) -> Tensor:
@@ -182,12 +135,6 @@ def symmetrize(a: Tensor) -> Tensor:
     return Tensor(acc[tuple(np.sort(np.indices(acc.shape), axis=0))])
 
 
-def save_tensor(a: Tensor, path: str) -> None:
-    doc = {"order": a.order, "dim": a.dim, "values": a.values.ravel().tolist()}
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
 def load_tensor(path: str) -> Tensor:
     with open(path) as fh:
         doc = json.load(fh)
@@ -196,4 +143,6 @@ def load_tensor(path: str) -> Tensor:
         values = np.asarray(doc["values"], dtype=float)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"tensor file {path} needs order, dim and numeric values") from exc
-    return Tensor.from_flat(order, dim, values)
+    if values.size != dim**order:
+        raise ValueError(f"expected {dim**order} values, got {values.size}")
+    return Tensor(values.reshape((dim,) * order))

@@ -19,7 +19,6 @@ from concentro.graphs import (
     counting_polynomial,
     er_tail_experiment,
     sample_adjacency,
-    triangle_norms_exact,
 )
 from concentro.montecarlo import (
     MCConfig,
@@ -30,15 +29,17 @@ from concentro.montecarlo import (
 )
 from concentro.norms import NormOptions, mixed_norm, norm_J, norm_J_bruteforce
 from concentro.partitions import SetPartition, enumerate_partitions
-from concentro.poly import (
-    Polynomial,
-    ProductDistribution,
-    expected_derivative_tensor,
+from concentro.poly import Polynomial, ProductDistribution, expected_derivative_tensor
+from concentro.rmt import WignerSpec, eigenvalues_symmetric, wigner_experiment
+from concentro.tensor import IndexMask, Tensor, apply_mask, symmetrize
+from oracles import (
+    clique_edges,
     expected_value,
+    hadamard_rank_one,
+    hermite_polynomial,
+    hoffman_wielandt_gap,
+    triangle_norms_exact,
 )
-from concentro.rmt import WignerSpec, eigenvalues_symmetric, hoffman_wielandt_gap, wigner_experiment
-from concentro.tensor import IndexMask, Tensor, apply_mask, hadamard_rank_one, symmetrize
-from oracles import clique_edges, hermite_polynomial
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from concentro import graphs, rmt
+from concentro import bounds, graphs, rmt
 from concentro.bounds import (
     BoundReport,
     BoundTerm,
@@ -231,8 +231,6 @@ def test_report_consistency_guard():
 
 def _counting(monkeypatch, name):
     """Count the calls a report makes to bounds.<name>."""
-    import concentro.bounds as bounds
-
     calls = []
     inner = getattr(bounds, name)
 
@@ -316,10 +314,16 @@ def test_two_sided_tail():
             two_sided_tail([], c)
 
 
-def test_tail_reports_reject_a_constant_that_is_not_positive():
+def test_tail_reports_reject_a_constant_that_is_not_positive(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a norm before checking the tail constant")
+
     dist = ProductDistribution("gaussian")
-    with pytest.raises(ValueError, match="tail constant"):
-        eta_tail(X1X2, dist, 1.0, 1.0, c_d=0.0, opts=OPTS)
+    # eta_tail refuses the constant before it solves any norm
+    monkeypatch.setattr(bounds, "norm_J", no_solve)
+    for c_d in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="tail constant"):
+            eta_tail(X1X2X3, dist, 1.0, 1.0, c_d=c_d, opts=OPTS)
     with pytest.raises(ValueError, match="tail constant"):
         additive_functional_tail([0.5], 1.0, 10, 1.0, 2.0, c_d=-1.0)
     # t <= 0 gives the trivial bound 2, but only after the constant is checked
@@ -330,10 +334,10 @@ def test_tail_reports_reject_a_constant_that_is_not_positive():
         with pytest.raises(ValueError, match="tail constant"):
             graphs.cycle_tail_bound(4, 30, 0.5, t, c=-1.0)
         with pytest.raises(ValueError, match="tail constant"):
-            rmt.linstat_tail_bound(square, 30, 1.0, t, c_l=0.0)
+            rmt.linstat_tail_bound(square, 30, t, c_l=0.0)
         assert graphs.triangle_tail_bound(30, 0.5, t, c=1.0) == 2.0
         assert graphs.cycle_tail_bound(4, 30, 0.5, t, c=3.0) == 2.0
-        assert rmt.linstat_tail_bound(square, 30, 1.0, t, c_l=0.5) == 2.0
+        assert rmt.linstat_tail_bound(square, 30, t, c_l=0.5) == 2.0
 
 
 def test_experiments_reject_the_tail_constant_before_sampling(monkeypatch):

@@ -9,8 +9,9 @@ from concentro import cli
 from concentro.cli import dispatch
 from concentro.norms import NormOptions, norm_J
 from concentro.partitions import SetPartition
-from concentro.poly import Polynomial, polynomial_to_dict
-from concentro.tensor import IndexMask, Tensor, apply_mask, load_tensor, save_tensor, symmetrize
+from concentro.poly import Polynomial
+from concentro.tensor import IndexMask, Tensor, apply_mask, load_tensor, symmetrize
+from oracles import polynomial_to_dict, save_tensor
 
 
 @pytest.fixture

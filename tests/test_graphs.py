@@ -20,7 +20,6 @@ from concentro.graphs import (
     expected_cycle_count,
     sample_adjacency,
     subgraph_norm_bound,
-    triangle_norms_exact,
     triangle_tail_bound,
 )
 from concentro.montecarlo import MCConfig, chunk_rng
@@ -33,6 +32,7 @@ from oracles import (
     edge_pair,
     indicator_norm_bound,
     indicator_norm_check,
+    triangle_norms_exact,
 )
 
 OPTS = NormOptions(restarts=16, seed=0)

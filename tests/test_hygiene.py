@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import, function parameter, class
-member and definition the package does not export is used, and every option a
-subcommand declares is read and has an option string."""
+member and definition of the package is used (an exported one may be read by
+the benchmark instead), and every option a subcommand declares is read and
+has an option string."""
 
 import ast
 import pathlib
@@ -79,16 +80,38 @@ def test_every_private_module_level_definition_is_read():
     assert _unread_definitions(lambda name: name.startswith("_")) == []
 
 
+def _benchmark_attribute_reads():
+    """The names read as an attribute in perfbench/*.py."""
+    trees = [ast.parse(p.read_text()) for p in sorted(PERFBENCH.glob("*.py"))]
+    assert trees
+    return {n.attr for tree in trees for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+# exported names that nothing reads yet, each with the reason it stays
+UNREAD_EXPORTS = {
+    "bounds.py additive_functional_tail": "the paper's tail bound for an additive functional"
+                                          " f(X_1) + .. + f(X_n); the `mc additive` mode of"
+                                          " ROADMAP direction 7 checks it against Monte Carlo",
+}
+
+
 def test_every_definition_has_a_reader():
-    """A module-level function, class or assigned name that the package root
-    does not export is read somewhere in the package outside its own
-    statement: code and constants that only tests read belong in the tests
-    (reference oracles live in tests/oracles.py), and public API is
-    exported."""
+    """A module-level function, class or assigned name is read somewhere in
+    the package outside its own statement, or, when the package root exports
+    it, as an attribute in the benchmark (perfbench/*.py): code and constants
+    that only tests read belong in the tests (reference oracles live in
+    tests/oracles.py).  A bare name in the benchmark is its own definition
+    (`perfbench/checks.py` imports nothing from the package), so it is no
+    reader.  The exported names that are still unread are exactly
+    `UNREAD_EXPORTS`, so that list can neither grow nor go stale."""
     root = ast.parse((PACKAGE / "__init__.py").read_text())
     exported = {a.asname or a.name for n in root.body if isinstance(n, ast.ImportFrom)
                 for a in n.names}
-    assert _unread_definitions(lambda name: name not in exported) == []
+    assert {key.split()[1] for key in UNREAD_EXPORTS} <= exported
+    benchmark = _benchmark_attribute_reads()
+    unread = _unread_definitions(lambda name: name not in exported or name not in benchmark)
+    assert sorted(unread) == sorted(UNREAD_EXPORTS)
 
 
 def test_every_class_member_has_a_reader():
@@ -99,9 +122,8 @@ def test_every_class_member_has_a_reader():
     Dunders are exempt, and so is a class with a base class, whose members may
     override it (`cli._Parser.error`)."""
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
-    benchmark = [ast.parse(p.read_text()) for p in sorted(PERFBENCH.glob("*.py"))]
-    assert benchmark
-    reads = [n for tree in [*trees.values(), *benchmark] for n in ast.walk(tree)
+    benchmark = _benchmark_attribute_reads()
+    reads = [n for tree in trees.values() for n in ast.walk(tree)
              if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
     members = [(f"{module}.{cls.name}.{fn.name}", fn) for module, tree in trees.items()
                for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and not cls.bases
@@ -111,7 +133,8 @@ def test_every_class_member_has_a_reader():
     unread = []
     for name, fn in members:
         inside = {id(n) for n in ast.walk(fn)}
-        if not any(n.attr == fn.name and id(n) not in inside for n in reads):
+        if fn.name not in benchmark and not any(n.attr == fn.name and id(n) not in inside
+                                                for n in reads):
             unread.append(name)
     assert unread == []
 

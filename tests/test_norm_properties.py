@@ -11,7 +11,8 @@ from hypothesis.extra.numpy import arrays
 from concentro.norms import NormOptions, norm_J
 from concentro.partitions import SetPartition, enumerate_partitions
 from concentro.poly import Polynomial, ProductDistribution, expected_derivative_tensor
-from concentro.tensor import IndexMask, Tensor, apply_mask, contract, hadamard_rank_one, symmetrize
+from concentro.tensor import IndexMask, Tensor, apply_mask, symmetrize
+from oracles import contract, hadamard_rank_one
 
 OPTS = NormOptions(restarts=16, seed=3)
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=40, deadline=None)

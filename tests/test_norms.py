@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from concentro import norms
-from concentro.partitions import SetPartition, SplitPartition, enumerate_partitions, refines
+from concentro.partitions import SetPartition, SplitPartition, enumerate_partitions
 from concentro.norms import (
     NormOptions,
     NormResult,
@@ -17,7 +17,8 @@ from concentro.norms import (
     norm_J,
     norm_J_bruteforce,
 )
-from concentro.tensor import IndexMask, Tensor, apply_mask, contract, hadamard_rank_one, symmetrize
+from concentro.tensor import IndexMask, Tensor, apply_mask, symmetrize
+from oracles import contract, hadamard_rank_one, refines
 
 OPTS = NormOptions(restarts=32, seed=0)
 

@@ -10,8 +10,8 @@ from concentro.partitions import (
     enumerate_partitions,
     enumerate_splits,
     merged,
-    refines,
 )
+from oracles import refines
 
 # Bell numbers B_0 .. B_6
 BELL = (1, 1, 2, 5, 15, 52, 203)

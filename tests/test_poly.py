@@ -9,18 +9,21 @@ from hypothesis import strategies as st
 from concentro.poly import (
     Polynomial,
     ProductDistribution,
+    _substitute,
     bernoulli_bits,
-    derivative_tensor_at,
     expected_derivative_tensor,
-    expected_value,
     hermite,
     hermite_expansion,
     load_polynomial,
     polynomial_from_dict,
+)
+from oracles import (
+    expected_value,
+    hermite_combination,
+    hermite_polynomial,
     polynomial_to_dict,
     save_polynomial,
 )
-from oracles import hermite_combination, hermite_polynomial
 
 X1X2 = Polynomial(2, {((1, 1), (2, 1)): 1.0})
 
@@ -135,7 +138,7 @@ def test_finite_difference_cross_check():
     quartic = cubic + Polynomial(3, {((1, 2), (3, 2)): 0.6})
     x = rng.standard_normal(3)
     for f, d, h in [(quartic, 1, 1e-4), (quartic, 2, 1e-3), (cubic, 3, 0.05)]:
-        tens = derivative_tensor_at(f, d, x).values
+        tens = _substitute(f, d, lambda v, r: x[v - 1] ** r)
         scale = max(1.0, np.abs(tens).max())
         for idx in itertools.product(range(3), repeat=d):
             fd = _fd_derivative(f, x, list(idx), h)
@@ -154,14 +157,6 @@ def test_moments_by_law():
     w2 = ProductDistribution("weibull", alpha=2.0)
     assert w2.moment(2) == pytest.approx(1.0)
     assert w2.moment(3) == 0.0
-    c = ProductDistribution("custom", moments_table=[1.0, 0.5, 2.0])
-    assert c.moment(2) == 2.0
-    # the table is kept as a tuple of floats, so equal tables give equal laws
-    assert c.moments_table == (1.0, 0.5, 2.0)
-    assert c == ProductDistribution("custom", moments_table=(1, 0.5, 2))
-    assert hash(c) == hash(ProductDistribution("custom", moments_table=(1, 0.5, 2)))
-    with pytest.raises(ValueError):
-        c.moment(3)
 
 
 def test_psi2_and_sobolev_defaults():
@@ -298,14 +293,11 @@ def test_distribution_config_without_law_parameter_is_a_value_error():
         ProductDistribution("bernoulli")
     with pytest.raises(ValueError, match="weibull"):
         ProductDistribution("weibull")
-    assert ProductDistribution("custom", moments_table=(1.0, 0.0, 1.0)).moment(2) == 1.0
 
 
 @pytest.mark.parametrize("law,kwargs,name", [("gaussian", {"alpha": 1.5}, "alpha"),
                                              ("rademacher", {"p": 0.3}, "p"),
-                                             ("weibull", {"alpha": 1.5, "p": 0.3}, "p"),
-                                             ("gaussian", {"moments_table": (1, 0, 5)},
-                                              "moments_table")])
+                                             ("weibull", {"alpha": 1.5, "p": 0.3}, "p")])
 def test_law_parameter_of_another_law_is_rejected(law, kwargs, name):
     with pytest.raises(ValueError, match=f"{law} law takes no {name}"):
         ProductDistribution(law, **kwargs)

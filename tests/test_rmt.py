@@ -11,17 +11,15 @@ from concentro import montecarlo, rmt
 from concentro.montecarlo import MCConfig, chunk_rng
 from concentro.poly import Polynomial
 from concentro.rmt import (
-    LinStatResult,
     WignerSpec,
     catalan,
     eigenvalues_symmetric,
-    hoffman_wielandt_gap,
-    linear_statistic,
     linstat_tail_bound,
     semicircle_integral,
     sup_abs_on_interval,
     wigner_experiment,
 )
+from oracles import hoffman_wielandt_gap
 
 X = Polynomial(1, {((1, 1),): 1.0})
 X_SQ = Polynomial(1, {((1, 2),): 1.0})
@@ -94,8 +92,8 @@ def test_semicircle_moments():
 
 def test_linstat_bound_closed_form_for_square():
     # f = x^2: gradient energy 4, second derivative 2 everywhere
-    n, L, t = 50, 1.0, 3.0
-    got = linstat_tail_bound(X_SQ, n, L, t)
+    n, t = 50, 3.0
+    got = linstat_tail_bound(X_SQ, n, t)
     arg = min(t**2 / (4.0 + n ** (-2 / 3) * 4.0), n * t / 2.0)
     assert got == pytest.approx(2 * math.exp(-arg), rel=1e-12)
     assert sup_abs_on_interval(X_SQ.partial(1).partial(1)) == pytest.approx(2.0)
@@ -110,25 +108,15 @@ def test_linstat_bound_closed_form_for_square():
 
 def test_linstat_bound_regimes():
     ts = [0.5, 1.0, 4.0, 16.0]
-    vals = [linstat_tail_bound(X_SQ, 100, 1.0, t) for t in ts]
+    vals = [linstat_tail_bound(X_SQ, 100, t) for t in ts]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     # large t sits in the exponential regime: log-bound linear in t
-    b1 = linstat_tail_bound(X_SQ, 10, 1.0, 25.0)
-    b2 = linstat_tail_bound(X_SQ, 10, 1.0, 30.0)
+    b1 = linstat_tail_bound(X_SQ, 10, 25.0)
+    b2 = linstat_tail_bound(X_SQ, 10, 30.0)
     assert math.log(b1 / 2) / 25.0 == pytest.approx(math.log(b2 / 2) / 30.0, rel=1e-9)
     # linear f: no second derivative, pure sub-Gaussian shape
-    lin = linstat_tail_bound(X, 10, 1.0, 2.0)
+    lin = linstat_tail_bound(X, 10, 2.0)
     assert lin == pytest.approx(2 * math.exp(-4.0), rel=1e-12)
-
-
-def test_linear_statistic_result():
-    m = np.diag([1.0, 4.0, 9.0])
-    res = linear_statistic(X_SQ, m)
-    assert isinstance(res, LinStatResult)
-    assert np.allclose(res.eigenvalues, [1, 4, 9])
-    assert res.z == pytest.approx((1 + 16 + 81) / 3.0)
-    with pytest.raises(ValueError, match="one matrix"):
-        linear_statistic(X_SQ, np.stack([m, m]))
 
 
 def test_wigner_spec_conventions():
@@ -192,7 +180,7 @@ def test_an_f_prime_energy_that_overflows_is_refused(coef, power):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="semicircle energy of f' .* is not finite"):
-            linstat_tail_bound(f, 6, 1.0, 1.0)
+            linstat_tail_bound(f, 6, 1.0)
         with pytest.raises(ValueError, match="semicircle energy of f' .* is not finite"):
             wigner_experiment(f, WignerSpec(6), MCConfig(N=20), t_list=[1.0])
 
@@ -201,13 +189,10 @@ def test_a_sample_that_overflows_is_refused():
     # f' = 1e154 x has a finite semicircle energy (1e308), but f'^2 and the
     # spread of Z overflow on the sample, whose eigenvalues reach past +-2
     f = Polynomial(1, {((1, 2),): 5e153})
-    x4 = Polynomial(1, {((1, 4),): 1e307})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="standard error is not finite"):
             wigner_experiment(f, WignerSpec(6), MCConfig(N=20), t_list=[1.0])
-        with pytest.raises(ValueError, match="linear statistic is not finite"):
-            linear_statistic(x4, np.diag([1.0, 4.0, 9.0]))
 
 
 # ---------------------------------------------------------------------------

