@@ -2,6 +2,9 @@
 variables, one combinatorial norm bound for every pattern, and the cycle tail
 experiment against the bounds.  A pattern graph is its edge set: its
 automorphism count, and whether it is a cycle, are computed from its edges.
+The counting polynomial is one (monomial, 1) pair per injective map of the
+pattern, summed by the `Polynomial` constructor, and an adjacency stack is
+the edge bits handed to `symmetric_stack` as drawn.
 
 The experiment samples and counts each Monte Carlo chunk in blocks of
 `montecarlo._stack_block(n)` graphs, so that a block's adjacency stack and its
@@ -150,12 +153,10 @@ def counting_polynomial(h: GraphSpec, n: int) -> Polynomial:
     """
     _check_vertex_count(h, n)
     eidx = EdgeIndex(n)
-    terms: dict = {}
-    for image in itertools.permutations(range(1, n + 1), h.k):
-        key = tuple(sorted((eidx.index((image[u - 1], image[v - 1])), 1)
-                           for u, v in h.edges))
-        terms[key] = terms.get(key, 0.0) + 1.0
-    return Polynomial(eidx.count, terms)
+    # one pair per injective map of the pattern's vertices; the constructor sums them
+    return Polynomial(eidx.count, (
+        (tuple(sorted((eidx.index((image[u - 1], image[v - 1])), 1) for u, v in h.edges)), 1.0)
+        for image in itertools.permutations(range(1, n + 1), h.k)))
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +260,9 @@ def sample_adjacency(n: int, p: float, rng: np.random.Generator, rows: int) -> n
     """rows symmetric 0/1 adjacency matrices, as float32, with i.i.d.
     upper-triangle edges drawn graph after graph, each upper triangle row by
     row: the edge bits of `rng.random((rows, n(n-1)/2)) < p`, read from the
-    raw generator words (`bernoulli_bits`)."""
-    m = n * (n - 1) // 2
-    bits = np.zeros((rows, m + n), dtype=bool)   # the last n columns are the zero diagonal
-    bits[:, :m] = bernoulli_bits(rng, p, (rows, m))
+    raw generator words (`bernoulli_bits`) and gathered by `symmetric_stack`
+    with its zero diagonal, no staging array between them."""
+    bits = bernoulli_bits(rng, p, (rows, n * (n - 1) // 2))
     return symmetric_stack(bits, n).astype(np.float32)
 
 

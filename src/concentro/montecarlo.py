@@ -7,21 +7,20 @@ chunk on `cfg.workers` threads and joins the chunks in chunk order, so results
 are bit-identical for a fixed (seed, N, batch) whatever `cfg.workers` is.
 Every deviation tail comes from `tail_rows`, every replicate mean with its
 standard error from `_mean_stderr`, and every stack of symmetric
-matrices (Erdos-Renyi adjacency, Wigner) from `symmetric_stack`, whose rows
-have one layout: the n(n-1)/2 upper-triangle entries row by row, then the n
-diagonal entries.  A stack of n x n float matrices is worked through in blocks
-of `_stack_block(n)` = max(1, _STACK_BLOCK_BYTES // (8 n^2)) matrices, about
-1 MB of float64 (the Wigner power traces) and half that of the float32
-Erdos-Renyi adjacency and its powers.  Moment orders
-are an argument of the estimators that take them (`empirical_moment`,
-`chaos_moment`, `sandwich_check`, `sobolev_check`), not of `MCConfig`, and
-`_moment_orders` alone checks them.
+matrices (Erdos-Renyi adjacency, Wigner) from `symmetric_stack`, which gathers
+the n(n-1)/2 upper-triangle entries of each matrix, row by row, in one `take`
+and zeros the diagonal; the samplers hand it their draws as they come.  A
+stack of n x n float matrices is worked through in blocks of `_stack_block(n)`
+= max(1, _STACK_BLOCK_BYTES // (8 n^2)) matrices, about 1 MB of float64 (the
+Wigner draws and power traces) and half that of the float32 Erdos-Renyi
+adjacency and its powers.  Moment orders are an argument of the estimators
+that take them (`empirical_moment`, `chaos_moment`, `sandwich_check`,
+`sobolev_check`), not of `MCConfig`, and `_moment_orders` alone checks them.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -116,27 +115,33 @@ def _stack_block(n: int) -> int:
 
 @functools.lru_cache(maxsize=8)
 def _symmetric_index(n: int) -> np.ndarray:
-    """Read-only flat map from entry (i, j) of an n x n matrix to a column of
-    `symmetric_stack`'s values: the upper triangle row by row, then the n
-    diagonal entries."""
-    m = n * (n - 1) // 2
-    idx = np.empty((n, n), dtype=np.intp)
+    """Read-only flat map from entry (i, j), i != j, of an n x n matrix to the
+    column of its upper-triangle entry in `symmetric_stack`'s rows; a diagonal
+    entry maps to column 0, which the zero diagonal overwrites."""
+    idx = np.zeros((n, n), dtype=np.intp)
     iu = np.triu_indices(n, 1)
-    idx[iu] = idx[iu[::-1]] = np.arange(m)
-    idx[np.diag_indices(n)] = m + np.arange(n)
+    idx[iu] = idx[iu[::-1]] = np.arange(n * (n - 1) // 2)
     idx.flags.writeable = False
     return idx.ravel()
 
 
-def symmetric_stack(values: np.ndarray, n: int) -> np.ndarray:
-    """The (rows, n, n) symmetric matrices, one per row of `values`, by one
-    gather.  A row holds the n(n-1)/2 upper-triangle entries row by row, then
-    the n diagonal entries."""
+def symmetric_stack(upper: np.ndarray, n: int, out=None) -> np.ndarray:
+    """The (rows, n, n) symmetric matrices with zero diagonals, one per row of
+    `upper`, which holds the n(n-1)/2 upper-triangle entries of each matrix row
+    by row, n >= 2: one gather in `upper`'s dtype, into the C-contiguous `out`
+    when it is given."""
     m = n * (n - 1) // 2
-    if values.ndim != 2 or values.shape[1] != m + n:
-        raise ValueError(f"rows of {m + n} values build {n} x {n} matrices,"
-                         f" got shape {values.shape}")
-    return values.take(_symmetric_index(n), axis=1).reshape(len(values), n, n)
+    if n < 2 or upper.ndim != 2 or upper.shape[1] != m:
+        raise ValueError(f"{n} x {n} matrices, n >= 2, are built from rows of {m}"
+                         f" upper-triangle entries, got shape {upper.shape}")
+    rows = len(upper)
+    if out is None:
+        out = np.empty((rows, n, n), dtype=upper.dtype)
+    flat = out.reshape(rows, n * n)
+    # the indices are in range by construction; "raise" would buffer `out`
+    upper.take(_symmetric_index(n), axis=1, out=flat, mode="clip")
+    flat[:, ::n + 1] = 0
+    return out
 
 
 def _sample_values(f: Polynomial, dist: ProductDistribution, cfg: MCConfig) -> np.ndarray:
@@ -234,13 +239,17 @@ def empirical_tail(f: Polynomial, dist: ProductDistribution, t: float,
 
 
 def _validate_undecoupled(a: Tensor) -> None:
+    """Refuse a coefficient tensor that is not symmetric or that is nonzero
+    where two indices are equal.  The d - 1 adjacent transpositions generate
+    every permutation, and in a symmetric tensor an entry with equal indices j
+    and k is a permutation of one with equal indices 1 and 2, so one
+    generalized diagonal, {1,2}, holds them all."""
     d, vals = a.order, a.values
-    for perm in itertools.permutations(range(d)):
-        if not np.array_equal(vals, vals.transpose(perm)):
+    for j in range(d - 1):
+        if not np.array_equal(vals, vals.swapaxes(j, j + 1)):
             raise ValueError("undecoupled chaos needs a symmetric coefficient tensor")
-    for j, k in itertools.combinations(range(1, d + 1), 2):
-        if np.any(vals[IndexMask.generalized_diagonal((j, k)).boolean(d, a.dim)]):
-            raise ValueError(f"nonzero entries on the generalized diagonal {{{j},{k}}}")
+    if d > 1 and np.any(vals[IndexMask.generalized_diagonal((1, 2)).boolean(d, a.dim)]):
+        raise ValueError("nonzero entries on the generalized diagonal {1,2}")
 
 
 def chaos_moment(a: Tensor, mode: str, p: float, cfg: MCConfig) -> MomentEstimate:

@@ -6,8 +6,12 @@ probabilists' Hermite polynomials (`hermite(k)` is the tuple of h_k's
 coefficients).  Each value has one constructor: a polynomial is
 `Polynomial(nvars, terms)`, a constant c being the term {(): c}, and a law is
 `ProductDistribution(law, p=.., alpha=..)`, each parameter refused for a law
-that does not take it.  A Bernoulli bit is one `bernoulli_bits` call, which
-reads the generator's raw words.  One routine, `_substitute`, puts a moment of
+that does not take it.  Terms combine only in the `Polynomial` constructor:
+sums, products, derivatives, the file loader and the Erdos-Renyi counting
+polynomial pass it (monomial, coefficient) pairs, and `_normalize_terms`
+checks each distinct monomial once and sums each one's coefficients in order.
+A Bernoulli bit is one `bernoulli_bits` call, which reads the generator's raw
+words.  One routine, `_substitute`, puts a moment of
 the law or of the semicircle in place of each remaining power of every
 monomial: each expected derivative tensor and semicircle integral is one call
 of it, order 0 giving the substituted value of f.  Any polynomial expands
@@ -20,50 +24,56 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .tensor import MAX_ENTRIES, Tensor
-
-TermKey = tuple  # tuple of (variable, power) pairs, 1-based, powers >= 1
+from .tensor import MAX_ENTRIES, Tensor, _count
 
 
-def _normalize_terms(terms) -> dict:
-    out: dict[TermKey, float] = {}
-    for key, coef in terms.items():
-        pairs = tuple(sorted((int(v), int(p)) for v, p in key))
-        if any(p < 1 for _, p in pairs):
-            raise ValueError(f"term {pairs} has a power below 1")
-        if len({v for v, _ in pairs}) != len(pairs):
-            raise ValueError(f"term {pairs} repeats a variable")
-        c = out.get(pairs, 0.0) + float(coef)
+def _normalize_terms(terms, nvars: int) -> dict:
+    """{monomial: coefficient} from a mapping or an iterable of (monomial,
+    coefficient) pairs, a monomial being a tuple of (variable, power) pairs.
+    Each distinct monomial is checked once: its variables and powers are whole
+    numbers (`_count`), a variable appears once and none exceeds nvars; it is
+    then sorted by variable.  The coefficients of one monomial are summed in
+    the order given, and a zero sum is dropped only after every pair is in, so
+    each term keeps the position of its first pair; a sum that is not finite
+    is refused."""
+    sums: dict = {}   # a monomial as given -> its term's running sum, a 1-item list
+    out: dict = {}    # the sorted monomial -> that list, in the order of first pairs
+    for key, coef in terms.items() if isinstance(terms, Mapping) else terms:
+        total = sums.get(key)
+        if total is None:
+            mono = tuple(sorted((_count(v, "a variable"), _count(p, "a power"))
+                                for v, p in key))
+            if len({v for v, _ in mono}) != len(mono):
+                raise ValueError(f"term {mono} repeats a variable")
+            if mono and mono[-1][0] > nvars:   # the largest variable
+                raise ValueError(f"variable {mono[-1][0]} outside [1, {nvars}]")
+            total = sums[key] = out.setdefault(mono, [0.0])
+        total[0] += float(coef)
+    for mono, (c,) in out.items():
         if not math.isfinite(c):
-            raise ValueError(f"term {pairs} has a coefficient that is not finite")
-        if c == 0.0:
-            out.pop(pairs, None)
-        else:
-            out[pairs] = c
-    return out
+            raise ValueError(f"term {mono} has a coefficient that is not finite")
+    return {mono: c for mono, (c,) in out.items() if c != 0.0}
 
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Polynomial in `nvars` variables, stored as {exponent-vector: coefficient}."""
+    """Polynomial in `nvars` variables, stored as {monomial: coefficient}; the
+    terms may be given as a mapping or as (monomial, coefficient) pairs, and
+    the constructor alone combines them (`_normalize_terms`)."""
 
     nvars: int
     terms: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.nvars < 1:
-            raise ValueError("nvars must be >= 1")
-        cleaned = _normalize_terms(self.terms)
-        for key in cleaned:
-            for v, _ in key:
-                if not 1 <= v <= self.nvars:
-                    raise ValueError(f"variable {v} outside [1, {self.nvars}]")
-        object.__setattr__(self, "terms", cleaned)
+        nvars = _count(self.nvars, "nvars")
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "terms", _normalize_terms(self.terms, nvars))
 
     @property
     def degree(self) -> int:
@@ -74,10 +84,7 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if self.nvars != other.nvars:
             raise ValueError("polynomials over different variable counts")
-        merged = dict(self.terms)
-        for k, c in other.terms.items():
-            merged[k] = merged.get(k, 0.0) + c
-        return Polynomial(self.nvars, merged)
+        return Polynomial(self.nvars, itertools.chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.nvars, {k: -c for k, c in self.terms.items()})
@@ -90,15 +97,14 @@ class Polynomial:
             return Polynomial(self.nvars, {k: c * other for k, c in self.terms.items()})
         if self.nvars != other.nvars:
             raise ValueError("polynomials over different variable counts")
-        out: dict[TermKey, float] = {}
+        pairs = []
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                powers: dict[int, int] = {}
-                for v, p in itertools.chain(k1, k2):
+                powers = dict(k1)
+                for v, p in k2:
                     powers[v] = powers.get(v, 0) + p
-                key = tuple(sorted(powers.items()))
-                out[key] = out.get(key, 0.0) + c1 * c2
-        return Polynomial(self.nvars, out)
+                pairs.append((tuple(powers.items()), c1 * c2))
+        return Polynomial(self.nvars, pairs)
 
     __rmul__ = __mul__
 
@@ -122,14 +128,13 @@ class Polynomial:
 
     def partial(self, var: int) -> "Polynomial":
         """Symbolic partial derivative with respect to x_var."""
-        out: dict[TermKey, float] = {}
+        pairs = []
         for key, coef in self.terms.items():
             for i, (v, p) in enumerate(key):
                 if v == var:
-                    rest = key[:i] + ((v, p - 1),) if p > 1 else key[:i]
-                    rest = rest + key[i + 1:]
-                    out[rest] = out.get(rest, 0.0) + coef * p
-        return Polynomial(self.nvars, out)
+                    lowered = ((v, p - 1),) if p > 1 else ()
+                    pairs.append((key[:i] + lowered + key[i + 1:], coef * p))
+        return Polynomial(self.nvars, pairs)
 
     def gradient(self) -> list["Polynomial"]:
         return [self.partial(v) for v in range(1, self.nvars + 1)]
@@ -341,16 +346,15 @@ def hermite_expansion(f: Polynomial) -> dict:
 # JSON formats
 
 def polynomial_from_dict(doc: dict) -> Polynomial:
-    terms: dict[TermKey, float] = {}
     try:
-        nvars = int(doc["nvars"])
-        for t in doc["terms"]:
-            key = tuple((int(v), int(p)) for v, p in t["exps"])
-            terms[key] = terms.get(key, 0.0) + float(t["coef"])
+        # every count of the file is checked, not each distinct monomial only,
+        # so that a later [true, 1] is refused after an earlier [1, 1]
+        return Polynomial(doc["nvars"], (
+            (tuple((_count(v, "a variable"), _count(p, "a power")) for v, p in t["exps"]),
+             t["coef"]) for t in doc["terms"]))
     except (KeyError, TypeError) as exc:
         raise ValueError("polynomial document needs nvars and a list of terms,"
                          " each with exps and coef") from exc
-    return Polynomial(nvars, terms)
 
 
 def load_polynomial(path: str) -> Polynomial:

@@ -20,10 +20,12 @@ floor(h/2) + 1 of them for h >= 3, one for h = 2 and none for h = 1.  The
 cap that `semicircle_integral` sets on f'^2, has K = 20 and needs 6, where the
 consecutive powers 2..10 would need 9.
 
-The stack is worked through in blocks of `montecarlo._stack_block(n)`
-matrices, so each formed power stays near 1 MB whatever the chunk size.  The
-traces do not depend on the block size: every product and inner product is
-taken one matrix at a time.
+The stack is sampled and worked through in blocks of
+`montecarlo._stack_block(n)` matrices: `WignerSpec.sample` draws the upper
+triangles of a block and gathers them into the stack, and each formed power
+stays near 1 MB whatever the chunk size.  Neither depends on the block size:
+the blocks draw in sequence from one stream, and every product and inner
+product is taken one matrix at a time.
 
 `eigenvalues_symmetric` is the one eigen path, for checks that compare a
 statistic with its eigenvalues; the experiment never needs them.
@@ -97,13 +99,22 @@ class WignerSpec:
             raise ValueError(f"unknown convention {self.convention!r}")
 
     def sample(self, rng: np.random.Generator, rows: int = 1) -> np.ndarray:
+        """`rows` matrices as a (rows, n, n) stack.  The draws are the upper
+        triangles of all the matrices, each row by row, then their diagonals.
+        The upper triangles of `_stack_block(n)` matrices at a time are drawn
+        and gathered straight into the stack (`symmetric_stack`), so no draw
+        array of the whole stack is held next to it; the diagonals are then
+        written over its zero diagonals."""
         n = self.n
-        m = n * (n - 1) // 2
-        values = np.empty((rows, m + n))
-        values[:, :m] = rng.standard_normal((rows, m))
+        stack = np.empty((rows, n, n))
+        block = _stack_block(n)
+        for start in range(0, rows, block):
+            upper = rng.standard_normal((min(block, rows - start), n * (n - 1) // 2))
+            symmetric_stack(upper, n, out=stack[start:start + block])
         diag_sd = math.sqrt(2.0) if self.convention == "goe" else 1.0
-        values[:, m:] = diag_sd * rng.standard_normal((rows, n))
-        return symmetric_stack(values, n)
+        i = np.arange(n)
+        stack[:, i, i] = diag_sd * rng.standard_normal((rows, n))
+        return stack
 
 
 def _power_chain(top: int) -> list[int]:

@@ -21,6 +21,17 @@ from .partitions import MAX_PARTITION_ORDER, SetPartition
 MAX_ENTRIES = 4_000_000
 
 
+def _count(value, name: str) -> int:
+    """`value` as an int when it is a whole number of at least 1 (an integer,
+    or a float with no fraction part), else a ValueError naming `name`."""
+    if type(value) is int and value >= 1:   # the common case, checked first
+        return value
+    whole = isinstance(value, np.integer) or isinstance(value, float) and value.is_integer()
+    if not whole or value < 1:
+        raise ValueError(f"{name} must be a whole number >= 1, got {value!r}")
+    return int(value)
+
+
 class Tensor:
     """Order-d array with every axis of length m, identified with a d-linear form."""
 
@@ -139,7 +150,7 @@ def load_tensor(path: str) -> Tensor:
     with open(path) as fh:
         doc = json.load(fh)
     try:
-        order, dim = int(doc["order"]), int(doc["dim"])
+        order, dim = _count(doc["order"], "tensor order"), _count(doc["dim"], "tensor dim")
         values = np.asarray(doc["values"], dtype=float)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"tensor file {path} needs order, dim and numeric values") from exc

@@ -767,6 +767,41 @@ def test_malformed_polynomial_file_exit_2(doc, tmp_path, capsys):
     assert "polynomial document" in captured.err and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,doc,field", [
+    (["norm", "--partition", "1", "--tensor"], {"order": -1, "dim": 2, "values": [1]},
+     "tensor order"),
+    (["norm", "--partition", "1|2", "--tensor"], {"order": 2, "dim": -2, "values": [1, 2, 3, 4]},
+     "tensor dim"),
+    (["norm", "--partition", "1|2", "--tensor"], {"order": 2, "dim": 2.9, "values": [1, 2, 3, 4]},
+     "tensor dim"),
+    (["norm", "--partition", "1", "--tensor"], {"order": 1.5, "dim": 2, "values": [1, 2]},
+     "tensor order"),
+    (["bounds", "--p", "2", "--poly"],
+     {"nvars": 2.7, "terms": [{"exps": [[1, 1], [2, 1]], "coef": 1.0}]}, "nvars"),
+    (["bounds", "--p", "2", "--poly"],
+     {"nvars": 2, "terms": [{"exps": [[1, 1.5], [2, 1]], "coef": 1.0}]}, "a power"),
+    (["bounds", "--p", "2", "--poly"],
+     {"nvars": 2, "terms": [{"exps": [[1.5, 1]], "coef": 1.0}]}, "a variable"),
+    # a bool is refused after the equal valid count as well as alone
+    (["bounds", "--p", "2", "--poly"],
+     {"nvars": 2, "terms": [{"exps": [[True, 1]], "coef": 1.0}]}, "a variable"),
+    (["bounds", "--p", "2", "--poly"],
+     {"nvars": 2, "terms": [{"exps": [[1, 1]], "coef": 1.0},
+                            {"exps": [[True, 1]], "coef": 1.0}]}, "a variable"),
+    (["bounds", "--p", "2", "--poly"],
+     {"nvars": 2, "terms": [{"exps": [[2, 1]], "coef": 1.0},
+                            {"exps": [[2, True]], "coef": 1.0}]}, "a power")])
+def test_count_in_an_input_file_must_be_a_whole_number_exit_2(argv, doc, field, tmp_path,
+                                                              capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert dispatch(argv + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{field} must be a whole number >= 1" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_tensor_file_with_non_numeric_values_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"order": 1, "dim": 2, "values": [{"a": 1}, {"a": 2}]}))

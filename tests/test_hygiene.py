@@ -235,6 +235,14 @@ def test_only_tensor_builds_index_grids():
     assert found == []
 
 
+def _nodes_inside(tree, path, home):
+    """The ids of the nodes of the def `home`, a (file name, function name)
+    pair, when `tree` is parsed from `path`; else none."""
+    return {id(node) for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and (path.name, fn.name) == home
+            for node in ast.walk(fn)}
+
+
 def test_only_eigenvalues_symmetric_calls_the_eigensolver():
     """One eigen path: LAPACK `eigvalsh` appears only inside
     `rmt.eigenvalues_symmetric`, which checks and symmetrises its input; a
@@ -242,9 +250,7 @@ def test_only_eigenvalues_symmetric_calls_the_eigensolver():
     found, inside = [], 0
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
-        home = {id(node) for fn in ast.walk(tree)
-                if isinstance(fn, ast.FunctionDef) and (path.name, fn.name)
-                == ("rmt.py", "eigenvalues_symmetric") for node in ast.walk(fn)}
+        home = _nodes_inside(tree, path, ("rmt.py", "eigenvalues_symmetric"))
         for node in ast.walk(tree):
             names = {getattr(node, "attr", None), getattr(node, "id", None),
                      getattr(node, "name", None)}
@@ -279,9 +285,7 @@ def test_only_bernoulli_bits_reads_raw_words():
     found, inside = [], 0
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
-        home = {id(node) for fn in ast.walk(tree)
-                if isinstance(fn, ast.FunctionDef) and (path.name, fn.name)
-                == ("poly.py", "bernoulli_bits") for node in ast.walk(fn)}
+        home = _nodes_inside(tree, path, ("poly.py", "bernoulli_bits"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr == "random_raw":
                 if id(node) in home:
@@ -291,6 +295,31 @@ def test_only_bernoulli_bits_reads_raw_words():
             elif _compares_a_uniform_draw(node):
                 found.append(f"{path.name}:{node.lineno} compares a uniform draw")
     assert found == [] and inside == 1
+
+
+def _adds_to_a_zero_default(node):
+    """Whether `node` is a sum with an operand `X.get(key, 0.0)`: a
+    coefficient accumulated in a dict."""
+    def zero_default(n):
+        return (isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "get"
+                and len(n.args) == 2 and isinstance(n.args[1], ast.Constant)
+                and type(n.args[1].value) is float and n.args[1].value == 0.0)
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and (zero_default(node.left) or zero_default(node.right)))
+
+
+def test_only_the_polynomial_constructor_sums_coefficients():
+    """Polynomial terms combine in one place: `poly._normalize_terms`, which
+    the `Polynomial` constructor runs on a mapping or on (monomial,
+    coefficient) pairs; no other code of the package adds to
+    `X.get(key, 0.0)`, and a producer of terms passes its pairs instead."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        home = _nodes_inside(tree, path, ("poly.py", "_normalize_terms"))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if _adds_to_a_zero_default(node) and id(node) not in home]
+    assert found == []
 
 
 def test_every_parameter_is_read():

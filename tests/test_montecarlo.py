@@ -181,6 +181,47 @@ def test_chaos_validation():
         chaos_moment(diag, "decoupled", 30.0, cfg)
 
 
+def _undecoupled_verdict(a):
+    """The exhaustive rule: every axis permutation, then every pair diagonal."""
+    d, vals = a.order, a.values
+    for perm in itertools.permutations(range(d)):
+        if not np.array_equal(vals, vals.transpose(perm)):
+            return "undecoupled chaos needs a symmetric coefficient tensor"
+    for j, k in itertools.combinations(range(1, d + 1), 2):
+        if np.any(vals[IndexMask.generalized_diagonal((j, k)).boolean(d, a.dim)]):
+            return f"nonzero entries on the generalized diagonal {{{j},{k}}}"
+    return None
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_undecoupled_validation_matches_every_permutation_and_diagonal(d):
+    cfg = MCConfig(N=200, seed=17)
+    raw = np.random.default_rng(40 + d).integers(0, 2, (3,) * d).astype(float)
+    raw[(0,) * d] = 1.0
+    sym = symmetrize(Tensor(raw)).values
+    cases = [raw, sym, apply_mask(Tensor(sym), IndexMask.off_diagonal()).values]
+    if d >= 3:
+        # symmetric in the first two axes but not in the last two
+        cases.append(raw + raw.swapaxes(0, 1))
+        # symmetric and nonzero only at the permutations of (0, 1, 1, ..):
+        # built from an entry whose equal indices are the 2nd and 3rd, it is
+        # refused on the {1,2} diagonal all the same
+        one = np.zeros((3,) * d)
+        one[(0,) + (1, 1) + (2,) * (d - 3)] = 1.0
+        cases.append(symmetrize(Tensor(one)).values)
+    verdicts = set()
+    for vals in cases:
+        a = Tensor(vals)
+        verdict = _undecoupled_verdict(a)
+        verdicts.add(verdict)
+        if verdict is None:
+            chaos_moment(a, "undecoupled", 2.0, cfg)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(verdict)}$"):
+                chaos_moment(a, "undecoupled", 2.0, cfg)
+    assert None in verdicts and (d == 1 or len(verdicts) == 3)
+
+
 def test_sandwich_linear_ratio_is_inverse_sqrt2():
     f = Polynomial(3, {((1, 1),): 1.0, ((2, 1),): 2.0, ((3, 1),): -2.0})
     dist = ProductDistribution("gaussian")
@@ -315,22 +356,28 @@ def test_hermite_convergence_rejects_inner_size_below_one(size):
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
-@given(st.integers(1, 9), st.integers(1, 4))
-def test_symmetric_stack_matches_entrywise_fill(n, rows):
+@given(st.integers(2, 9), st.integers(1, 4),
+       st.sampled_from([np.bool_, np.float32, np.float64]))
+def test_symmetric_stack_matches_entrywise_fill(n, rows, dtype):
     m = n * (n - 1) // 2
-    values = np.arange(rows * (m + n), dtype=float).reshape(rows, -1)
-    got = symmetric_stack(values, n)
+    upper = (np.arange(rows * m).reshape(rows, m) % 3).astype(dtype)
+    got = symmetric_stack(upper, n)
+    assert got.shape == (rows, n, n) and got.dtype == dtype
     for r in range(rows):
-        upper = iter(values[r])
+        entries = iter(upper[r])
         for i in range(n):
             for j in range(i + 1, n):
-                assert got[r, i, j] == got[r, j, i] == next(upper)
-        assert got[r].diagonal().tolist() == [next(upper) for _ in range(n)]
-    with pytest.raises(ValueError):
-        symmetric_stack(values[:, :-1], n + 2)
-    if n > 1:   # one entry shared by the whole diagonal is not a row layout
+                assert got[r, i, j] == got[r, j, i] == next(entries)
+        assert np.array_equal(got[r].diagonal(), np.zeros(n, dtype))
+    # a given stack is filled in place, its diagonal zeroed
+    out = np.full((rows, n, n), 5, dtype=dtype)
+    assert symmetric_stack(upper, n, out=out) is out
+    assert np.array_equal(out, symmetric_stack(upper, n))
+    # a row of the old layout, upper triangle then diagonal, is refused, and so is n = 1
+    for bad, size in [(np.zeros((rows, m + n), dtype), n), (upper[:, :-1], n),
+                      (upper, n + 1), (np.zeros((rows, 0), dtype), 1)]:
         with pytest.raises(ValueError):
-            symmetric_stack(values[:, :m + 1], n)
+            symmetric_stack(bad, size)
 
 
 # finite coefficients whose sample deviations overflow in their squares

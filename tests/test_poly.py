@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +62,38 @@ def test_term_normalization():
     # two finite coefficients of one term whose sum overflows
     with pytest.raises(ValueError, match="not finite"):
         Polynomial(2, {((1, 1), (2, 1)): 1e308, ((2, 1), (1, 1)): 1e308})
+
+
+def test_terms_given_as_pairs():
+    x, x2 = ((1, 1),), ((1, 2),)
+    xy, yx = ((1, 1), (2, 1)), ((2, 1), (1, 1))
+    # repeats are summed, one monomial in two variable orders merged
+    f = Polynomial(2, [(xy, 1.0), (x, 2.0), (yx, 0.5), (xy, 0.25)])
+    assert list(f.terms.items()) == [(xy, 1.75), (x, 2.0)]
+    # in the order given: 1e16 - 1e16 + 1 is 1, 1e16 + 1 - 1e16 is 0
+    assert Polynomial(1, [(x, 1e16), (x, -1e16), (x, 1.0)]).terms == {x: 1.0}
+    assert Polynomial(1, [(x, 1e16), (x, 1.0), (x, -1e16)]).terms == {}
+    # a partial sum through 0 keeps the term's first position
+    g = Polynomial(1, [(x2, 1.0), (x, 1.0), (x2, -1.0), (x2, 2.0)])
+    assert list(g.terms.items()) == [(x2, 2.0), (x, 1.0)]
+    assert Polynomial(1, [(x2, 1.0), (x, 1.0), (x2, -1.0)]).terms == {x: 1.0}
+    with pytest.raises(ValueError, match=re.escape("term ((1, 1), (2, 1)) has a coefficient"
+                                                   " that is not finite")):
+        Polynomial(2, [(x, 1.0), (xy, 1e308), (yx, 1e308)])
+    # a generator is read once, like a list
+    assert Polynomial(2, ((k, 1.0) for k in (xy, yx))).terms == {xy: 2.0}
+
+
+def test_counts_are_whole_numbers():
+    f = Polynomial(2.0, {((1.0, 2.0), (2, 1)): 1.0})
+    assert f.nvars == 2 and f.terms == {((1, 2), (2, 1)): 1.0}
+    assert all(type(i) is int for key in f.terms for pair in key for i in pair)
+    for nvars, key, name in [(2.7, ((1, 1),), "nvars"), (0, ((1, 1),), "nvars"),
+                             (2, ((1, 1.5),), "a power"), (2, ((1, 0),), "a power"),
+                             (2, ((1.5, 1),), "a variable"), (2, ((0, 1),), "a variable"),
+                             (2, (("1", 1),), "a variable"), (2, ((1, math.nan),), "a power")]:
+        with pytest.raises(ValueError, match=f"^{name} must be a whole number >= 1"):
+            Polynomial(nvars, {key: 1.0})
 
 
 def test_partial_derivatives():

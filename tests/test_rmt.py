@@ -133,18 +133,22 @@ def test_wigner_spec_conventions():
 
 
 @pytest.mark.parametrize("convention", ["paper", "goe"])
-def test_wigner_sample_matches_the_scatter_build(convention):
-    # the scatter-then-add-the-transpose construction this replaced, same draws
-    for n in (12, 30, 200):
-        got = WignerSpec(n, convention).sample(chunk_rng(46, n), 3)
-        rng = chunk_rng(46, n)
-        iu = np.triu_indices(n, 1)
-        a = np.zeros((3, n, n))
-        a[:, iu[0], iu[1]] = rng.standard_normal((3, iu[0].size))
-        a += np.transpose(a, (0, 2, 1))
-        diag_sd = math.sqrt(2.0) if convention == "goe" else 1.0
-        a[:, np.arange(n), np.arange(n)] = diag_sd * rng.standard_normal((3, n))
-        assert np.array_equal(got, a)
+def test_wigner_sample_matches_the_scatter_build(convention, monkeypatch):
+    # the scatter-then-add-the-transpose construction this replaced, same
+    # draws, whether the upper triangles are gathered in one block or one
+    # matrix per block
+    for block_bytes in (montecarlo._STACK_BLOCK_BYTES, 1):
+        monkeypatch.setattr(montecarlo, "_STACK_BLOCK_BYTES", block_bytes)
+        for n in (12, 30, 200):
+            got = WignerSpec(n, convention).sample(chunk_rng(46, n), 3)
+            rng = chunk_rng(46, n)
+            iu = np.triu_indices(n, 1)
+            a = np.zeros((3, n, n))
+            a[:, iu[0], iu[1]] = rng.standard_normal((3, iu[0].size))
+            a += np.transpose(a, (0, 2, 1))
+            diag_sd = math.sqrt(2.0) if convention == "goe" else 1.0
+            a[:, np.arange(n), np.arange(n)] = diag_sd * rng.standard_normal((3, n))
+            assert np.array_equal(got, a)
 
 
 def test_wigner_experiment_square_statistic():
@@ -247,9 +251,10 @@ def test_wigner_experiment_does_not_depend_on_the_block_size(f, n, monkeypatch):
 
 
 def test_wigner_chunk_memory():
-    # one chunk of 256 matrices at n = 200: sampling holds the draws next to
-    # the stack, 1.5 times the stack, and the traces add 1 MB blocks of
-    # powers; the eigen path held 2.0 times the stack
+    # one chunk of 256 matrices at n = 200: sampling holds the stack and one
+    # block of draws (drawing the whole chunk's entries before gathering them
+    # held 1.51 times the stack), and the traces add 1 MB blocks of powers;
+    # the eigen path held 2.0 times the stack
     cfg = MCConfig(N=256, seed=49, batch=256)
     tracemalloc.start()
     try:
@@ -257,4 +262,4 @@ def test_wigner_chunk_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.6 * 256 * 200 * 200 * 8
+    assert peak <= 1.3 * 256 * 200 * 200 * 8
