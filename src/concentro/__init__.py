@@ -41,7 +41,6 @@ from .montecarlo import (
     sobolev_check,
 )
 from .graphs import (
-    EdgeIndex,
     GraphSpec,
     counting_polynomial,
     er_tail_experiment,

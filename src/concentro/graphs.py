@@ -4,7 +4,9 @@ experiment against the bounds.  A pattern graph is its edge set: its
 automorphism count, and whether it is a cycle, are computed from its edges.
 The counting polynomial is one (monomial, 1) pair per injective map of the
 pattern, summed by the `Polynomial` constructor, and an adjacency stack is
-the edge bits handed to `symmetric_stack` as drawn.
+the edge bits handed to `symmetric_stack` as drawn.  Both read one edge order:
+the variable of edge (i, j) is one plus its column in `symmetric_stack`'s
+rows, so the sampled edge bits are the counting polynomial's point.
 
 The experiment samples and counts each Monte Carlo chunk in blocks of
 `montecarlo._stack_block(n)` graphs, so that a block's adjacency stack and its
@@ -31,6 +33,7 @@ from .montecarlo import (
     _mean_stderr,
     _run_chunks,
     _stack_block,
+    _symmetric_index,
     _tail_points,
     symmetric_stack,
     tail_rows,
@@ -39,6 +42,10 @@ from .partitions import SetPartition
 from .poly import Polynomial, bernoulli_bits
 
 MAX_TRACE_CYCLE = 5   # the longest cycle `count_cycles_trace` counts
+# the most ordered edge tuples `subgraph_norm_bound` enumerates: at 20-42 us a
+# tuple, the slowest accepted call (C_12 at 1|2|3|4|5, 95040 tuples) took
+# 2.2-3.2 s on one core of a 2-core x86-64 machine
+MAX_BOUND_TUPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -124,39 +131,25 @@ class GraphSpec:
                          for i in range(self.k))
 
 
-class EdgeIndex:
-    """Bijection between unordered pairs over [n] and 1..n(n-1)/2, lexicographic."""
-
-    def __init__(self, n: int):
-        if n < 2:
-            raise ValueError("edge indexing needs n >= 2")
-        self.n = n
-        self.count = n * (n - 1) // 2
-
-    def index(self, pair) -> int:
-        u, v = sorted(pair)
-        if not (1 <= u < v <= self.n):
-            raise ValueError(f"pair ({u},{v}) outside [1,{self.n}]")
-        return (u - 1) * self.n - u * (u + 1) // 2 + v
-
-
 def _check_vertex_count(h: GraphSpec, n: int) -> None:
     if n < h.k:
         raise ValueError(f"ambient vertex count {n} below pattern size {h.k}")
 
 
 def counting_polynomial(h: GraphSpec, n: int) -> Polynomial:
-    """Ordered-copy polynomial X_H over edge variables of the n-vertex clique.
+    """Ordered-copy polynomial X_H over edge variables of the n-vertex clique,
+    edge (i, j) being the variable one plus its column in `symmetric_stack`'s
+    rows (the upper triangle row by row).
 
     The unordered count is X_H / aut_size; evaluation at the all-ones point
     gives the falling factorial n(n-1)..(n-k+1).
     """
     _check_vertex_count(h, n)
-    eidx = EdgeIndex(n)
+    var = (_symmetric_index(n) + 1).reshape(n, n).tolist()
     # one pair per injective map of the pattern's vertices; the constructor sums them
-    return Polynomial(eidx.count, (
-        (tuple(sorted((eidx.index((image[u - 1], image[v - 1])), 1) for u, v in h.edges)), 1.0)
-        for image in itertools.permutations(range(1, n + 1), h.k)))
+    return Polynomial(n * (n - 1) // 2, (
+        ([(var[image[u - 1]][image[v - 1]], 1) for u, v in h.edges], 1.0)
+        for image in itertools.permutations(range(n), h.k)))
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +185,21 @@ def subgraph_norm_bound(h: GraphSpec, part: SetPartition, n: int, p: float) -> f
     ordered-copy polynomial X_H of any pattern without isolated vertices; at
     d = e = #edges with one block the norm itself: D^e X_H is aut(H) on each of
     the e! (n)_k / aut(H) edge e-tuples forming a copy, so sqrt(aut(H) e! (n)_k).
-    A bound whose arithmetic leaves the float range is refused."""
+    Any other order sums over the perm(e, d) ordered d-tuples of distinct
+    edges, refused past MAX_BOUND_TUPLES before the first; a bound whose
+    arithmetic leaves the float range is refused."""
     d = part.d
     if d > h.n_edges:
         raise ValueError(f"derivative order {d} outside [1, {h.n_edges}]")
     _check_vertex_count(h, n)
     if not 0 < p <= 1:
         raise ValueError("edge probability p must be in (0, 1]")
+    exact = d == h.n_edges and part.n_blocks == 1
+    if not exact and (tuples := math.perm(h.n_edges, d)) > MAX_BOUND_TUPLES:
+        raise ValueError(f"the norm bound at k = {h.k}, d = {d} sums over {tuples} ordered"
+                         f" edge tuples, cap is {MAX_BOUND_TUPLES}")
     try:
-        if d == h.n_edges and part.n_blocks == 1:
+        if exact:
             value = math.sqrt(h.aut_size * math.factorial(d) * math.perm(n, h.k))
         else:
             total = 0.0

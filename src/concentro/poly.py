@@ -8,8 +8,9 @@ coefficients).  Each value has one constructor: a polynomial is
 `ProductDistribution(law, p=.., alpha=..)`, each parameter refused for a law
 that does not take it.  Terms combine only in the `Polynomial` constructor:
 sums, products, derivatives, the file loader and the Erdos-Renyi counting
-polynomial pass it (monomial, coefficient) pairs, and `_normalize_terms`
-checks each distinct monomial once and sums each one's coefficients in order.
+polynomial pass it (monomial, coefficient) pairs unchecked, and
+`_normalize_terms` checks every pair and sums each monomial's coefficients in
+order.
 A Bernoulli bit is one `bernoulli_bits` call, which reads the generator's raw
 words.  One routine, `_substitute`, puts a moment of
 the law or of the semicircle in place of each remaining power of every
@@ -35,30 +36,35 @@ from .tensor import MAX_ENTRIES, Tensor, _count
 
 def _normalize_terms(terms, nvars: int) -> dict:
     """{monomial: coefficient} from a mapping or an iterable of (monomial,
-    coefficient) pairs, a monomial being a tuple of (variable, power) pairs.
-    Each distinct monomial is checked once: its variables and powers are whole
-    numbers (`_count`), a variable appears once and none exceeds nvars; it is
-    then sorted by variable.  The coefficients of one monomial are summed in
-    the order given, and a zero sum is dropped only after every pair is in, so
+    coefficient) pairs, a monomial being a sequence of (variable, power) pairs.
+    Every pair is checked: each factor is a (variable, power) pair of whole
+    numbers (`_count`), a variable appears once and none exceeds nvars, and the
+    coefficient is a number, not a bool or a string; the monomial is then
+    sorted by variable.  The coefficients of one monomial are summed in the
+    order given, and a zero sum is dropped only after every pair is in, so
     each term keeps the position of its first pair; a sum that is not finite
     is refused."""
-    sums: dict = {}   # a monomial as given -> its term's running sum, a 1-item list
-    out: dict = {}    # the sorted monomial -> that list, in the order of first pairs
+    out: dict = {}   # the sorted monomial -> its running sum, in the order of first pairs
     for key, coef in terms.items() if isinstance(terms, Mapping) else terms:
-        total = sums.get(key)
-        if total is None:
-            mono = tuple(sorted((_count(v, "a variable"), _count(p, "a power"))
-                                for v, p in key))
-            if len({v for v, _ in mono}) != len(mono):
-                raise ValueError(f"term {mono} repeats a variable")
-            if mono and mono[-1][0] > nvars:   # the largest variable
-                raise ValueError(f"variable {mono[-1][0]} outside [1, {nvars}]")
-            total = sums[key] = out.setdefault(mono, [0.0])
-        total[0] += float(coef)
-    for mono, (c,) in out.items():
+        factors = []
+        for factor in key:
+            if not isinstance(factor, (tuple, list)) or len(factor) != 2:
+                raise ValueError(f"term {key!r} has a factor {factor!r}"
+                                 " that is not a (variable, power) pair")
+            v, p = factor
+            factors.append((_count(v, "a variable"), _count(p, "a power")))
+        mono = tuple(sorted(factors))
+        if len({v for v, _ in mono}) != len(mono):
+            raise ValueError(f"term {mono} repeats a variable")
+        if mono and mono[-1][0] > nvars:   # the largest variable
+            raise ValueError(f"variable {mono[-1][0]} outside [1, {nvars}]")
+        if isinstance(coef, (bool, str)):
+            raise ValueError(f"term {mono} has a coefficient {coef!r} that is not a number")
+        out[mono] = out.get(mono, 0.0) + float(coef)
+    for mono, c in out.items():
         if not math.isfinite(c):
             raise ValueError(f"term {mono} has a coefficient that is not finite")
-    return {mono: c for mono, (c,) in out.items() if c != 0.0}
+    return {mono: c for mono, c in out.items() if c != 0.0}
 
 
 @dataclass(frozen=True)
@@ -347,11 +353,7 @@ def hermite_expansion(f: Polynomial) -> dict:
 
 def polynomial_from_dict(doc: dict) -> Polynomial:
     try:
-        # every count of the file is checked, not each distinct monomial only,
-        # so that a later [true, 1] is refused after an earlier [1, 1]
-        return Polynomial(doc["nvars"], (
-            (tuple((_count(v, "a variable"), _count(p, "a power")) for v, p in t["exps"]),
-             t["coef"]) for t in doc["terms"]))
+        return Polynomial(doc["nvars"], ((t["exps"], t["coef"]) for t in doc["terms"]))
     except (KeyError, TypeError) as exc:
         raise ValueError("polynomial document needs nvars and a list of terms,"
                          " each with exps and coef") from exc

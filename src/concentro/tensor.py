@@ -150,10 +150,10 @@ def load_tensor(path: str) -> Tensor:
     with open(path) as fh:
         doc = json.load(fh)
     try:
-        order, dim = _count(doc["order"], "tensor order"), _count(doc["dim"], "tensor dim")
-        values = np.asarray(doc["values"], dtype=float)
-    except (KeyError, TypeError) as exc:
+        order, dim, values = doc["order"], doc["dim"], np.asarray(doc["values"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:   # ValueError: ragged or text values
         raise ValueError(f"tensor file {path} needs order, dim and numeric values") from exc
+    order, dim = _count(order, "tensor order"), _count(dim, "tensor dim")
     if values.size != dim**order:
         raise ValueError(f"expected {dim**order} values, got {values.size}")
     return Tensor(values.reshape((dim,) * order))

@@ -1,11 +1,12 @@
 """Reference implementations that the tests compare the package against:
-brute-force counts, the inverse of the Hermite expansion, the edge-index
-inverse, a dense indicator-tensor norm beside its combinatorial cap, the
-closed-form triangle norms, partition refinement, the block multilinear form,
-the Hadamard products of the multiplier inequality, the Hoffman-Wielandt gap
-and the expected value E f(X); the writers of the two file formats the CLI
-reads; and the test inputs that several test files build: a clique's edges
-and a Hermite polynomial.  No code of the package reads them."""
+brute-force counts, the inverse of the Hermite expansion, the lexicographic
+edge order of K_n and its inverse, a dense indicator-tensor norm beside its
+combinatorial cap, the closed-form triangle norms, partition refinement, the
+block multilinear form, the Hadamard products of the multiplier inequality,
+the Hoffman-Wielandt gap and the expected value E f(X); the writers of the two
+file formats the CLI reads; and the test inputs that several test files
+build: a clique's edges and a Hermite polynomial.  No code of the package
+reads them."""
 
 import itertools
 import json
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from concentro.graphs import EdgeIndex, GraphSpec, _block_exponents, _isolated_edge_count
+from concentro.graphs import GraphSpec, _block_exponents, _isolated_edge_count
 from concentro.norms import NormOptions, NormResult, norm_J
 from concentro.partitions import SetPartition
 from concentro.poly import Polynomial, ProductDistribution, _substitute, hermite
@@ -22,15 +23,23 @@ from concentro.rmt import eigenvalues_symmetric
 from concentro.tensor import MAX_ENTRIES, Tensor, contract_rows
 
 
-def edge_pair(eidx: EdgeIndex, idx: int) -> tuple[int, int]:
-    """The pair (u, v), u < v, whose lexicographic index in `eidx` is idx."""
-    if not 1 <= idx <= eidx.count:
-        raise ValueError(f"edge index {idx} outside [1,{eidx.count}]")
+def edge_index(n: int, pair) -> int:
+    """The lexicographic number, 1..n(n-1)/2, of the edge `pair` of K_n:
+    (u - 1) n - u (u + 1) / 2 + v for u < v."""
+    u, v = sorted(pair)
+    if not 1 <= u < v <= n:
+        raise ValueError(f"pair ({u},{v}) outside [1,{n}]")
+    return (u - 1) * n - u * (u + 1) // 2 + v
+
+
+def edge_pair(n: int, idx: int) -> tuple[int, int]:
+    """The pair (u, v), u < v, whose `edge_index` in K_n is idx."""
+    if not 1 <= idx <= n * (n - 1) // 2:
+        raise ValueError(f"edge index {idx} outside [1,{n * (n - 1) // 2}]")
     u = 1
-    while (u - 1) * eidx.n - u * (u + 1) // 2 + eidx.n < idx:
+    while edge_index(n, (u, n)) < idx:
         u += 1
-    v = idx - ((u - 1) * eidx.n - u * (u + 1) // 2)
-    return (u, v)
+    return (u, idx - edge_index(n, (u, n)) + n)
 
 
 def count_cycles_embedding(adj: np.ndarray, k: int) -> int:
@@ -65,15 +74,14 @@ def indicator_norm_check(h: GraphSpec, e_seq, part: SetPartition, n: int,
     d = len(e_seq)
     if part.d != d:
         raise ValueError("partition order must equal the edge sequence length")
-    eidx = EdgeIndex(n)
-    if eidx.count**d > MAX_ENTRIES:
-        raise ValueError(f"indicator tensor would have {eidx.count**d} entries,"
-                         f" cap is {MAX_ENTRIES}")
+    m = n * (n - 1) // 2
+    if m**d > MAX_ENTRIES:
+        raise ValueError(f"indicator tensor would have {m**d} entries, cap is {MAX_ENTRIES}")
     verts = sorted({v for e in e_seq for v in e})
-    vals = np.zeros((eidx.count,) * d)
+    vals = np.zeros((m,) * d)
     for image in itertools.permutations(range(1, n + 1), len(verts)):
         vmap = dict(zip(verts, image))
-        pos = tuple(eidx.index((vmap[u], vmap[v])) - 1 for u, v in e_seq)
+        pos = tuple(edge_index(n, (vmap[u], vmap[v])) - 1 for u, v in e_seq)
         vals[pos] = 1.0
     lhs = norm_J(Tensor(vals), part, opts)
     return lhs, indicator_norm_bound(e_seq, part, n)

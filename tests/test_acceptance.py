@@ -13,7 +13,6 @@ import pytest
 
 from concentro.bounds import gaussian_moment_bound, weibull_moment_bound
 from concentro.graphs import (
-    EdgeIndex,
     GraphSpec,
     count_cycles_trace,
     counting_polynomial,

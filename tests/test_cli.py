@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from concentro import cli
+from concentro import cli, graphs
 from concentro.cli import dispatch
 from concentro.norms import NormOptions, norm_J
 from concentro.partitions import SetPartition
@@ -206,6 +206,24 @@ def test_graphs_cyclebound(capsys):
     out = capsys.readouterr().out
     # sqrt(2k * k! * (n)_k) = sqrt(8 * 24 * 3024), the exact top-order norm
     assert out.splitlines()[-1].endswith(",761.976377587")
+
+
+def test_graphs_cyclebound_refuses_an_enumeration_past_its_cap(monkeypatch, capsys):
+    # perm(30, 6) ordered edge tuples, refused before the first: every tuple
+    # would read its block exponents
+    def enumerated(*args):
+        raise AssertionError("the edge tuples were enumerated")
+
+    monkeypatch.setattr(graphs, "_block_exponents", enumerated)
+    assert dispatch(["graphs", "cyclebound", "--k", "30", "--n", "30", "--p", "0.5",
+                     "--partition", "1|2|3|4|5|6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the norm bound at k = 30, d = 6 sums over 427518000"
+                            " ordered edge tuples, cap is 100000\n")
+    # the top order with one block is the closed form, at any size
+    assert dispatch(["graphs", "cyclebound", "--k", "30", "--n", "30", "--p", "0.5",
+                     "--partition", ",".join(str(i) for i in range(1, 31))]) == 0
 
 
 def test_graphs_triangles_small(capsys):
@@ -754,17 +772,28 @@ def test_tail_constant_must_be_positive(argv, x1x2, tmp_path, capsys):
     assert "tail constant" in captured.err and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("doc", [
-    {"nvars": 2, "terms": [{"coef": 1.0}]},
-    {"nvars": 2, "terms": [[[[1, 1]], 1.0]]},
-    {"nvars": 2, "terms": 5}])
-def test_malformed_polynomial_file_exit_2(doc, tmp_path, capsys):
+@pytest.mark.parametrize("doc,message", [
+    ({"nvars": 2, "terms": [{"coef": 1.0}]}, "polynomial document"),
+    ({"nvars": 2, "terms": [[[[1, 1]], 1.0]]}, "polynomial document"),
+    ({"nvars": 2, "terms": 5}, "polynomial document"),
+    # the constructor refuses a term whose factor is not a (variable, power)
+    # pair or whose coefficient is a bool or a string
+    ({"nvars": 2, "terms": [{"exps": [[1, 1, 1]], "coef": 1.0}]},
+     "term [[1, 1, 1]] has a factor [1, 1, 1] that is not a (variable, power) pair"),
+    ({"nvars": 2, "terms": [{"exps": "x", "coef": 1.0}]},
+     "term 'x' has a factor 'x' that is not a (variable, power) pair"),
+    ({"nvars": 2, "terms": [{"exps": [[1, 1]], "coef": "abc"}]},
+     "term ((1, 1),) has a coefficient 'abc' that is not a number"),
+    ({"nvars": 2, "terms": [{"exps": [[1, 1]], "coef": True}]},
+     "term ((1, 1),) has a coefficient True that is not a number")],
+    ids=[f"doc{i}" for i in range(7)])
+def test_malformed_polynomial_file_exit_2(doc, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert dispatch(["bounds", "--poly", str(path), "--p", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "polynomial document" in captured.err and captured.err.count("\n") == 1
+    assert message in captured.err and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv,doc,field", [
@@ -804,11 +833,13 @@ def test_count_in_an_input_file_must_be_a_whole_number_exit_2(argv, doc, field, 
 
 def test_tensor_file_with_non_numeric_values_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"order": 1, "dim": 2, "values": [{"a": 1}, {"a": 2}]}))
-    assert dispatch(["norm", "--tensor", str(path), "--partition", "1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "numeric values" in captured.err and captured.err.count("\n") == 1
+    # objects, and ragged rows that numpy cannot make an array of
+    for order, values in [(1, [{"a": 1}, {"a": 2}]), (2, [[1], [1, 2]])]:
+        path.write_text(json.dumps({"order": order, "dim": 2, "values": values}))
+        assert dispatch(["norm", "--tensor", str(path), "--partition", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numeric values" in captured.err and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity"])

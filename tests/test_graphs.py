@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from concentro import montecarlo
 from concentro.graphs import (
     ERResult,
-    EdgeIndex,
     GraphSpec,
     count_cycles_trace,
     counting_polynomial,
@@ -29,6 +28,7 @@ from concentro.poly import ProductDistribution, expected_derivative_tensor
 from oracles import (
     clique_edges,
     count_cycles_embedding,
+    edge_index,
     edge_pair,
     indicator_norm_bound,
     indicator_norm_check,
@@ -57,14 +57,22 @@ def test_graph_spec_validation():
 
 def test_edge_index_round_trip():
     for n in (2, 3, 5, 8):
-        eidx = EdgeIndex(n)
         seen = set()
         for u, v in itertools.combinations(range(1, n + 1), 2):
-            i = eidx.index((u, v))
-            assert edge_pair(eidx, i) == (u, v)
+            i = edge_index(n, (u, v))
+            assert edge_pair(n, i) == (u, v)
             seen.add(i)
-        assert seen == set(range(1, eidx.count + 1))
-    assert EdgeIndex(5).index((3, 1)) == EdgeIndex(5).index((1, 3))
+        assert seen == set(range(1, n * (n - 1) // 2 + 1))
+    assert edge_index(5, (3, 1)) == edge_index(5, (1, 3))
+
+
+def test_counting_polynomial_numbers_edges_in_the_reference_order():
+    # the single-edge pattern has one term per edge, first met in the
+    # lexicographic order of the edges, so term i is the variable of edge i
+    for n in range(2, 10):
+        f = counting_polynomial(GraphSpec(((1, 2),)), n)
+        assert list(f.terms.items()) == [(((edge_index(n, e), 1),), 2.0)
+                                         for e in itertools.combinations(range(1, n + 1), 2)]
 
 
 def test_counting_polynomial_triangle_n3():
@@ -94,10 +102,10 @@ def test_triangle_second_derivative_is_p_times_shared_vertex_indicator():
     y_poly = counting_polynomial(h, n) * (1.0 / h.aut_size)
     dist = ProductDistribution("bernoulli", p=p)
     d2 = expected_derivative_tensor(y_poly, dist, 2).values
-    eidx = EdgeIndex(n)
-    for i in range(1, eidx.count + 1):
-        for j in range(1, eidx.count + 1):
-            shared = len(set(edge_pair(eidx, i)) & set(edge_pair(eidx, j)))
+    m = n * (n - 1) // 2
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            shared = len(set(edge_pair(n, i)) & set(edge_pair(n, j)))
             expect = p if shared == 1 else 0.0
             assert d2[i - 1, j - 1] == pytest.approx(expect, abs=1e-12)
 
@@ -152,7 +160,10 @@ def test_cycle_norm_bound_cases():
     (GraphSpec.cycle(300), SetPartition.parse("1"), 300, 0.5, "overflows a float at k = 300"),
     # the top order: 190! alone exceeds the float range
     (GraphSpec(clique_edges(20)), SetPartition([range(1, 191)]), 20, 0.5,
-     "overflows a float at k = 20")])
+     "overflows a float at k = 20"),
+    # perm(30, 6) ordered edge tuples to enumerate
+    (GraphSpec.cycle(30), SetPartition.parse("1|2|3|4|5|6"), 30, 0.5,
+     "at k = 30, d = 6 sums over 427518000 ordered edge tuples, cap is 100000")])
 def test_subgraph_norm_bound_refuses_bad_input(h, part, n, p, message):
     with pytest.raises(ValueError, match=message):
         subgraph_norm_bound(h, part, n, p)
@@ -269,10 +280,13 @@ def test_subgraph_norm_bound_caps_k4_norms(p):
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(st.integers(2, 40))
 def test_edge_index_is_a_bijection(n):
-    eidx = EdgeIndex(n)
+    m = n * (n - 1) // 2
     pairs = list(itertools.combinations(range(1, n + 1), 2))
-    assert sorted(eidx.index(e) for e in pairs) == list(range(1, n * (n - 1) // 2 + 1))
-    assert all(edge_pair(eidx, eidx.index(e)) == e for e in pairs)
+    assert sorted(edge_index(n, e) for e in pairs) == list(range(1, m + 1))
+    assert all(edge_pair(n, edge_index(n, e)) == e for e in pairs)
+    # the reference is the order in which `symmetric_stack` lays out a row
+    stack = montecarlo.symmetric_stack(np.arange(1, m + 1)[None], n)[0]
+    assert [stack[u - 1, v - 1] for u, v in pairs] == [edge_index(n, e) for e in pairs]
 
 
 def test_indicator_norm_check_single_edge():
@@ -377,7 +391,6 @@ def test_polynomial_count_equals_trace_count():
     n, p = 8, 0.5
     h = GraphSpec(clique_edges(3))
     y_poly = counting_polynomial(h, n) * (1.0 / h.aut_size)
-    eidx = EdgeIndex(n)
     rng = chunk_rng(32, 0)
     adjs = sample_adjacency(n, p, rng, 20)
     iu = np.triu_indices(n, 1)

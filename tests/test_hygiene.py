@@ -322,6 +322,25 @@ def test_only_the_polynomial_constructor_sums_coefficients():
     assert found == []
 
 
+def test_only_the_polynomial_constructor_checks_counts():
+    """In `poly`, `_count` is read only by the `Polynomial` constructor:
+    `Polynomial.__post_init__` checks nvars and `_normalize_terms` every
+    (variable, power) pair, so a producer of terms, the file loader among
+    them, hands its pairs over unchecked."""
+    homes = {"Polynomial.__post_init__", "_normalize_terms"}
+    tree = ast.parse((PACKAGE / "poly.py").read_text())
+    readers = []
+    for node in tree.body:
+        for scope in node.body if isinstance(node, ast.ClassDef) else [node]:
+            name = getattr(scope, "name", "")
+            if scope is not node:
+                name = f"{node.name}.{name}"
+            readers += [(name, n.lineno) for n in ast.walk(scope)
+                        if isinstance(n, ast.Name) and n.id == "_count"]
+    assert [f"{name} (poly.py:{line})" for name, line in readers if name not in homes] == []
+    assert {name for name, _ in readers} == homes
+
+
 def test_every_parameter_is_read():
     """Every parameter of every def in the package is read in its body, so no
     argument goes unused or restates another input.  A method's self or cls

@@ -96,6 +96,24 @@ def test_counts_are_whole_numbers():
             Polynomial(nvars, {key: 1.0})
 
 
+def test_every_term_pair_is_checked():
+    # True == 1 and both hash alike, yet a bool is refused after the equal
+    # valid count as well as before it
+    x, x_bool = ((1, 1),), ((True, 1),)
+    for pairs in ([(x, 1.0), (x_bool, 1.0)], [(x_bool, 1.0), (x, 1.0)]):
+        with pytest.raises(ValueError, match="^a variable must be a whole number >= 1, got True"):
+            Polynomial(2, pairs)
+    with pytest.raises(ValueError, match="^a power must be a whole number >= 1, got True"):
+        Polynomial(2, [(((2, 1),), 1.0), (((2, True),), 1.0)])
+    for key in ([[1, 1, 1]], "x", [1]):
+        with pytest.raises(ValueError, match="that is not a \\(variable, power\\) pair"):
+            Polynomial(2, [(key, 1.0)])
+    for coef in (True, "1.5"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"term ((1, 1),) has a coefficient {coef!r} that is not a number")):
+            Polynomial(2, [(x, coef)])
+
+
 def test_partial_derivatives():
     f = Polynomial(2, {((1, 2),): 1.0, ((1, 1), (2, 1)): 3.0})
     fx = f.partial(1)
