@@ -42,9 +42,9 @@ from .partitions import SetPartition
 from .poly import Polynomial, bernoulli_bits
 
 MAX_TRACE_CYCLE = 5   # the longest cycle `count_cycles_trace` counts
-# the most ordered edge tuples `subgraph_norm_bound` enumerates: at 20-42 us a
+# the most ordered edge tuples `subgraph_norm_bound` enumerates: at 1.5-3 us a
 # tuple, the slowest accepted call (C_12 at 1|2|3|4|5, 95040 tuples) took
-# 2.2-3.2 s on one core of a 2-core x86-64 machine
+# 0.14-0.29 s on one core of a 2-core x86-64 machine
 MAX_BOUND_TUPLES = 100_000
 
 
@@ -155,29 +155,23 @@ def counting_polynomial(h: GraphSpec, n: int) -> Polynomial:
 # ---------------------------------------------------------------------------
 # combinatorial bounds
 
-def _isolated_edge_count(edges) -> int:
-    """Edges sharing a vertex with no other edge of the list: as the edges are
-    distinct, those whose two endpoints both have degree 1."""
-    degree = collections.Counter(v for e in edges for v in e)
-    return sum(1 for u, v in edges if degree[u] == degree[v] == 1)
-
-
-def _singly_covered(groups) -> int:
-    """Vertices appearing in exactly one of the vertex groups."""
-    tally = collections.Counter(v for g in groups for v in set(g))
-    return sum(1 for c in tally.values() if c == 1)
-
-
-def _block_exponents(e_seq, part: SetPartition) -> tuple[float, int]:
-    """(half the isolated-edge counts of the blocks' edge groups, summed; the
-    number of vertices covered by exactly one block)."""
-    half_isolated = 0.0
-    groups = []
-    for block in part.blocks:
-        sub = [e_seq[j - 1] for j in block]
-        half_isolated += 0.5 * _isolated_edge_count(sub)
-        groups.append([v for e in sub for v in e])
-    return half_isolated, _singly_covered(groups)
+def _block_exponents(seq, blocks) -> tuple[int, int, int]:
+    """(the isolated-edge counts of the blocks' edge groups, summed; the
+    vertices the tuple covers; those covered by exactly one block) for an edge
+    tuple `seq` of vertex bit masks, each block a tuple of 0-based positions in
+    it.  An edge of a block is isolated when neither endpoint lies on another
+    edge of the block, the edges being distinct."""
+    isolated = covered = shared = 0
+    for block in blocks:
+        once = more = 0   # the block's vertices, and those on two or more of its edges
+        for j in block:
+            more |= once & seq[j]
+            once |= seq[j]
+        for j in block:
+            isolated += not seq[j] & more
+        shared |= covered & once
+        covered |= once
+    return isolated, covered.bit_count(), (covered & ~shared).bit_count()
 
 
 def subgraph_norm_bound(h: GraphSpec, part: SetPartition, n: int, p: float) -> float:
@@ -202,11 +196,12 @@ def subgraph_norm_bound(h: GraphSpec, part: SetPartition, n: int, p: float) -> f
         if exact:
             value = math.sqrt(h.aut_size * math.factorial(d) * math.perm(n, h.k))
         else:
-            total = 0.0
-            for e_seq in itertools.permutations(h.edges, d):
-                v0 = {v for e in e_seq for v in e}
-                half_isolated, singly = _block_exponents(e_seq, part)
-                total += 2.0**half_isolated * float(n) ** (h.k - len(v0) + 0.5 * singly)
+            masks = [1 << u | 1 << v for u, v in h.edges]
+            blocks = [tuple(j - 1 for j in block) for block in part.blocks]
+            total = 0.0   # summed in tuple order
+            for seq in itertools.permutations(masks, d):
+                isolated, covered, singly = _block_exponents(seq, blocks)
+                total += 2.0 ** (0.5 * isolated) * float(n) ** (h.k - covered + 0.5 * singly)
             value = p ** (h.n_edges - d) * total
     except OverflowError:
         value = math.inf

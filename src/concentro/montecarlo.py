@@ -3,8 +3,8 @@ sandwich-ratio checks that confront every bound functional with simulation.
 
 Randomness is counter-based: chunk c of a run with seed s draws from
 Philox-4x64 keyed with (s, c).  `_run_chunks` calls the job fn(rows, rng) per
-chunk on `cfg.workers` threads and joins the chunks in chunk order, so results
-are bit-identical for a fixed (seed, N, batch) whatever `cfg.workers` is.
+chunk on up to `cfg.workers` threads and joins the chunks in chunk order, so
+results are bit-identical for a fixed (seed, N, batch) whatever `cfg.workers` is.
 Every deviation tail comes from `tail_rows`, every replicate mean with its
 standard error from `_mean_stderr`, and every stack of symmetric
 matrices (Erdos-Renyi adjacency, Wigner) from `symmetric_stack`, which gathers
@@ -92,14 +92,16 @@ def chunk_rng(seed: int, chunk: int) -> np.random.Generator:
 
 def _run_chunks(fn, cfg: MCConfig) -> np.ndarray:
     """fn(rows, rng) -> array per chunk; the arrays joined along the last axis,
-    in chunk order."""
+    in chunk order.  The chunks run on min(cfg.workers, chunks) threads, and a
+    thread pool starts only when that is two or more."""
     sizes = [min(cfg.batch, cfg.N - start) for start in range(0, cfg.N, cfg.batch)]
 
     def job(c):
         return fn(sizes[c], chunk_rng(cfg.seed, c))
 
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+    threads = min(cfg.workers, len(sizes))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             return np.concatenate(list(pool.map(job, range(len(sizes)))), axis=-1)
     return np.concatenate([job(c) for c in range(len(sizes))], axis=-1)
 
@@ -300,8 +302,12 @@ def sandwich_check(f: Polynomial, dist: ProductDistribution, p_list, cfg: MCConf
 def _elementary_symmetric(draws: np.ndarray, d: int) -> np.ndarray:
     """e_0..e_d of each row by the recurrence e_k += e_(k-1) * x_j over the
     columns j; returns (rows, d+1).  A chunk no wider than tall takes one update
-    of e_1..e_d per column, a wider one a cumulative sum along the columns per k.
-    The sums stay sequential: the values are bit-identical to the plain loop."""
+    of e_1..e_d per column.  A wider one takes e_1 as the cumulative sum of the
+    columns, and each higher order as the cumulative sum of e_(k-1) before
+    column j times x_j, the products and sums written into two (n, rows)
+    arrays; the top order needs only the last sum, one reduction down the
+    columns.  The sums stay sequential: the values are bit-identical to the
+    plain loop."""
     rows, n = draws.shape
     cols = np.ascontiguousarray(draws.T)
     e = np.zeros((d + 1, rows))
@@ -310,11 +316,20 @@ def _elementary_symmetric(draws: np.ndarray, d: int) -> np.ndarray:
         for x in cols:
             e[1:] += e[:-1] * x
         return e.T
-    run = np.ones((n + 1, rows))     # e_(k-1) after 0..n columns
-    for k in range(1, d + 1):
-        run[1:] = np.cumsum(run[:-1] * cols, axis=0)
-        run[0] = 0.0
-        e[k] = run[-1]
+    run = np.empty((n, rows))    # e_(k-1) after 1..n columns
+    prod = np.empty((n, rows))   # e_(k-1) before column j, times x_j
+    np.cumsum(cols, axis=0, out=run)
+    e[1] = run[-1]
+    for k in range(2, d + 1):
+        np.multiply(cols[0], 0.0, out=prod[0])   # e_(k-1) is 0 before the first column
+        np.multiply(run[:-1], cols[1:], out=prod[1:])
+        # the top order is one reduction down the columns, but with one row
+        # that reduction would add pairwise, out of order: it takes the running sum
+        if k < d or rows == 1:
+            np.cumsum(prod, axis=0, out=run)
+            e[k] = run[-1]
+        else:
+            np.add.reduce(prod, axis=0, out=e[k])
     return e.T
 
 
@@ -356,7 +371,9 @@ def hermite_tetrahedral_convergence(d: int, N_list, cfg: MCConfig) -> list[dict]
 
 def sobolev_check(dist: ProductDistribution, f: Polynomial, p_list,
                   cfg: MCConfig) -> list[dict]:
-    """Ratio |f - Ef|_p / (L p^gamma | |grad f| |_p) per p, empirically."""
+    """Ratio |f - Ef|_p / (L p^gamma | |grad f| |_p) per p, empirically.
+    Each chunk's draws are transposed once, and f and every nonzero partial
+    are evaluated on that copy (`Polynomial._evaluate_columns`)."""
     pair = dist.sobolev
     if pair is None:
         raise ValueError(f"law {dist.law!r} has no known Sobolev (L, gamma) pair")
@@ -365,13 +382,13 @@ def sobolev_check(dist: ProductDistribution, f: Polynomial, p_list,
     grads = f.gradient()
 
     def job(rows, rng):
-        xs = dist.sample(rng, rows, f.nvars)
-        vals = f.evaluate_batch(xs)
+        cols = np.ascontiguousarray(dist.sample(rng, rows, f.nvars).T)
+        vals = f._evaluate_columns(cols)
         gsq = np.zeros(rows)
         with np.errstate(over="ignore"):   # an overflow is refused at gnorm**p
             for gpoly in grads:
                 if gpoly.terms:
-                    gsq += gpoly.evaluate_batch(xs) ** 2
+                    gsq += gpoly._evaluate_columns(cols) ** 2
         return np.stack([vals, np.sqrt(gsq)])
 
     values, gnorm = _run_chunks(job, cfg)

@@ -115,20 +115,34 @@ class Polynomial:
     __rmul__ = __mul__
 
     def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Evaluate at every row of xs (N, nvars); returns (N,).  A value that
-        overflows is inf or nan, without a warning: the callers refuse it."""
+        """Evaluate at every row of xs (N, nvars); returns (N,): one transposed
+        copy of the batch, handed to `_evaluate_columns`."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.nvars:
             raise ValueError(f"batch must have shape (N, {self.nvars})")
-        cols = np.ascontiguousarray(xs.T)
-        total = np.zeros(xs.shape[0])
-        prod = np.empty(xs.shape[0])
+        return self._evaluate_columns(np.ascontiguousarray(xs.T))
+
+    def _evaluate_columns(self, cols: np.ndarray) -> np.ndarray:
+        """The values at the N points whose coordinates are the rows of the
+        contiguous float (nvars, N) array `cols`; a caller that evaluates
+        several polynomials at one batch transposes it once.  Each term's
+        product starts as its first factor times the coefficient (a constant
+        term is its coefficient), bit for bit the coefficient times the factors
+        in order, and the terms are added in order.  A value that overflows is
+        inf or nan, without a warning: the callers refuse it."""
+        total = np.zeros(cols.shape[1])
+        prod = np.empty(cols.shape[1])
         with np.errstate(over="ignore", invalid="ignore"):
             for key, coef in self.terms.items():
-                prod.fill(coef)
-                for v, p in key:
+                if not key:
+                    prod.fill(coef)
+                for i, (v, p) in enumerate(key):
                     col = cols[v - 1]
-                    prod *= col if p == 1 else col**p
+                    factor = col if p == 1 else col**p
+                    if i:
+                        prod *= factor
+                    else:
+                        np.multiply(factor, coef, out=prod)
                 total += prod
         return total
 

@@ -1,13 +1,15 @@
 """Reference implementations that the tests compare the package against:
 brute-force counts, the inverse of the Hermite expansion, the lexicographic
 edge order of K_n and its inverse, a dense indicator-tensor norm beside its
-combinatorial cap, the closed-form triangle norms, partition refinement, the
-block multilinear form, the Hadamard products of the multiplier inequality,
-the Hoffman-Wielandt gap and the expected value E f(X); the writers of the two
+combinatorial cap, the edge-tuple norm bound tallied with a Counter per
+block, the closed-form triangle norms, partition refinement, the block
+multilinear form, the Hadamard products of the multiplier inequality, the
+Hoffman-Wielandt gap and the expected value E f(X); the writers of the two
 file formats the CLI reads; and the test inputs that several test files
 build: a clique's edges and a Hermite polynomial.  No code of the package
 reads them."""
 
+import collections
 import itertools
 import json
 import math
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from concentro.graphs import GraphSpec, _block_exponents, _isolated_edge_count
+from concentro.graphs import GraphSpec
 from concentro.norms import NormOptions, NormResult, norm_J
 from concentro.partitions import SetPartition
 from concentro.poly import Polynomial, ProductDistribution, _substitute, hermite
@@ -54,11 +56,41 @@ def count_cycles_embedding(adj: np.ndarray, k: int) -> int:
     return hits // (2 * k)
 
 
+def isolated_edge_count(edges) -> int:
+    """Edges sharing a vertex with no other edge of the list: as the edges are
+    distinct, those whose two endpoints both have degree 1."""
+    degree = collections.Counter(v for e in edges for v in e)
+    return sum(1 for u, v in edges if degree[u] == degree[v] == 1)
+
+
+def block_exponents(e_seq, part: SetPartition) -> tuple[float, int]:
+    """(half the isolated-edge counts of the blocks' edge groups, summed; the
+    number of vertices covered by exactly one block)."""
+    half_isolated = 0.0
+    tally = collections.Counter()   # vertex -> the blocks covering it
+    for block in part.blocks:
+        sub = [e_seq[j - 1] for j in block]
+        half_isolated += 0.5 * isolated_edge_count(sub)
+        tally.update({v for e in sub for v in e})
+    return half_isolated, sum(1 for c in tally.values() if c == 1)
+
+
+def subgraph_norm_sum(h: GraphSpec, part: SetPartition, n: int, p: float) -> float:
+    """The edge-tuple sum of `subgraph_norm_bound`, each tuple's exponents
+    tallied by `block_exponents`, summed in tuple order."""
+    total = 0.0
+    for e_seq in itertools.permutations(h.edges, part.d):
+        v0 = {v for e in e_seq for v in e}
+        half_isolated, singly = block_exponents(e_seq, part)
+        total += 2.0**half_isolated * float(n) ** (h.k - len(v0) + 0.5 * singly)
+    return p ** (h.n_edges - part.d) * total
+
+
 def indicator_norm_bound(e_seq, part: SetPartition, n: int) -> float:
     """Combinatorial cap on the pattern-indicator tensor norm: powers of 2 from
     isolated edges and sqrt(n) per singly covered vertex."""
-    half_isolated, singly = _block_exponents(e_seq, part)
-    return 2.0 ** (half_isolated - _isolated_edge_count(list(e_seq))) * float(n) ** (0.5 * singly)
+    half_isolated, singly = block_exponents(e_seq, part)
+    return 2.0 ** (half_isolated - isolated_edge_count(list(e_seq))) * float(n) ** (0.5 * singly)
 
 
 def indicator_norm_check(h: GraphSpec, e_seq, part: SetPartition, n: int,

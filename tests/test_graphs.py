@@ -32,6 +32,7 @@ from oracles import (
     edge_pair,
     indicator_norm_bound,
     indicator_norm_check,
+    subgraph_norm_sum,
     triangle_norms_exact,
 )
 
@@ -146,6 +147,22 @@ def test_cycle_norm_bound_cases():
     k4 = GraphSpec.cycle(4)
     assert subgraph_norm_bound(k4, SetPartition.parse("1,2,3,4"), 9, 0.2) == \
         pytest.approx(math.sqrt(8 * 24 * 3024), rel=1e-12)
+
+
+PATH_5 = GraphSpec(((1, 2), (2, 3), (3, 4), (4, 5)))
+
+
+@pytest.mark.parametrize("h", [GraphSpec.cycle(k) for k in range(3, 9)]
+                         + [GraphSpec(clique_edges(4)), PATH_5],
+                         ids=[f"C{k}" for k in range(3, 9)] + ["K4", "P5"])
+def test_subgraph_norm_bound_matches_the_counter_tallies(h):
+    # every partition of order d <= 4 but the top order with one block, which
+    # is the closed form
+    for d in range(1, min(4, h.n_edges) + 1):
+        for part in enumerate_partitions(d):
+            if d == h.n_edges and part.n_blocks == 1:
+                continue
+            assert subgraph_norm_bound(h, part, 11, 0.3) == subgraph_norm_sum(h, part, 11, 0.3)
 
 
 @pytest.mark.parametrize("h,part,n,p,message", [

@@ -131,6 +131,27 @@ def test_every_entry_point_reads_the_worker_count_from_its_config(run, monkeypat
     assert threaded == serial
 
 
+def test_a_thread_pool_starts_only_for_two_or_more_chunks(monkeypatch):
+    pools = []
+
+    class CountingPool(montecarlo.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", CountingPool)
+
+    def draw(rows, rng):
+        return rng.standard_normal(rows)
+
+    one = montecarlo._run_chunks(draw, MCConfig(N=100, seed=2, batch=100, workers=4))
+    assert pools == []
+    assert np.array_equal(one, montecarlo._run_chunks(draw, MCConfig(N=100, seed=2, batch=100)))
+    three = montecarlo._run_chunks(draw, MCConfig(N=300, seed=2, batch=100, workers=8))
+    assert pools == [3]
+    assert np.array_equal(three, montecarlo._run_chunks(draw, MCConfig(N=300, seed=2, batch=100)))
+
+
 def test_empirical_tail_examples():
     cfg = MCConfig(N=100_000, seed=13)
     t0 = empirical_tail(X1, GAUSS, 0.0, cfg)
@@ -278,6 +299,16 @@ def draws_and_degree(draw):
     return draws, draw(st.integers(1, 4))
 
 
+@pytest.mark.parametrize("shape", [(1, 8), (1, 300), (2, 300), (65, 1000)])
+def test_elementary_symmetric_of_wide_chunks_matches_loop(shape):
+    # one row with eight or more columns is where a reduction down the
+    # columns would add pairwise; the recurrence keeps the sequential order
+    draws = np.random.default_rng(shape[1]).standard_normal(shape)
+    for d in (1, 2, 3, 4):
+        assert np.array_equal(montecarlo._elementary_symmetric(draws, d),
+                              _elementary_symmetric_loop(draws, d))
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(draws_and_degree())
 def test_elementary_symmetric_matches_loop_and_subset_sums(case):
@@ -347,6 +378,54 @@ def test_sobolev_check_examples():
         assert rows[0]["status"] == "degenerate" and rows[0]["ratio"] is None
     with pytest.raises(ValueError, match="Sobolev"):
         sobolev_check(ProductDistribution("bernoulli", p=0.5), f_lin, [2.0], cfg)
+
+
+# a constant, powers 2-5, and x4 in no term, so one partial is zero
+SOBOLEV_POLY = Polynomial(4, [((), 0.5), (((1, 2), (2, 1)), 1.5), (((2, 3),), -0.25),
+                              (((3, 5),), 0.125), (((1, 1), (3, 4)), -1.0)])
+
+
+def _sobolev_reference(dist, f, p_list, cfg):
+    """`sobolev_check`'s rows with f and each nonzero partial evaluated by its
+    own `evaluate_batch` call on the chunk's draws."""
+    L, gamma = dist.sobolev
+    values, gnorm = [], []
+    for c, start in enumerate(range(0, cfg.N, cfg.batch)):
+        xs = dist.sample(chunk_rng(cfg.seed, c), min(cfg.batch, cfg.N - start), f.nvars)
+        values.append(f.evaluate_batch(xs))
+        gsq = np.zeros(len(xs))
+        for g in f.gradient():
+            if g.terms:
+                gsq += g.evaluate_batch(xs) ** 2
+        gnorm.append(np.sqrt(gsq))
+    gnorm = np.concatenate(gnorm)
+    rows = []
+    for est in montecarlo._centered_moments(np.concatenate(values), p_list):
+        rhs = float(L * est.p**gamma * np.mean(gnorm**est.p) ** (1.0 / est.p))
+        rows.append({"p": est.p, "lhs": est.value, "rhs": rhs, "ratio": est.value / rhs,
+                     "status": "pass" if est.value <= rhs else "check"})
+    return rows
+
+
+def test_sobolev_check_matches_one_evaluation_per_partial():
+    cfg = MCConfig(N=3000, seed=23, batch=1024)
+    p_list = (2.0, 3.0, 4.0)
+    assert sobolev_check(GAUSS, SOBOLEV_POLY, p_list, cfg) == \
+        _sobolev_reference(GAUSS, SOBOLEV_POLY, p_list, cfg)
+
+
+def test_sobolev_check_transposes_each_chunk_once(monkeypatch):
+    # f and its three nonzero partials read one transposed copy of the draws
+    calls = []
+    contiguous = np.ascontiguousarray
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return contiguous(*args, **kwargs)
+
+    monkeypatch.setattr(np, "ascontiguousarray", counting)
+    sobolev_check(GAUSS, SOBOLEV_POLY, (2.0,), MCConfig(N=500, seed=3))
+    assert calls == [(4, 500)]
 
 
 @pytest.mark.parametrize("size", [0, -3])

@@ -47,6 +47,35 @@ def test_evaluate_batch_matches_pointwise():
         assert batch[i] == pytest.approx(f.evaluate_batch(xs[i:i + 1])[0], rel=1e-13)
 
 
+def _evaluate_reference(f, xs):
+    """The term loop with each product filled with its coefficient first, then
+    multiplied by the factors in order."""
+    total = np.zeros(len(xs))
+    for key, coef in f.terms.items():
+        prod = np.full(len(xs), coef)
+        for v, p in key:
+            col = xs[:, v - 1]
+            prod *= col if p == 1 else col**p
+        total += prod
+    return total
+
+
+@pytest.mark.parametrize("f", [
+    # a constant term, powers 2-5, negative coefficients, a zero coefficient
+    # (dropped), and x4 in no term
+    Polynomial(4, [((), 1.25), (((1, 2),), -0.75), (((2, 3), (1, 1)), 3.5),
+                   (((3, 4),), -1.0 / 3.0), (((1, 5), (3, 1)), 0.0),
+                   (((2, 5), (3, 2), (1, 1)), -2.0), (((3, 1),), 7.0)]),
+    Polynomial(4, {(): -3.0}),
+    Polynomial(4)])
+def test_evaluate_batch_is_bit_identical_to_the_fill_then_multiply_loop(f):
+    rng = np.random.default_rng(3)
+    xs = 2.0 * rng.standard_normal((257, 4))
+    xs[::7, 1] = 0.0
+    xs[::11, 2] = -0.0
+    assert f.evaluate_batch(xs).tobytes() == _evaluate_reference(f, xs).tobytes()
+
+
 def test_term_normalization():
     f = Polynomial(2, {((2, 1), (1, 1)): 1.0, ((1, 1), (2, 1)): 2.0})
     assert f.terms == {((1, 1), (2, 1)): 3.0}
