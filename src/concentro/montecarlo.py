@@ -305,8 +305,7 @@ def _elementary_symmetric(draws: np.ndarray, d: int) -> np.ndarray:
     of e_1..e_d per column.  A wider one takes e_1 as the cumulative sum of the
     columns, and each higher order as the cumulative sum of e_(k-1) before
     column j times x_j, the products and sums written into two (n, rows)
-    arrays; the top order needs only the last sum, one reduction down the
-    columns.  The sums stay sequential: the values are bit-identical to the
+    arrays.  The sums stay sequential: the values are bit-identical to the
     plain loop."""
     rows, n = draws.shape
     cols = np.ascontiguousarray(draws.T)
@@ -323,13 +322,8 @@ def _elementary_symmetric(draws: np.ndarray, d: int) -> np.ndarray:
     for k in range(2, d + 1):
         np.multiply(cols[0], 0.0, out=prod[0])   # e_(k-1) is 0 before the first column
         np.multiply(run[:-1], cols[1:], out=prod[1:])
-        # the top order is one reduction down the columns, but with one row
-        # that reduction would add pairwise, out of order: it takes the running sum
-        if k < d or rows == 1:
-            np.cumsum(prod, axis=0, out=run)
-            e[k] = run[-1]
-        else:
-            np.add.reduce(prod, axis=0, out=e[k])
+        np.cumsum(prod, axis=0, out=run)
+        e[k] = run[-1]
     return e.T
 
 
@@ -372,8 +366,9 @@ def hermite_tetrahedral_convergence(d: int, N_list, cfg: MCConfig) -> list[dict]
 def sobolev_check(dist: ProductDistribution, f: Polynomial, p_list,
                   cfg: MCConfig) -> list[dict]:
     """Ratio |f - Ef|_p / (L p^gamma | |grad f| |_p) per p, empirically.
-    Each chunk's draws are transposed once, and f and every nonzero partial
-    are evaluated on that copy (`Polynomial._evaluate_columns`)."""
+    Each chunk's draws are copied once into Fortran order, which
+    `evaluate_batch` reads without a copy of its own, for f and every nonzero
+    partial."""
     pair = dist.sobolev
     if pair is None:
         raise ValueError(f"law {dist.law!r} has no known Sobolev (L, gamma) pair")
@@ -382,13 +377,13 @@ def sobolev_check(dist: ProductDistribution, f: Polynomial, p_list,
     grads = f.gradient()
 
     def job(rows, rng):
-        cols = np.ascontiguousarray(dist.sample(rng, rows, f.nvars).T)
-        vals = f._evaluate_columns(cols)
+        xs = np.asfortranarray(dist.sample(rng, rows, f.nvars))
+        vals = f.evaluate_batch(xs)
         gsq = np.zeros(rows)
         with np.errstate(over="ignore"):   # an overflow is refused at gnorm**p
             for gpoly in grads:
                 if gpoly.terms:
-                    gsq += gpoly._evaluate_columns(cols) ** 2
+                    gsq += gpoly.evaluate_batch(xs) ** 2
         return np.stack([vals, np.sqrt(gsq)])
 
     values, gnorm = _run_chunks(job, cfg)

@@ -115,34 +115,32 @@ class Polynomial:
     __rmul__ = __mul__
 
     def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Evaluate at every row of xs (N, nvars); returns (N,): one transposed
-        copy of the batch, handed to `_evaluate_columns`."""
+        """Evaluate at every row of xs (N, nvars); returns (N,).  The batch is
+        read as contiguous columns, a view when xs is Fortran-ordered, so a
+        caller that evaluates several polynomials at one batch copies it once.
+        Each term's product starts as its first factor times the coefficient (a
+        constant term is its coefficient), bit for bit the coefficient times the
+        factors in order, and the terms are added in order.  A value that
+        overflows is inf or nan, without a warning: the callers refuse it."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.nvars:
             raise ValueError(f"batch must have shape (N, {self.nvars})")
-        return self._evaluate_columns(np.ascontiguousarray(xs.T))
+        cols = np.ascontiguousarray(xs.T)
 
-    def _evaluate_columns(self, cols: np.ndarray) -> np.ndarray:
-        """The values at the N points whose coordinates are the rows of the
-        contiguous float (nvars, N) array `cols`; a caller that evaluates
-        several polynomials at one batch transposes it once.  Each term's
-        product starts as its first factor times the coefficient (a constant
-        term is its coefficient), bit for bit the coefficient times the factors
-        in order, and the terms are added in order.  A value that overflows is
-        inf or nan, without a warning: the callers refuse it."""
-        total = np.zeros(cols.shape[1])
-        prod = np.empty(cols.shape[1])
+        def power(v, p):
+            col = cols[v - 1]
+            return col if p == 1 else col**p
+
+        total = np.zeros(xs.shape[0])
+        prod = np.empty(xs.shape[0])
         with np.errstate(over="ignore", invalid="ignore"):
             for key, coef in self.terms.items():
-                if not key:
+                if key:
+                    np.multiply(power(*key[0]), coef, out=prod)
+                    for v, p in key[1:]:
+                        prod *= power(v, p)
+                else:
                     prod.fill(coef)
-                for i, (v, p) in enumerate(key):
-                    col = cols[v - 1]
-                    factor = col if p == 1 else col**p
-                    if i:
-                        prod *= factor
-                    else:
-                        np.multiply(factor, coef, out=prod)
                 total += prod
         return total
 

@@ -301,8 +301,9 @@ def draws_and_degree(draw):
 
 @pytest.mark.parametrize("shape", [(1, 8), (1, 300), (2, 300), (65, 1000)])
 def test_elementary_symmetric_of_wide_chunks_matches_loop(shape):
-    # one row with eight or more columns is where a reduction down the
-    # columns would add pairwise; the recurrence keeps the sequential order
+    # wider than the hypothesis cases, up to the hermite chunk shape: from eight
+    # columns on, a numpy reduction down the columns would add pairwise, out of
+    # the loop's order
     draws = np.random.default_rng(shape[1]).standard_normal(shape)
     for d in (1, 2, 3, 4):
         assert np.array_equal(montecarlo._elementary_symmetric(draws, d),
@@ -414,18 +415,21 @@ def test_sobolev_check_matches_one_evaluation_per_partial():
         _sobolev_reference(GAUSS, SOBOLEV_POLY, p_list, cfg)
 
 
-def test_sobolev_check_transposes_each_chunk_once(monkeypatch):
-    # f and its three nonzero partials read one transposed copy of the draws
-    calls = []
-    contiguous = np.ascontiguousarray
+def test_sobolev_check_copies_each_chunk_once(monkeypatch):
+    # f and its three nonzero partials read one copy of the draws: every call
+    # gets the same buffer, and evaluate_batch reads its columns in place
+    seen = []
+    evaluate = Polynomial.evaluate_batch
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return contiguous(*args, **kwargs)
+    def recording(self, xs):
+        seen.append(xs)
+        return evaluate(self, xs)
 
-    monkeypatch.setattr(np, "ascontiguousarray", counting)
+    monkeypatch.setattr(Polynomial, "evaluate_batch", recording)
     sobolev_check(GAUSS, SOBOLEV_POLY, (2.0,), MCConfig(N=500, seed=3))
-    assert calls == [(4, 500)]
+    assert len(seen) == 4
+    assert all(np.shares_memory(xs, seen[0]) for xs in seen)
+    assert all(np.shares_memory(np.ascontiguousarray(xs.T), xs) for xs in seen)
 
 
 @pytest.mark.parametrize("size", [0, -3])
